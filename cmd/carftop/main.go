@@ -1,5 +1,5 @@
 // Command carftop is a plain-text live view over any carf process
-// serving the telemetry plane — a carfstudy/carfbench run started with
+// serving the telemetry plane — a carfstudy or carfsim run started with
 // -telemetry, or a carfserve daemon. It polls GET /runs and redraws a
 // terminal dashboard: the scheduler summary (workers, hit/miss/join
 // counters, cache size), the in-flight run table with progress bars and

@@ -121,7 +121,7 @@ func (e *Executor) drive() {
 
 // EnvVar selects the process-default batch width for simulation runs:
 // unset or <= 1 means the scalar loop, N >= 2 means lockstep batches of
-// N. Commands (carfstudy, carfserve, carfbench) inherit it without
+// N. Commands (carfstudy, carfserve) inherit it without
 // flags of their own.
 const EnvVar = "CARF_BATCH"
 

@@ -125,6 +125,9 @@ type CPU struct {
 	// Classify consults the live Short-entry table, so the same value may
 	// classify differently at different cycles.
 	classifier Classifier
+	// liveLong is the model's live-Long occupancy sampler when it has
+	// one, resolved once for the same reason.
+	liveLong liveLongSampler
 
 	// Per-tag scoreboard (FP file).
 	fpDone []int64
@@ -349,6 +352,7 @@ func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
 	c.intValue = make([]uint64, n)
 	c.intWrote = make([]bool, n)
 	c.classifier, _ = model.(Classifier)
+	c.liveLong, _ = model.(liveLongSampler)
 
 	c.fpDone = make([]int64, cfg.NumFPRegs)
 	c.fpWB = make([]int64, cfg.NumFPRegs)
@@ -544,8 +548,8 @@ func (c *CPU) cycle() {
 	if c.sampler != nil && c.samplePeriod > 0 && c.now%c.samplePeriod == 0 {
 		c.sampleLive()
 	}
-	if f, ok := c.model.(liveLongSampler); ok && c.now%128 == 0 {
-		f.SampleLiveLong()
+	if c.liveLong != nil && c.now%128 == 0 {
+		c.liveLong.SampleLiveLong()
 	}
 	if c.hard != nil && c.hard.err == nil {
 		if n := c.hard.opts.SweepEvery; n > 0 && c.now > 0 && uint64(c.now)%n == 0 {

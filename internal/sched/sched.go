@@ -151,25 +151,6 @@ type Stats struct {
 	LeaseWait time.Duration // cumulative cross-process lease wait (peer hits + contended misses)
 }
 
-// Delta returns st minus prev, for measuring one phase of a scheduler's
-// life (cumulative counters only; Workers and CacheEntries are kept
-// from st).
-func (st Stats) Delta(prev Stats) Stats {
-	st.Runs -= prev.Runs
-	st.Misses -= prev.Misses
-	st.Hits -= prev.Hits
-	st.Joins -= prev.Joins
-	st.DiskHits -= prev.DiskHits
-	st.PeerHits -= prev.PeerHits
-	st.Canceled -= prev.Canceled
-	st.Evictions -= prev.Evictions
-	st.Errors -= prev.Errors
-	st.QueueWait -= prev.QueueWait
-	st.SimWall -= prev.SimWall
-	st.LeaseWait -= prev.LeaseWait
-	return st
-}
-
 // Observer receives run lifecycle callbacks from a scheduler: every Do
 // call announces itself once on entry (RunEnqueued), misses additionally
 // report worker-slot acquisition (RunStarted), and every call reports
@@ -548,8 +529,8 @@ func (s *Scheduler) Workers() int {
 
 // DisableMemo turns off the completed-run cache and in-flight
 // deduplication: every Do executes its function (still through the
-// bounded pool). Benchmarks use this to measure the unmemoized
-// baseline.
+// bounded pool). The determinism tests use this as the unmemoized
+// reference.
 func (s *Scheduler) DisableMemo() {
 	s.mu.Lock()
 	s.memo = false

@@ -399,6 +399,9 @@ func (r SubmitRequest) validate() (kind string, err error) {
 		if carf.DescribeExperiment(r.Experiment) == "" {
 			return "", fmt.Errorf("unknown experiment %q (known: %v)", r.Experiment, carf.Experiments())
 		}
+		if err := (carf.Config{Scale: r.Scale}).Validate(); err != nil {
+			return "", err
+		}
 		return "experiment", nil
 	case r.Kernel != "":
 		cfg := carf.Config{

@@ -99,6 +99,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"kernel":"nope"}`, http.StatusBadRequest},
 		{`{"experiment":"table2","kernel":"qsort"}`, http.StatusBadRequest},
 		{`{"kernel":"qsort","organization":"bogus"}`, http.StatusBadRequest},
+		{`{"experiment":"table2","scale":-1}`, http.StatusBadRequest},
 	} {
 		resp := submit(t, ts, "c1", tc.body)
 		io.Copy(io.Discard, resp.Body)

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"carf/internal/metrics"
@@ -27,11 +26,10 @@ import (
 //	/events   SSE stream of run and experiment lifecycle events.
 //	/         endpoint index.
 //
-// The scheduler reference is swappable (carfbench rotates through
-// study schedulers); the hub is fixed at construction.
+// The hub and the scheduler are fixed at construction.
 type Server struct {
 	hub   *Hub
-	sch   atomic.Pointer[sched.Scheduler]
+	sch   *sched.Scheduler // nil: /metrics and /runs omit scheduler data
 	start time.Time
 
 	mu      sync.Mutex
@@ -42,19 +40,11 @@ type Server struct {
 	srv *http.Server
 }
 
-// NewServer returns a server over hub, scraping s for /metrics (s may
-// be nil and set later with SetScheduler).
+// NewServer returns a server over hub, scraping s for /metrics and the
+// /runs summary (s may be nil).
 func NewServer(hub *Hub, s *sched.Scheduler) *Server {
-	sv := &Server{hub: hub, start: time.Now()}
-	if s != nil {
-		sv.sch.Store(s)
-	}
-	return sv
+	return &Server{hub: hub, sch: s, start: time.Now()}
 }
-
-// SetScheduler swaps the scheduler whose registry /metrics exposes and
-// whose Stats back the /runs summary.
-func (sv *Server) SetScheduler(s *sched.Scheduler) { sv.sch.Store(s) }
 
 // AddMetrics registers an extra readings source appended to every
 // /metrics scrape (the store's counters, the daemon's job gauges).
@@ -143,8 +133,8 @@ func (sv *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 
 func (sv *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s := sv.sch.Load(); s != nil {
-		if err := WritePrometheus(w, "carf", s.Metrics().Read()); err != nil {
+	if sv.sch != nil {
+		if err := WritePrometheus(w, "carf", sv.sch.Metrics().Read()); err != nil {
 			return
 		}
 	}
@@ -196,8 +186,8 @@ func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 		Completed:      completed,
 		CompletedTotal: total,
 	}
-	if s := sv.sch.Load(); s != nil {
-		st := s.Stats()
+	if sv.sch != nil {
+		st := sv.sch.Stats()
 		resp.Sched = &SchedSummary{
 			Workers:          st.Workers,
 			CacheEntries:     st.CacheEntries,
