@@ -9,9 +9,9 @@ package carf
 // or squash path blows the budget immediately.
 
 import (
+	"context"
 	"testing"
 
-	"carf/internal/batch"
 	"carf/internal/core"
 	"carf/internal/harden"
 	"carf/internal/pipeline"
@@ -81,17 +81,19 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 			}
 			return st.Instructions
 		}},
-		// The lockstep batch engine: chunked execution through an
-		// executor lane adds only the per-run lane handoff (a few
-		// allocations per simulation, not per instruction).
-		{"batched", func() uint64 {
+		// An observed run: cancellation checks and progress frames
+		// between chunks cost nothing per instruction.
+		{"observed", func() uint64 {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			frames := 0
 			cpu := pipeline.New(pipeline.DefaultConfig(), k.Prog, regfile.Baseline())
-			if err := batch.NewExecutor(1).Run(cpu); err != nil {
-				t.Fatal(err)
-			}
-			st, err := cpu.Finalize()
+			st, err := cpu.RunContext(ctx, func(pipeline.Progress) { frames++ })
 			if err != nil {
 				t.Fatal(err)
+			}
+			if frames < 2 {
+				t.Fatalf("%d progress frames, want a frame per chunk plus Final", frames)
 			}
 			return st.Instructions
 		}},

@@ -314,18 +314,14 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 	if cfg.Profile {
 		prof = cpu.InstallProfiler()
 	}
-	if ctx.Done() != nil {
-		cpu.SetInterrupt(ctx.Err)
-	}
+	var progress func(pipeline.Progress)
 	if on != nil {
-		// Out-of-band like SetInterrupt: progress hooks never enter
-		// Config, so memoization keys built from Config stay stable.
 		target := workload.Budget(k, cfg.Scale)
 		if cfg.MaxInstructions > 0 && (target == 0 || cfg.MaxInstructions < target) {
 			target = cfg.MaxInstructions
 		}
 		start := time.Now()
-		cpu.SetProgress(func(pp pipeline.Progress) {
+		progress = func(pp pipeline.Progress) {
 			p := Progress{
 				Label:        kernel,
 				Cycles:       pp.Cycles,
@@ -345,9 +341,9 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 				}
 			}
 			on(p)
-		})
+		}
 	}
-	st, err := cpu.Run()
+	st, err := cpu.RunContext(ctx, progress)
 	if err != nil {
 		return Result{}, err
 	}

@@ -61,11 +61,8 @@ func CPIStackStudy(opt Options) (Result, error) {
 				return nil, err
 			}
 			cpu := pipeline.New(cfg, k.Prog, org.spec.new())
-			if opt.Ctx.Done() != nil {
-				cpu.SetInterrupt(opt.Ctx.Err)
-			}
 			prof := cpu.InstallProfiler()
-			if _, err := cpu.Run(); err != nil {
+			if _, err := cpu.RunContext(opt.Ctx, nil); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", name, org.label, err)
 			}
 			if err := prof.Stack.CheckIdentity(); err != nil {

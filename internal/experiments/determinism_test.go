@@ -93,7 +93,7 @@ func TestConcurrentExperimentsShareScheduler(t *testing.T) {
 // result changes its memoization key — the cache must never serve a run
 // from a different configuration.
 func TestRunKeySeparation(t *testing.T) {
-	base := Options{Scale: 0.25, SamplePeriod: 128}
+	base := Options{Scale: 0.25}
 	cfg := pipeline.DefaultConfig()
 	keys := map[sched.Key]string{}
 	add := func(label string, k sched.Key) {

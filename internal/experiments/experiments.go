@@ -11,7 +11,6 @@ import (
 	"encoding/gob"
 	"fmt"
 
-	"carf/internal/batch"
 	"carf/internal/core"
 	"carf/internal/pipeline"
 	"carf/internal/regfile"
@@ -44,8 +43,6 @@ type Options struct {
 	// Scale multiplies benchmark work (1.0 = the standard ~200–400k
 	// dynamic instructions per kernel; experiments default to 0.25).
 	Scale float64
-	// SamplePeriod is the live-value oracle sampling period in cycles.
-	SamplePeriod int
 	// Parallel bounds concurrent simulations. The bound applies to the
 	// scheduler's *global* worker pool, which is shared by every
 	// concurrently-executing experiment — it is not a per-experiment
@@ -61,14 +58,11 @@ type Options struct {
 	// per experiment even when many run concurrently. Run installs one
 	// automatically and reports it in Result.Sched.
 	Tally *sched.Tally
-	// Batch selects the execution engine for plain simulation runs:
-	// 0 defers to the CARF_BATCH environment variable (its default is
-	// scalar), 1 forces the scalar cycle loop, N >= 2 routes runs
-	// through the shared lockstep batch executor with N lanes. Purely
-	// an engine choice: results are bit-identical (the golden suites
-	// pin this), so Batch never participates in memoization keys.
-	// Lanes fill only up to the scheduler's worker bound — widths
-	// beyond Parallel add nothing.
+	// Batch is ignored; every simulation runs through
+	// pipeline.CPU.RunContext.
+	//
+	// Deprecated: the batch engine this selected is gone (it ran slower
+	// than the scalar loop; DESIGN.md §13).
 	Batch int
 	// OnProgress, when non-nil, receives live progress frames from every
 	// simulation this experiment actually executes (cache hits and joins
@@ -87,31 +81,13 @@ func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 0.25
 	}
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = 128
-	}
 	if o.Sched == nil {
 		o.Sched = sched.Global()
 	}
 	if o.Parallel > 0 {
 		o.Sched.SetWorkers(o.Parallel)
 	}
-	if o.Batch == 0 {
-		o.Batch = batch.EnvWidth()
-	}
-	if o.Batch > 1 {
-		o.Sched.SetExecLabel(batch.Shared(o.Batch).Label())
-	}
 	return o
-}
-
-// executor returns the batch executor simulation runs go through, or
-// nil for the scalar loop.
-func (o Options) executor() *batch.Executor {
-	if o.Batch > 1 {
-		return batch.Shared(o.Batch)
-	}
-	return nil
 }
 
 // Result is one experiment's rendered output.
@@ -260,38 +236,20 @@ func runKey(kind string, opt Options, kernel string, specID string, cfg pipeline
 }
 
 // simulate runs kernel k on a fresh model, optionally with a live-value
-// sampler attached. It is the scheduler-job body shared by every
-// harvesting path; callers go through runOneCfg (or a sibling wrapper)
-// so the run is pooled and memoized.
-func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, period int, report sched.ProgressFunc, ex *batch.Executor) (runOut, error) {
+// sampler attached (every oracleSamplePeriod cycles). It is the
+// scheduler-job body shared by every harvesting path; callers go through
+// runOneCfg (or a sibling wrapper) so the run is pooled and memoized.
+func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, report sched.ProgressFunc) (runOut, error) {
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
 	if sampler != nil {
-		cpu.SetSampler(sampler, period)
+		cpu.SetSampler(sampler, oracleSamplePeriod)
 	}
-	if ctx.Done() != nil {
-		// Cooperative abort: the cycle loop polls ctx.Err periodically.
-		// Installed out-of-band (not via Config) so cache keys, which
-		// digest Config by value, stay context-free.
-		cpu.SetInterrupt(ctx.Err)
-	}
+	var progress func(pipeline.Progress)
 	if report != nil {
-		// Live progress, also out-of-band for the same reason: the hook
-		// never appears in Config, so run keys are byte-identical with
-		// observation on or off.
-		cpu.SetProgress(func(pp pipeline.Progress) { report(toSchedProgress(pp)) })
+		progress = func(pp pipeline.Progress) { report(toSchedProgress(pp)) }
 	}
-	var st pipeline.Stats
-	var err error
-	if ex != nil {
-		// Lockstep engine: the executor interleaves this run with its
-		// other lanes; chunking is invisible to every statistic.
-		if err = ex.Run(cpu); err == nil {
-			st, err = cpu.Finalize()
-		}
-	} else {
-		st, err = cpu.Run()
-	}
+	st, err := cpu.RunContext(ctx, progress)
 	if err != nil {
 		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
 	}
@@ -361,7 +319,7 @@ func runOneCfg(k workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Optio
 	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
 		label, true, progressTarget(opt, k), onProgress,
 		func(report sched.ProgressFunc) (any, error) {
-			return simulate(opt.Ctx, k, spec, cfg, nil, 0, report, opt.executor())
+			return simulate(opt.Ctx, k, spec, cfg, nil, report)
 		})
 	opt.Tally.Record(prov, err)
 	if err != nil {

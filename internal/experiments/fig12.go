@@ -10,6 +10,10 @@ import (
 	"carf/internal/workload"
 )
 
+// oracleSamplePeriod is the live-value oracle's sampling period in
+// cycles.
+const oracleSamplePeriod = 128
+
 // oracleSuite runs every kernel of a suite on the baseline machine with
 // one live-value analyzer per requested d, merged across kernels. Each
 // kernel's sampled run goes through the scheduler keyed on (kernel,
@@ -22,7 +26,7 @@ func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]*oracle.An
 	cfg := pipeline.DefaultConfig()
 	err := sched.ForEach(len(kernels), func(i int) error {
 		k := kernels[i]
-		key := runKey("oracle", opt, k.Name, "baseline", cfg, ds, opt.SamplePeriod)
+		key := runKey("oracle", opt, k.Name, "baseline", cfg, ds, oracleSamplePeriod)
 		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("oracle", k.Name, "baseline"), true, func() (any, error) {
 			analyzers := make([]*oracle.Analyzer, len(ds))
 			local := make(oracle.Fanout, len(ds))
@@ -30,7 +34,7 @@ func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]*oracle.An
 				analyzers[j] = oracle.NewAnalyzer(d)
 				local[j] = analyzers[j]
 			}
-			if _, err := simulate(opt.Ctx, k, baselineSpec(), cfg, local, opt.SamplePeriod, nil, opt.executor()); err != nil {
+			if _, err := simulate(opt.Ctx, k, baselineSpec(), cfg, local, nil); err != nil {
 				return nil, err
 			}
 			return analyzers, nil

@@ -42,11 +42,8 @@ func Phases(opt Options) (Result, error) {
 		key := runKey("phases", opt, k.Name, spec.id, cfg, phasesInterval)
 		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("phases", k.Name, spec.id), true, func() (any, error) {
 			cpu := pipeline.New(cfg, k.Prog, spec.new())
-			if opt.Ctx.Done() != nil {
-				cpu.SetInterrupt(opt.Ctx.Err)
-			}
 			sampler := cpu.InstallMetrics(metrics.NewRegistry(), phasesInterval)
-			st, err := cpu.Run()
+			st, err := cpu.RunContext(opt.Ctx, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}

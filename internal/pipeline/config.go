@@ -63,10 +63,6 @@ type Config struct {
 	// (hard pseudo-deadlock resolution).
 	DeadlockSpillAfter int
 
-	// SamplePeriod invokes the live-value sampler every this many
-	// cycles (0 disables sampling).
-	SamplePeriod int
-
 	Hierarchy  cache.HierarchyConfig
 	Gshare     predictor.GshareConfig
 	BTBEntries int
@@ -183,7 +179,6 @@ func (c Config) Validate() error {
 		{"BypassDepth", c.BypassDepth},
 		{"LongStallThreshold", c.LongStallThreshold},
 		{"DeadlockSpillAfter", c.DeadlockSpillAfter},
-		{"SamplePeriod", c.SamplePeriod},
 		{"RASDepth", c.RASDepth},
 	}
 	for _, p := range nonNegative {

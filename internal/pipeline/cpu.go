@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -83,17 +84,9 @@ type LiveSampler interface {
 // CPU is one simulated hardware context bound to a program and an
 // integer register file model.
 type CPU struct {
-	cfg       Config
-	mach      *vm.Machine
-	model     regfile.Model
-	interrupt func() error
-
-	// progress is the live reporting hook (SetProgress; nil when off —
-	// the fast path). progLastCycles/progLastInsts delimit the interval
-	// window between consecutive reports.
-	progress       func(Progress)
-	progLastCycles uint64
-	progLastInsts  uint64
+	cfg   Config
+	mach  *vm.Machine
+	model regfile.Model
 
 	hier   *cache.Hierarchy
 	gshare *predictor.Gshare
@@ -138,18 +131,18 @@ type CPU struct {
 	// pop, and in-order retirement; see instQueue); the issue queues stay
 	// index-addressed slices because issue removes from arbitrary
 	// positions, compacted in place only on cycles that issue.
-	now      int64
-	seq      uint64
-	rob      instQueue
-	intIQ    []*dynInst
-	fpIQ     []*dynInst
+	now   int64
+	seq   uint64
+	rob   instQueue
+	intIQ []*dynInst
+	fpIQ  []*dynInst
 	// intWake/fpWake are queue-level wakeup bounds: no entry in the
 	// queue can issue before that cycle, so the wakeup scan is skipped
 	// wholesale until then. Maintained from the per-entry readyAt bounds
 	// plus a conservative next-cycle recheck whenever anything issued or
 	// was budget-limited; rename resets the bound on every insert.
-	intWake int64
-	fpWake  int64
+	intWake  int64
+	fpWake   int64
 	front    instQueue
 	lsq      instQueue // in-flight memory operations, program order
 	haltSeen bool
@@ -322,7 +315,6 @@ func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
 	if c.bypassDepth == 0 {
 		c.bypassDepth = c.writeStages
 	}
-	c.samplePeriod = int64(cfg.SamplePeriod)
 	if cfg.PortContention {
 		// Every access goes through the model's first array (the whole
 		// file conventionally; the Simple file in the content-aware
@@ -414,18 +406,11 @@ func (c *CPU) freeFP(tag int) {
 	c.fpFree = append(c.fpFree, tag)
 }
 
-// SetInterrupt installs a cooperative-abort hook polled periodically
-// from the cycle loop: when fn returns a non-nil error the run stops
-// and reports it. It exists so callers can wire ctx.Err without
-// context appearing anywhere in Config — Config is digested by value
-// into scheduler cache keys, and a func field would poison key
-// stability. Pass nil to clear. Not safe to call while Run is active.
-func (c *CPU) SetInterrupt(fn func() error) { c.interrupt = fn }
-
-// interruptMask spaces interrupt polls: every 4096 cycles keeps the
-// check off the hot path (sub-microsecond granularity is pointless for
-// multi-second sims) without perturbing any statistic.
-const interruptMask = 1<<12 - 1
+// chunkCycles is RunContext's slice length. Cancellation and progress
+// are checked between slices, never inside the cycle loop: every 4096
+// cycles keeps both off the hot path (sub-microsecond granularity is
+// pointless for multi-second sims) without perturbing any statistic.
+const chunkCycles = 4096
 
 // Run simulates until the program's HALT commits (or the instruction
 // budget is exhausted) and returns the statistics. With hardening
@@ -434,22 +419,51 @@ const interruptMask = 1<<12 - 1
 // zero-commit hang into a harden.DeadlockError; without it, a blunt
 // idle limit still bounds a hung machine.
 func (c *CPU) Run() (Stats, error) {
-	if _, err := c.RunChunk(0); err != nil {
-		return c.stats, err
+	return c.RunContext(context.Background(), nil)
+}
+
+// RunContext is Run driven in chunkCycles slices. Between slices it
+// checks ctx — a canceled run stops with an error wrapping ctx.Err() —
+// and hands progress (when non-nil) a snapshot; after the last cycle it
+// hands progress the Final snapshot, whose totals equal the returned
+// Stats. Both stay out of Config, which is digested by value into
+// scheduler cache keys (DESIGN.md §12), and neither changes a single
+// statistic. progress runs on the simulating goroutine and must return
+// quickly.
+func (c *CPU) RunContext(ctx context.Context, progress func(Progress)) (Stats, error) {
+	var last Progress // the previous report: the interval window's start
+	for {
+		done, err := c.RunChunk(chunkCycles)
+		if err != nil {
+			return c.stats, err
+		}
+		if done {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return c.stats, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
+		}
+		if progress != nil {
+			last = c.progressSince(last, false)
+			progress(last)
+		}
 	}
-	return c.Finalize()
+	st, err := c.Finalize()
+	if progress != nil {
+		progress(c.progressSince(last, true))
+	}
+	return st, err
 }
 
 // RunChunk simulates up to budget cycles (budget <= 0 means until the
 // program finishes) and reports whether the simulation is complete. It
-// is the resumable core of Run: callers that interleave many machines —
-// the batched lockstep executor — alternate RunChunk calls across
-// simulations and call Finalize on each once it reports done. The
-// sequence of cycles executed is identical to a single Run call, so
-// every statistic is bit-identical regardless of chunking.
+// is the resumable core of RunContext; callers driving a CPU themselves
+// call Finalize once it reports done. The sequence of cycles executed is
+// the same however the run is sliced, so every statistic is
+// bit-identical regardless of chunking.
 //
 // A non-nil error means the run failed (hardening divergence, deadlock,
-// interrupt); the simulation must not be resumed afterwards.
+// no commit progress); the simulation must not be resumed afterwards.
 func (c *CPU) RunChunk(budget int64) (bool, error) {
 	const idleLimit = 100000
 	watchdog := c.hard != nil && c.hard.wd != nil
@@ -460,14 +474,6 @@ func (c *CPU) RunChunk(budget int64) (bool, error) {
 		c.cycle()
 		if c.hard != nil && c.hard.err != nil {
 			return true, c.hard.err
-		}
-		if c.interrupt != nil && c.stats.Cycles&interruptMask == 0 {
-			if err := c.interrupt(); err != nil {
-				return true, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
-			}
-		}
-		if c.progress != nil && c.stats.Cycles&progressMask == 0 {
-			c.reportProgress(false)
 		}
 		if watchdog {
 			if stalled, tripped := c.hard.wd.Observe(c.stats.Cycles, c.stats.Instructions); tripped {
@@ -500,9 +506,6 @@ func (c *CPU) RunChunk(budget int64) (bool, error) {
 func (c *CPU) Finalize() (Stats, error) {
 	if c.msampler != nil {
 		c.msampler.Final(c.stats.Cycles)
-	}
-	if c.progress != nil {
-		c.reportProgress(true)
 	}
 	// Internal faults (double frees) are recorded instead of panicking;
 	// a run that accumulated any did not execute correctly.

@@ -1,12 +1,12 @@
 package pipeline
 
 // Progress is one live snapshot of an executing simulation, handed to
-// the hook installed with SetProgress: cumulative totals, the delta
+// RunContext's progress callback: cumulative totals, the delta
 // since the previous report (the "interval window"), the structural
 // queue occupancies at the report cycle, and the register file write
 // mix. Reports are advisory — producing them never changes a single
-// statistic, so a run's results are bit-identical with the hook on or
-// off.
+// statistic, so a run's results are bit-identical with the callback on
+// or off.
 type Progress struct {
 	Cycles       uint64
 	Instructions uint64
@@ -35,30 +35,14 @@ type Progress struct {
 	// sampler), correlating this frame with the exported series.
 	SampleCycle uint64
 
-	// Final marks the closing report Run emits after the last cycle; its
-	// totals equal the returned Stats.
+	// Final marks the closing report RunContext emits after the last
+	// cycle; its totals equal the returned Stats.
 	Final bool
 }
 
-// SetProgress installs a live progress hook invoked periodically from
-// the cycle loop (every progressMask+1 cycles) and once more when Run
-// completes (Final). Like SetInterrupt, the hook is installed
-// out-of-band rather than through Config: Config is digested by value
-// into scheduler cache keys, and a func field would poison key
-// stability (DESIGN.md §12). The hook runs on the simulating goroutine
-// and must return quickly; pass nil to clear. Not safe to call while
-// Run is active.
-func (c *CPU) SetProgress(fn func(Progress)) { c.progress = fn }
-
-// progressMask spaces progress reports the same way interruptMask
-// spaces interrupt polls: every 4096 cycles, a few hundred reports per
-// wall-clock second at typical simulation speed — callers needing less
-// throttle downstream (the scheduler's reporter does).
-const progressMask = 1<<12 - 1
-
-// reportProgress builds and delivers one Progress snapshot. Called only
-// when c.progress != nil, off the per-cycle hot path.
-func (c *CPU) reportProgress(final bool) {
+// progressSince snapshots the machine, measuring the interval window
+// from prev (the zero Progress for the first report).
+func (c *CPU) progressSince(prev Progress, final bool) Progress {
 	p := Progress{
 		Cycles:       c.stats.Cycles,
 		Instructions: c.stats.Instructions,
@@ -68,12 +52,11 @@ func (c *CPU) reportProgress(final bool) {
 		LSQ:          c.lsq.Len(),
 		Final:        final,
 	}
-	p.IntervalCycles = c.stats.Cycles - c.progLastCycles
-	p.IntervalInstructions = c.stats.Instructions - c.progLastInsts
+	p.IntervalCycles = p.Cycles - prev.Cycles
+	p.IntervalInstructions = p.Instructions - prev.Instructions
 	if p.IntervalCycles > 0 {
 		p.IntervalIPC = float64(p.IntervalInstructions) / float64(p.IntervalCycles)
 	}
-	c.progLastCycles, c.progLastInsts = c.stats.Cycles, c.stats.Instructions
 	for i, f := range c.model.Files() {
 		if i >= len(p.Writes) {
 			break
@@ -85,5 +68,5 @@ func (c *CPU) reportProgress(final bool) {
 			p.SampleCycle = sm.Cycle
 		}
 	}
-	c.progress(p)
+	return p
 }

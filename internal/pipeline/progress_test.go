@@ -1,14 +1,14 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"carf/internal/core"
 	"carf/internal/workload"
 )
 
-// TestProgressFrames runs a kernel with the progress hook installed and
-// checks the frame stream's invariants: monotonic totals, interval
+// TestProgressFrames runs a kernel with a progress callback and checks the frame stream's invariants: monotonic totals, interval
 // deltas that sum back to the totals, and a single Final frame whose
 // totals equal the returned Stats.
 func TestProgressFrames(t *testing.T) {
@@ -20,17 +20,20 @@ func TestProgressFrames(t *testing.T) {
 	cpu := New(DefaultConfig(), k.Prog, model)
 
 	var frames []Progress
-	cpu.SetProgress(func(p Progress) { frames = append(frames, p) })
-	st, err := cpu.Run()
+	st, err := cpu.RunContext(context.Background(), func(p Progress) { frames = append(frames, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	if len(frames) < 2 {
-		t.Fatalf("only %d progress frames for a %d-cycle run (mask %d)", len(frames), st.Cycles, progressMask)
+		t.Fatalf("only %d progress frames for a %d-cycle run (chunk %d)", len(frames), st.Cycles, chunkCycles)
 	}
 	var sumIC, sumII uint64
 	for i, p := range frames {
+		// Non-final frames fall on chunk boundaries, one per chunk.
+		if want := uint64(i+1) * chunkCycles; !p.Final && p.Cycles != want {
+			t.Fatalf("frame %d at cycle %d, want %d", i, p.Cycles, want)
+		}
 		if i > 0 {
 			prev := frames[i-1]
 			if p.Cycles < prev.Cycles || p.Instructions < prev.Instructions {
@@ -75,8 +78,8 @@ func TestProgressFrames(t *testing.T) {
 }
 
 // TestProgressObservationIsFree verifies the key invariant of the
-// progress plane: a run's statistics are bit-identical with the hook
-// installed or not, so memoized results are safe to share across
+// progress plane: a run's statistics are bit-identical with a progress
+// callback or without one, so memoized results are safe to share across
 // observed and unobserved callers.
 func TestProgressObservationIsFree(t *testing.T) {
 	k, err := workload.ByName("crc64", 0.2)
@@ -85,10 +88,11 @@ func TestProgressObservationIsFree(t *testing.T) {
 	}
 	run := func(hook bool) Stats {
 		cpu := New(DefaultConfig(), k.Prog, core.New(core.DefaultParams()))
+		var progress func(Progress)
 		if hook {
-			cpu.SetProgress(func(Progress) {})
+			progress = func(Progress) {}
 		}
-		st, err := cpu.Run()
+		st, err := cpu.RunContext(context.Background(), progress)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +100,6 @@ func TestProgressObservationIsFree(t *testing.T) {
 	}
 	plain, observed := run(false), run(true)
 	if plain != observed {
-		t.Errorf("stats differ with progress hook installed:\nplain:    %+v\nobserved: %+v", plain, observed)
+		t.Errorf("stats differ with a progress callback:\nplain:    %+v\nobserved: %+v", plain, observed)
 	}
 }

@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,9 +13,9 @@ import (
 )
 
 // TestRunChunkMatchesRun pins the resumable-execution contract: slicing
-// a simulation into RunChunk calls of any size, then Finalize, must
-// reproduce every statistic of a single Run call bit-for-bit. The
-// batched lockstep executor depends on this.
+// a simulation into RunChunk calls of any size (0 = one unbounded call),
+// then Finalize, must reproduce every statistic of Run bit-for-bit.
+// RunContext, and so every run, depends on this.
 func TestRunChunkMatchesRun(t *testing.T) {
 	models := map[string]func() regfile.Model{
 		"baseline": func() regfile.Model { return regfile.Baseline() },
@@ -29,7 +32,7 @@ func TestRunChunkMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: Run: %v", kernel, mname, err)
 			}
-			for _, chunk := range []int64{1, 7, 4096} {
+			for _, chunk := range []int64{0, 1, 7, 4096} {
 				cpu := New(DefaultConfig(), k.Prog, mk())
 				steps := 0
 				for {
@@ -58,4 +61,53 @@ func TestRunChunkMatchesRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunContextCancel pins the driver's cancellation contract: a
+// canceled context stops the run at the next chunk boundary, a
+// multiple of chunkCycles, with an error wrapping the context's.
+func TestRunContextCancel(t *testing.T) {
+	k, err := workload.ByName("qsort", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, st Stats, err error, wantCycles uint64) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+		}
+		if st.Cycles != wantCycles {
+			t.Errorf("stopped at cycle %d, want %d", st.Cycles, wantCycles)
+		}
+		want := fmt.Sprintf("pipeline: run interrupted at cycle %d: %v", wantCycles, context.Canceled)
+		if err.Error() != want {
+			t.Errorf("error %q, want %q", err, want)
+		}
+	}
+
+	t.Run("mid-run", func(t *testing.T) {
+		// Cancel from the third progress frame: the run stops one chunk
+		// later, at the next boundary.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		frames := 0
+		cpu := New(DefaultConfig(), k.Prog, core.New(core.DefaultParams()))
+		st, err := cpu.RunContext(ctx, func(Progress) {
+			if frames++; frames == 3 {
+				cancel()
+			}
+		})
+		check(t, st, err, 4*chunkCycles)
+		if frames != 3 {
+			t.Errorf("%d progress frames, want 3 (none after the cancel, no Final)", frames)
+		}
+	})
+
+	t.Run("already-canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
+		st, err := cpu.RunContext(ctx, nil)
+		check(t, st, err, chunkCycles)
+	})
 }

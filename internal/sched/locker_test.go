@@ -117,6 +117,44 @@ func TestLockerTakeoverBecomesMissWithLeaseWait(t *testing.T) {
 	}
 }
 
+// racingTier replays the lease double-check race deterministically: a
+// peer stores its blob and releases its lease after this process's tier
+// probe missed but before its TryLock, so the lease is granted with the
+// result already in the tier.
+type racingTier struct {
+	*fakeTier
+	released atomic.Int32
+}
+
+func (rt *racingTier) TryLock(key Key) (func(), bool) {
+	rt.fakeTier.Store(key, "peer-result") // the peer finishes first
+	return func() { rt.released.Add(1) }, true
+}
+
+func TestLeaseWinnerServesPeerBlob(t *testing.T) {
+	rt := &racingTier{fakeTier: newFakeTier()}
+	key := KeyOf("raced")
+	s := New(2)
+	s.SetTier(rt)
+
+	v, prov, err := s.Do(key, "", true, func() (any, error) {
+		t.Error("simulated a key whose blob landed before the lease was won")
+		return "simulated-here", nil
+	})
+	if err != nil || v.(string) != "peer-result" || prov.Outcome != PeerHit {
+		t.Fatalf("raced lease: v=%v prov=%+v err=%v, want the peer's blob as PeerHit", v, prov, err)
+	}
+	if got := rt.released.Load(); got != 1 {
+		t.Errorf("release called %d times, want exactly 1", got)
+	}
+	if st := s.Stats(); st.PeerHits != 1 || st.Misses != 0 {
+		t.Errorf("stats = %+v, want 1 peer hit, 0 misses", st)
+	}
+	if rt.fakeTier.stores != 1 {
+		t.Errorf("tier stored %d blobs, want only the peer's", rt.fakeTier.stores)
+	}
+}
+
 func TestLockerReleaseAfterTierStore(t *testing.T) {
 	// The lease must outlive the blob write: a waiter that sees the
 	// lease vanish has to find the result. Event order is therefore

@@ -124,12 +124,6 @@ type Provenance struct {
 	// lease was taken over for misses that had to contend. Zero when no
 	// Locker is attached or the lease was free.
 	LeaseWait time.Duration
-
-	// Exec names the execution engine that served a miss ("" = the
-	// default scalar loop, "batch<N>" = the lockstep batch executor).
-	// Like QueueWait/SimWall it is only set on misses — cached results
-	// carry no engine: they did no work.
-	Exec string
 }
 
 // Stats is a snapshot of a scheduler's cumulative counters.
@@ -312,10 +306,6 @@ type Scheduler struct {
 	// (SetPeerPollInterval).
 	peerPoll atomic.Int64
 
-	// execLabel names the execution engine misses run under; stamped
-	// into Provenance.Exec (SetExecLabel).
-	execLabel string
-
 	reg       *metrics.Registry
 	queueHist *metrics.SyncHistogram // per-miss queue wait, seconds
 	simHist   *metrics.SyncHistogram // per-miss simulation wall, seconds
@@ -392,16 +382,6 @@ func (s *Scheduler) Observed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.obs != nil
-}
-
-// SetExecLabel records the name of the execution engine this
-// scheduler's misses run under (e.g. "batch8" for the lockstep batch
-// executor); it is stamped into each miss's Provenance.Exec. Purely
-// observational: labels never participate in memoization keys.
-func (s *Scheduler) SetExecLabel(label string) {
-	s.mu.Lock()
-	s.execLabel = label
-	s.mu.Unlock()
 }
 
 // SetTier attaches (or, with nil, detaches) the persistent result tier.
@@ -582,8 +562,7 @@ func (s *Scheduler) Do(key Key, label string, cacheable bool, fn func() (any, er
 // entry with the cancellation error, which propagates to any joiners
 // (a later request with the same key retries). fn itself is not
 // interrupted once running; closures wanting cooperative abort capture
-// ctx themselves (the pipeline's SetInterrupt hook is the simulator's
-// path).
+// ctx themselves (pipeline.CPU.RunContext is the simulator's path).
 //
 // fn must not call Do on the same scheduler (a saturated pool of
 // parent runs waiting on child runs would deadlock).
@@ -688,18 +667,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	// stay cheap even after the blob ages out of the tier's own memory.
 	if cacheable && tier != nil {
 		if v, ok := tier.Load(key); ok {
-			e.val = v
-			s.mu.Lock()
-			delete(s.inflight, key)
-			s.cacheInsert(key, e)
-			s.stats.DiskHits++
-			s.mu.Unlock()
-			close(e.done)
-			p := Provenance{Outcome: DiskHit, Key: key}
-			if obs != nil {
-				obs.RunFinished(id, p, nil)
-			}
-			return v, p, nil
+			return s.served(id, obs, key, e, v, Provenance{Outcome: DiskHit, Key: key})
 		}
 	}
 
@@ -717,8 +685,18 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 		poll := time.Duration(s.peerPoll.Load())
 		for {
 			if r, ok := locker.TryLock(key); ok {
-				release = r
 				leaseWait = time.Since(leaseStart)
+				// Double-check: a peer may have stored its blob and
+				// released its lease between the probe above (or the
+				// last poll) and this claim. Serve that blob rather than
+				// simulate the key a second time.
+				if tier != nil {
+					if v, ok := tier.Load(key); ok {
+						r()
+						return s.served(id, obs, key, e, v, Provenance{Outcome: PeerHit, Key: key, LeaseWait: leaseWait})
+					}
+				}
+				release = r
 				break
 			}
 			select {
@@ -744,20 +722,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 			if tier != nil {
 				if v, ok := tier.Load(key); ok {
 					// The peer finished and its blob verified: serve it.
-					leaseWait = time.Since(leaseStart)
-					e.val = v
-					s.mu.Lock()
-					delete(s.inflight, key)
-					s.cacheInsert(key, e)
-					s.stats.PeerHits++
-					s.stats.LeaseWait += leaseWait
-					s.mu.Unlock()
-					close(e.done)
-					p := Provenance{Outcome: PeerHit, Key: key, LeaseWait: leaseWait}
-					if obs != nil {
-						obs.RunFinished(id, p, nil)
-					}
-					return v, p, nil
+					return s.served(id, obs, key, e, v, Provenance{Outcome: PeerHit, Key: key, LeaseWait: time.Since(leaseStart)})
 				}
 			}
 			// No blob yet: either the peer is still simulating (its lease
@@ -848,14 +813,34 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 		// failed or the run errored).
 		release()
 	}
-	s.mu.Lock()
-	execLabel := s.execLabel
-	s.mu.Unlock()
-	p := Provenance{Outcome: Miss, Key: key, QueueWait: queueWait, SimWall: simWall, LeaseWait: leaseWait, Exec: execLabel}
+	p := Provenance{Outcome: Miss, Key: key, QueueWait: queueWait, SimWall: simWall, LeaseWait: leaseWait}
 	if obs != nil {
 		obs.RunFinished(id, p, e.err)
 	}
 	return e.val, p, e.err
+}
+
+// served resolves e with v, a result found in the persistent tier
+// (Outcome DiskHit, or PeerHit when another process produced it), and
+// finishes the call: the value is promoted into the memory cache so
+// repeats stay cheap, and no simulation runs.
+func (s *Scheduler) served(id uint64, obs Observer, key Key, e *entry, v any, p Provenance) (any, Provenance, error) {
+	e.val = v
+	s.mu.Lock()
+	delete(s.inflight, key)
+	s.cacheInsert(key, e)
+	if p.Outcome == PeerHit {
+		s.stats.PeerHits++
+	} else {
+		s.stats.DiskHits++
+	}
+	s.stats.LeaseWait += p.LeaseWait
+	s.mu.Unlock()
+	close(e.done)
+	if obs != nil {
+		obs.RunFinished(id, p, nil)
+	}
+	return v, p, nil
 }
 
 // ForEach invokes fn(i) for every i in [0, n) on its own goroutine and
