@@ -117,6 +117,19 @@ func runGolden(t *testing.T) []goldenRecord {
 	cpu = run("histo/baseline/ports", "histo", pc, models["baseline"]())
 	add(goldenRecord{Name: "histo/baseline/ports", Stats: cpu.Stats()})
 
+	// Issue-queue wakeup paths: wrong-path squashes on a dependence-heavy
+	// kernel under both organizations, and the cross-cluster forwarding
+	// cycle together with read-port retries.
+	cpu = run("qsort/carf/wrongpath", "qsort", wp, models["carf"]())
+	add(goldenRecord{Name: "qsort/carf/wrongpath", Stats: cpu.Stats()})
+	cpu = run("listchase/baseline/wrongpath", "listchase", wp, models["baseline"]())
+	add(goldenRecord{Name: "listchase/baseline/wrongpath", Stats: cpu.Stats()})
+	cp := DefaultConfig()
+	cp.Clusters = 2
+	cp.PortContention = true
+	cpu = run("crc64/carf/clusters+ports", "crc64", cp, models["carf"]())
+	add(goldenRecord{Name: "crc64/carf/clusters+ports", Stats: cpu.Stats()})
+
 	// Hardened run: lockstep + sweeps + watchdog must stay silent and
 	// the statistics must match the unhardened grid entry exactly.
 	hc := DefaultConfig()
