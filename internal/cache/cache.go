@@ -21,10 +21,15 @@ type Config struct {
 }
 
 // Valid reports whether the configuration is internally consistent
-// (power-of-two line size and set count, non-zero ways).
+// (power-of-two line size of at least two bytes and set count, non-zero
+// ways).
 func (c Config) Valid() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
+	}
+	if c.LineBytes < 2 {
+		// Ways store line+1; a 2^64-1 line number would wrap to invalid.
+		return fmt.Errorf("cache %s: line size %d below 2 bytes", c.Name, c.LineBytes)
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways %d", c.Name, c.Ways)
@@ -40,10 +45,10 @@ func (c Config) Valid() error {
 	return nil
 }
 
+// way is one cache line's tag state; the zero value is an invalid way.
 type way struct {
-	tag   uint64
-	valid bool
-	lru   uint64 // last-touched stamp; larger = more recent
+	tag uint64 // line number + 1; 0 = invalid
+	lru uint64 // last-touched stamp; larger = more recent
 }
 
 // Stats counts cache events.
@@ -63,7 +68,7 @@ func (s Stats) MissRate() float64 {
 // Cache is one set-associative, LRU, write-allocate cache level.
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	ways      []way // set s occupies ways[s*Ways : (s+1)*Ways]
 	lineShift uint
 	setMask   uint64
 	stamp     uint64
@@ -77,16 +82,17 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	shift := uint(0)
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, lineShift: shift, setMask: uint64(numSets - 1)}, nil
+	return &Cache{cfg: cfg, ways: make([]way, numSets*cfg.Ways), lineShift: shift, setMask: uint64(numSets - 1)}, nil
+}
+
+// set returns the ways of the set holding line.
+func (c *Cache) set(line uint64) []way {
+	i := int(line&c.setMask) * c.cfg.Ways
+	return c.ways[i : i+c.cfg.Ways]
 }
 
 // Access looks up addr, filling the line on a miss (LRU victim), and
@@ -96,29 +102,28 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stamp++
 	c.stats.Accesses++
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	t := line // the full line number serves as the tag
+	set := c.set(line)
+	t := line + 1 // the full line number serves as the tag (see way)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == t {
+		if set[i].tag == t {
 			set[i].lru = c.stamp
 			return true
 		}
-		if set[i].lru < set[victim].lru || !set[i].valid && set[victim].valid {
+		if set[i].lru < set[victim].lru || set[i].tag == 0 && set[victim].tag != 0 {
 			victim = i
 		}
 	}
 	c.stats.Misses++
-	set[victim] = way{tag: t, valid: true, lru: c.stamp}
+	set[victim] = way{tag: t, lru: c.stamp}
 	return false
 }
 
 // Probe reports whether addr is resident without touching LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
+	for _, w := range c.set(line) {
+		if w.tag == line+1 {
 			return true
 		}
 	}
@@ -133,11 +138,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
-	}
+	clear(c.ways)
 	c.stamp = 0
 	c.stats = Stats{}
 }

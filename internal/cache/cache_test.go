@@ -16,6 +16,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad := []Config{
 		{Name: "line", SizeBytes: 4096, LineBytes: 48, Ways: 4},
+		{Name: "byte", SizeBytes: 4096, LineBytes: 1, Ways: 4},
 		{Name: "ways", SizeBytes: 4096, LineBytes: 64, Ways: 0},
 		{Name: "size", SizeBytes: 4000, LineBytes: 64, Ways: 4},
 		{Name: "sets", SizeBytes: 64 * 3 * 4, LineBytes: 64, Ways: 4},

@@ -29,13 +29,16 @@ type dynInst struct {
 	// Field order is deliberate: the issue-scan working set — readyAt,
 	// seq, execDone, the source refs, and the per-entry flag bytes —
 	// fills the first 64 bytes, so the wakeup scan and tryIssue touch
-	// one cache line per entry instead of three.
+	// one cache line per entry instead of three. The wakeup-list links
+	// are touched only when an entry parks or its producer issues, so
+	// they sit outside that line.
 
 	// readyAt is the earliest cycle this entry can possibly issue, set
 	// when an issue attempt fails on an operand or a blocking store. The
 	// wakeup scan skips the entry until then. It is exact — the proofs
 	// live with operandNextTry — so skipping never delays an issue; zero
-	// (pool-fresh) means "try immediately".
+	// (pool-fresh) means "try immediately", and never means the entry is
+	// parked on its blocking producer's waiter list (see park).
 	readyAt  int64
 	seq      uint64
 	execDone int64
@@ -51,6 +54,11 @@ type dynInst struct {
 	destTag int
 	oldTag  int // previous mapping of the destination logical register
 	memLat  int // D-cache latency, recorded in program order at fetch
+
+	// While parked (readyAt == never), the entry is linked on the
+	// waiter list of waitSrc's tag (CPU.intWaitHead / fpWaitHead).
+	waitPrev, waitNext *dynInst
+	waitSrc            srcRef
 
 	fetchC  int64
 	renameC int64
@@ -138,15 +146,23 @@ type CPU struct {
 	fpIQ  []*dynInst
 	// intWake/fpWake are queue-level wakeup bounds: no entry in the
 	// queue can issue before that cycle, so the wakeup scan is skipped
-	// wholesale until then. Maintained from the per-entry readyAt bounds
-	// plus a conservative next-cycle recheck whenever anything issued or
-	// was budget-limited; rename resets the bound on every insert.
+	// wholesale until then. The scan sets the bound to the minimum
+	// readyAt of its entries (parked ones count as never), or the next
+	// cycle whenever anything issued or was budget-limited; rename
+	// resets it on every insert, and wake lowers it to each woken
+	// entry's readyAt.
 	intWake  int64
 	fpWake   int64
 	front    instQueue
 	lsq      instQueue // in-flight memory operations, program order
 	haltSeen bool
 	done     bool
+
+	// intWaitHead/fpWaitHead are the per-tag waiter lists: entry t heads
+	// the intrusive list of queue entries parked until tag t's producer
+	// issues (nil when none wait).
+	intWaitHead []*dynInst
+	fpWaitHead  []*dynInst
 
 	// pool recycles dynInst records between commit/squash and fetch so
 	// the steady-state cycle loop performs no heap allocation.
@@ -343,12 +359,14 @@ func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
 	c.intLive = make([]bool, n)
 	c.intValue = make([]uint64, n)
 	c.intWrote = make([]bool, n)
+	c.intWaitHead = make([]*dynInst, n)
 	c.classifier, _ = model.(Classifier)
 	c.liveLong, _ = model.(liveLongSampler)
 
 	c.fpDone = make([]int64, cfg.NumFPRegs)
 	c.fpWB = make([]int64, cfg.NumFPRegs)
 	c.fpLive = make([]bool, cfg.NumFPRegs)
+	c.fpWaitHead = make([]*dynInst, cfg.NumFPRegs)
 	c.fpFree = make([]int, 0, cfg.NumFPRegs)
 	for i := cfg.NumFPRegs - 1; i >= 0; i-- {
 		c.fpFree = append(c.fpFree, i)
@@ -813,8 +831,9 @@ func (c *CPU) operandStatus(s srcRef, cluster uint8) (ready, viaBypass, crossed 
 // can satisfy operandStatus — the issue-queue wakeup time. It is exact,
 // mirroring operandStatus case by case:
 //
-//   - Producer unissued (done == never): it can issue next cycle at the
-//     soonest, so recheck every cycle until it does.
+//   - Producer unissued (done == never): no cycle is known yet, so it
+//     returns never and the caller parks the entry on the tag's waiter
+//     list; wake recomputes the bound the moment the producer issues.
 //   - Result not yet catchable (done > now + readStages): first ready at
 //     done - readStages, where the bypass gap is 1 <= bypassDepth. The
 //     gap only grows with time, so it cannot have been ready earlier.
@@ -840,13 +859,74 @@ func (c *CPU) operandNextTry(s srcRef, cluster uint8) int64 {
 		}
 	}
 	if done >= never {
-		return c.now + 1
+		return never
 	}
 	r := int64(c.readStages)
 	if done > c.now+r {
 		return done - r
 	}
 	return done + stages - r
+}
+
+// park links in onto the waiter list of s, the source whose producer
+// has not issued. Parked entries stay in their issue queue (occupancy is
+// unchanged) with readyAt == never, so the wakeup scan passes over them
+// until wake gives them a finite bound.
+func (c *CPU) park(in *dynInst, s srcRef) {
+	var head **dynInst
+	if s.fp {
+		head = &c.fpWaitHead[s.tag]
+	} else {
+		head = &c.intWaitHead[s.tag]
+	}
+	in.readyAt = never
+	in.waitSrc = s
+	in.waitPrev, in.waitNext = nil, *head
+	if *head != nil {
+		(*head).waitPrev = in
+	}
+	*head = in
+}
+
+// wake runs when the producer of the list at head issues: every waiter
+// gets its exact readyAt for the now-scheduled operand and leaves the
+// list, and its queue's wake bound drops to that cycle. The bound must
+// be lowered explicitly because an FP producer can wake an integer entry
+// after this cycle's integer scan has already written intWake.
+func (c *CPU) wake(head **dynInst) {
+	w := *head
+	if w == nil {
+		return
+	}
+	*head = nil
+	for w != nil {
+		next := w.waitNext
+		w.waitPrev, w.waitNext = nil, nil
+		w.readyAt = c.operandNextTry(w.waitSrc, w.cluster)
+		bound := &c.intWake
+		if w.inst.Op.Class() == isa.ClassFPU {
+			bound = &c.fpWake
+		}
+		if w.readyAt < *bound {
+			*bound = w.readyAt
+		}
+		w = next
+	}
+}
+
+// unpark removes a parked entry from its waiter list (squash).
+func (c *CPU) unpark(in *dynInst) {
+	if in.waitPrev != nil {
+		in.waitPrev.waitNext = in.waitNext
+	} else if in.waitSrc.fp {
+		c.fpWaitHead[in.waitSrc.tag] = in.waitNext
+	} else {
+		c.intWaitHead[in.waitSrc.tag] = in.waitNext
+	}
+	if in.waitNext != nil {
+		in.waitNext.waitPrev = in.waitPrev
+	}
+	in.waitPrev, in.waitNext = nil, nil
 }
 
 // loadBlocked reports whether an older overlapping store delays the
@@ -932,13 +1012,15 @@ func (c *CPU) issue() {
 // issue are nilled out and the queue is compacted in one pass — but
 // only on cycles where something actually issued, so a stalled queue
 // costs a read-only scan instead of rewriting (and write-barriering)
-// every element every cycle. The scan itself is skipped while the
-// queue-level wake bound proves no entry can issue yet: every entry
-// either carries an exact readyAt in the future, or failed for a
-// budget/structural reason that is rechecked the next cycle. A skipped
-// scan performs no tool calls into the model and touches no statistic,
-// so skipping is invisible; PortContention retries keep the bound at
-// next-cycle because a port-limited attempt leaves readyAt in the past.
+// every element every cycle. Each entry either carries an exact readyAt
+// in the future, is parked (readyAt == never) until its producer
+// issues and wake gives it one, or failed for a budget/structural
+// reason that is rechecked the next cycle; the scan passes over the
+// first two, and is skipped wholesale while the queue-level wake bound
+// proves no entry can issue yet. A skipped attempt calls nothing in the
+// model and touches no statistic, so skipping is invisible;
+// PortContention retries keep the bound at next-cycle because a
+// port-limited attempt leaves readyAt in the past.
 func (c *CPU) issueQueue(queue *[]*dynInst, wake *int64, issued *int, fuPool []int, dports *int, onlyHead bool) {
 	if *wake > c.now {
 		return
@@ -977,9 +1059,9 @@ func (c *CPU) issueQueue(queue *[]*dynInst, wake *int64, issued *int, fuPool []i
 			continue
 		}
 		if !c.tryIssue(in, dports) {
-			// Operand/store failures recorded an exact future readyAt;
-			// cache-port and read-port failures leave it in the past and
-			// must recheck next cycle.
+			// Operand/store failures recorded an exact future readyAt
+			// (never while parked); cache-port and read-port failures
+			// leave it in the past and must recheck next cycle.
 			next := in.readyAt
 			if next <= c.now {
 				next = c.now + 1
@@ -1030,7 +1112,11 @@ func (c *CPU) tryIssue(in *dynInst, dports *int) bool {
 		}
 		ready, bypass, crossed := c.operandStatus(s, in.cluster)
 		if !ready {
-			in.readyAt = c.operandNextTry(s, in.cluster)
+			if next := c.operandNextTry(s, in.cluster); next < never {
+				in.readyAt = next
+			} else {
+				c.park(in, s)
+			}
 			return false
 		}
 		if !bypass && !s.fp {
@@ -1114,8 +1200,10 @@ func (c *CPU) tryIssue(in *dynInst, dports *int) bool {
 	if in.hasDest {
 		if in.destFP {
 			c.fpDone[in.destTag] = in.execDone
+			c.wake(&c.fpWaitHead[in.destTag])
 		} else {
 			c.intDone[in.destTag] = in.execDone
+			c.wake(&c.intWaitHead[in.destTag])
 		}
 	}
 	if in.isMem {

@@ -203,6 +203,8 @@ func (c *CPU) checkInvariants() []harden.Violation {
 		}
 	}
 
+	vs = append(vs, c.checkWakeup()...)
+
 	// §2 reconstruction identity: every live, written, landed tag must
 	// reconstruct to the oracle value recorded at rename.
 	for tag := range c.intValue {
@@ -234,6 +236,61 @@ func (c *CPU) checkInvariants() []harden.Violation {
 			}
 			if v, ok := c.model.ReadValue(tag); ok && v != regs[r] {
 				add("arch-state", "x%d (tag %d) reconstructs %#x, golden model has %#x", r, tag, v, regs[r])
+			}
+		}
+	}
+	return vs
+}
+
+// checkWakeup audits the issue-queue waiter lists (see park): every
+// list member is a parked, unissued queue entry whose blocking producer
+// is still unissued, the prev/next links agree, and every parked queue
+// entry is reachable exactly once from its own tag's head.
+func (c *CPU) checkWakeup() []harden.Violation {
+	var vs []harden.Violation
+	add := func(format string, args ...any) {
+		vs = append(vs, harden.Violation{Check: "iq-wakeup", Detail: fmt.Sprintf(format, args...)})
+	}
+	queues := [][]*dynInst{c.intIQ, c.fpIQ}
+	inIQ := make(map[*dynInst]bool, len(c.intIQ)+len(c.fpIQ))
+	for _, q := range queues {
+		for _, in := range q {
+			inIQ[in] = true
+		}
+	}
+	seen := make(map[*dynInst]int)
+	walk := func(heads []*dynInst, done []int64, fp bool) {
+		for tag, w := range heads {
+			var prev *dynInst
+			// A corrupted list may cycle; no sound list is longer than
+			// the queues it threads.
+			for n := 0; w != nil && n <= len(inIQ); n++ {
+				switch {
+				case w.waitPrev != prev:
+					add("tag %d (fp=%v): waiter seq %d does not link back to its predecessor", tag, fp, w.seq)
+				case !inIQ[w]:
+					add("tag %d (fp=%v): waiter seq %d is not in an issue queue", tag, fp, w.seq)
+				case w.issued || w.readyAt != never:
+					add("tag %d (fp=%v): waiter seq %d is not parked (issued=%v readyAt=%d)", tag, fp, w.seq, w.issued, w.readyAt)
+				case w.waitSrc != (srcRef{tag: tag, fp: fp}):
+					add("tag %d (fp=%v): waiter seq %d blocks on %+v", tag, fp, w.seq, w.waitSrc)
+				case done[tag] < never:
+					add("tag %d (fp=%v): waiter seq %d still parked after its producer issued", tag, fp, w.seq)
+				}
+				seen[w]++
+				prev, w = w, w.waitNext
+			}
+			if w != nil {
+				add("tag %d (fp=%v): waiter list does not terminate", tag, fp)
+			}
+		}
+	}
+	walk(c.intWaitHead, c.intDone, false)
+	walk(c.fpWaitHead, c.fpDone, true)
+	for _, q := range queues {
+		for _, in := range q {
+			if in.readyAt == never && seen[in] != 1 {
+				add("parked seq %d reached %d times from the waiter lists", in.seq, seen[in])
 			}
 		}
 	}

@@ -203,10 +203,16 @@ func (c *CPU) squashWrongPath() {
 	}
 	// Every queue is seq-ordered (rename inserts in program order and
 	// removals preserve order), so the squashed phantoms are a suffix.
-	// The issue queues and LSQ drop their references first; the ROB pops
-	// recycle each phantom exactly once, after no queue can reach it.
+	// The issue queues, waiter lists, and LSQ drop their references
+	// first; the ROB pops recycle each phantom exactly once, after no
+	// queue can reach it. A phantom parks only on an older producer, and
+	// every waiter on a squashed producer is itself squashed, so the
+	// lists of the tags freed above end up empty.
 	keepSlice := func(list []*dynInst) []*dynInst {
 		for len(list) > 0 && list[len(list)-1].seq > bseq {
+			if in := list[len(list)-1]; in.readyAt == never {
+				c.unpark(in)
+			}
 			list = list[:len(list)-1]
 		}
 		return list
