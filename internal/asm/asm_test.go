@@ -205,10 +205,14 @@ func TestCommentStyles(t *testing.T) {
 // instruction image. This exercises every opcode and operand form the
 // kernels use, in both directions.
 func TestKernelRoundTrip(t *testing.T) {
-	for _, k := range workload.AllKernels(0.02) {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
+	for _, r := range workload.AllKernels(0.02) {
+		r := r
+		t.Run(r.Name, func(t *testing.T) {
 			t.Parallel()
+			k, err := r.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			src := Source(k.Prog.Code)
 			prog2, err := Assemble(k.Name, src)
 			if err != nil {

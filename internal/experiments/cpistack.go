@@ -50,13 +50,22 @@ func CPIStackStudy(opt Options) (Result, error) {
 	// The cached profile.CPIStack is a plain value: each cell gets its
 	// own copy and the slot-identity check happens inside the job.
 	cfg := pipeline.DefaultConfig()
+	refs := make([]*workload.Ref, len(cpiKernels))
+	for i, name := range cpiKernels {
+		r, err := workload.Lookup(name, opt.Scale)
+		if err != nil {
+			return Result{}, err
+		}
+		refs[i] = r
+	}
 	cells := make([]profile.CPIStack, len(cpiKernels)*len(orgs))
 	err := sched.ForEach(len(cells), func(idx int) error {
-		name := cpiKernels[idx/len(orgs)]
+		r := refs[idx/len(orgs)]
+		name := r.Name
 		org := orgs[idx%len(orgs)]
 		key := runKey("cpistack", opt, name, org.spec.id, cfg, "profiled")
 		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("cpistack", name, org.spec.id), true, func() (any, error) {
-			k, err := workload.ByName(name, opt.Scale)
+			k, err := r.Build()
 			if err != nil {
 				return nil, err
 			}

@@ -125,8 +125,8 @@ func TestRunKeySeparation(t *testing.T) {
 	add("sampler 64", runKey("oracle", base, "qsort", "baseline", cfg, []int{8}, 64))
 	add("sampler ds", runKey("oracle", base, "qsort", "baseline", cfg, []int{8, 12}, 128))
 
-	add("fault seed 1", sched.KeyOf("fault", "hashprobe", 0.25, "carf", hardened, harden.Fault{Cycle: 2000, Seed: 1}))
-	add("fault seed 2", sched.KeyOf("fault", "hashprobe", 0.25, "carf", hardened, harden.Fault{Cycle: 2000, Seed: 2}))
+	add("fault seed 1", sched.KeyOf("fault", "hashprobe", 0.25, faultParams(), hardened, harden.Fault{Cycle: 2000, Seed: 1}))
+	add("fault seed 2", sched.KeyOf("fault", "hashprobe", 0.25, faultParams(), hardened, harden.Fault{Cycle: 2000, Seed: 2}))
 
 	// Parallel and Sched are execution knobs, not result inputs: they
 	// must NOT change the key, or identical runs would stop sharing.

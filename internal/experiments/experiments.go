@@ -235,11 +235,16 @@ func runKey(kind string, opt Options, kernel string, specID string, cfg pipeline
 	return sched.KeyOf(parts...)
 }
 
-// simulate runs kernel k on a fresh model, optionally with a live-value
-// sampler attached (every oracleSamplePeriod cycles). It is the
-// scheduler-job body shared by every harvesting path; callers go through
-// runOneCfg (or a sibling wrapper) so the run is pooled and memoized.
-func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, report sched.ProgressFunc) (runOut, error) {
+// simulate builds kernel r and runs it on a fresh model, optionally with
+// a live-value sampler attached (every oracleSamplePeriod cycles). It is
+// the scheduler-job body shared by every harvesting path; callers go
+// through runOneCfg (or a sibling wrapper) so the run is pooled and
+// memoized, and a run served from a cache never builds the kernel.
+func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, report sched.ProgressFunc) (runOut, error) {
+	k, err := r.Build()
+	if err != nil {
+		return runOut{}, err
+	}
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
 	if sampler != nil {
@@ -247,9 +252,16 @@ func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeli
 	}
 	var progress func(pipeline.Progress)
 	if report != nil {
-		progress = func(pp pipeline.Progress) { report(toSchedProgress(pp)) }
+		// The instruction budget for ETA math comes from a (memoized)
+		// functional pre-run, a cost paid only when someone watches.
+		target := workload.Budget(k, opt.Scale)
+		progress = func(pp pipeline.Progress) {
+			p := toSchedProgress(pp)
+			p.Target = target
+			report(p)
+		}
 	}
-	st, err := cpu.RunContext(ctx, progress)
+	st, err := cpu.RunContext(opt.Ctx, progress)
 	if err != nil {
 		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
 	}
@@ -266,7 +278,7 @@ func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeli
 }
 
 // runOne simulates kernel k on a fresh model through the scheduler.
-func runOne(k workload.Kernel, spec modelSpec, opt Options) (runOut, error) {
+func runOne(k *workload.Ref, spec modelSpec, opt Options) (runOut, error) {
 	return runOneCfg(k, spec, pipeline.DefaultConfig(), opt)
 }
 
@@ -288,17 +300,6 @@ func toSchedProgress(p pipeline.Progress) sched.Progress {
 	}
 }
 
-// progressTarget returns the kernel's dynamic instruction budget for
-// ETA math, or 0 when nobody is watching — the budget comes from a
-// (memoized) functional pre-run, a cost worth paying only when an
-// observer or progress callback will consume the ETA.
-func progressTarget(opt Options, k workload.Kernel) uint64 {
-	if !opt.Sched.Observed() && opt.OnProgress == nil {
-		return 0
-	}
-	return workload.Budget(k, opt.Scale)
-}
-
 // runLabel renders the human-readable run description carried to the
 // telemetry plane (span names, /runs rows, log lines). Labels are
 // display-only: the content Key remains the scheduling identity.
@@ -310,16 +311,16 @@ func runLabel(kind, kernel, specID string) string {
 // (ablations: bypass depth, widths). The run is submitted to the
 // scheduler: concurrency is bounded by the shared worker pool and the
 // result is memoized by (kernel, scale, model spec, config).
-func runOneCfg(k workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Options) (runOut, error) {
+func runOneCfg(k *workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options) (runOut, error) {
 	label := runLabel("sim", k.Name, spec.id)
 	var onProgress sched.ProgressFunc
 	if opt.OnProgress != nil {
 		onProgress = func(p sched.Progress) { opt.OnProgress(label, p) }
 	}
 	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
-		label, true, progressTarget(opt, k), onProgress,
+		label, true, 0, onProgress,
 		func(report sched.ProgressFunc) (any, error) {
-			return simulate(opt.Ctx, k, spec, cfg, nil, report)
+			return simulate(opt, k, spec, cfg, nil, report)
 		})
 	opt.Tally.Record(prov, err)
 	if err != nil {
@@ -330,12 +331,12 @@ func runOneCfg(k workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Optio
 
 // runSuite simulates every kernel of a suite on fresh models through
 // the scheduler, returning results in suite order.
-func runSuite(kernels []workload.Kernel, spec modelSpec, opt Options) ([]runOut, error) {
+func runSuite(kernels []*workload.Ref, spec modelSpec, opt Options) ([]runOut, error) {
 	return runSuiteCfg(kernels, spec, pipeline.DefaultConfig(), opt)
 }
 
 // runSuiteCfg is runSuite with an explicit pipeline configuration.
-func runSuiteCfg(kernels []workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Options) ([]runOut, error) {
+func runSuiteCfg(kernels []*workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options) ([]runOut, error) {
 	outs := make([]runOut, len(kernels))
 	err := sched.ForEach(len(kernels), func(i int) error {
 		var err error

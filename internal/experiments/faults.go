@@ -55,17 +55,23 @@ func faultParams() core.Params {
 // knob are part of the memoization key, so a checked/injected run can
 // never be served the result of a clean one (or vice versa).
 func RunFaultInjection(kernel string, scale float64, f harden.Fault) (harden.Outcome, error) {
-	return runFaultInjection(context.Background(), sched.Global(), nil, kernel, scale, f)
+	r, err := workload.Lookup(kernel, scale)
+	if err != nil {
+		return harden.Outcome{}, err
+	}
+	return runFaultInjection(context.Background(), sched.Global(), nil, r, scale, f)
 }
 
-func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tally, kernel string, scale float64, f harden.Fault) (harden.Outcome, error) {
+// runFaultInjection runs one seeded injection against r, which is
+// built only if the run is not served from a cache.
+func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tally, r *workload.Ref, scale float64, f harden.Fault) (harden.Outcome, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Harden = faultHardenOptions()
 	p := faultParams()
-	key := sched.KeyOf("fault", kernel, scale, fmt.Sprintf("carf%+v", p), cfg, f)
-	label := runLabel("fault", kernel, fmt.Sprintf("%v#%d", f.Class, f.Seed))
+	key := sched.KeyOf("fault", r.Name, scale, p, cfg, f)
+	label := runLabel("fault", r.Name, fmt.Sprintf("%v#%d", f.Class, f.Seed))
 	v, prov, err := s.DoCtx(ctx, key, label, true, func() (any, error) {
-		return injectOnce(kernel, scale, cfg, p, f)
+		return injectOnce(r, cfg, p, f)
 	})
 	tally.Record(prov, err)
 	if err != nil {
@@ -75,8 +81,8 @@ func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tal
 }
 
 // injectOnce is the scheduler-job body of one seeded campaign run.
-func injectOnce(kernel string, scale float64, cfg pipeline.Config, p core.Params, f harden.Fault) (harden.Outcome, error) {
-	k, err := workload.ByName(kernel, scale)
+func injectOnce(r *workload.Ref, cfg pipeline.Config, p core.Params, f harden.Fault) (harden.Outcome, error) {
+	k, err := r.Build()
 	if err != nil {
 		return harden.Outcome{}, err
 	}
@@ -138,10 +144,14 @@ func Faults(opt Options) (Result, error) {
 			jobs = append(jobs, job{ci, si})
 		}
 	}
+	r, err := workload.Lookup(faultKernel, opt.Scale)
+	if err != nil {
+		return Result{}, err
+	}
 	outs := make([]harden.Outcome, len(jobs))
 	if err := sched.ForEach(len(jobs), func(i int) error {
 		var err error
-		outs[i], err = runFaultInjection(opt.Ctx, opt.Sched, opt.Tally, faultKernel, opt.Scale, harden.Fault{
+		outs[i], err = runFaultInjection(opt.Ctx, opt.Sched, opt.Tally, r, opt.Scale, harden.Fault{
 			Class: classes[jobs[i].class],
 			Cycle: faultInjectCycle,
 			Seed:  faultSeeds[jobs[i].seed],

@@ -21,7 +21,7 @@ const oracleSamplePeriod = 128
 // they request the same analysis; the per-kernel analyzers in the
 // cache are immutable — Merge only reads its argument — and the merge
 // happens in suite order after every run completes.
-func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]*oracle.Analyzer, error) {
+func oracleSuite(kernels []*workload.Ref, ds []int, opt Options) ([]*oracle.Analyzer, error) {
 	perKernel := make([][]*oracle.Analyzer, len(kernels))
 	cfg := pipeline.DefaultConfig()
 	err := sched.ForEach(len(kernels), func(i int) error {
@@ -34,7 +34,7 @@ func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]*oracle.An
 				analyzers[j] = oracle.NewAnalyzer(d)
 				local[j] = analyzers[j]
 			}
-			if _, err := simulate(opt.Ctx, k, baselineSpec(), cfg, local, nil); err != nil {
+			if _, err := simulate(opt, k, baselineSpec(), cfg, local, nil); err != nil {
 				return nil, err
 			}
 			return analyzers, nil
@@ -76,7 +76,7 @@ func Fig1(opt Options) (Result, error) {
 	}
 	for _, suite := range []struct {
 		label   string
-		kernels []workload.Kernel
+		kernels []*workload.Ref
 	}{
 		{"SPECint-like", workload.IntSuite(opt.Scale)},
 		{"SPECfp-like", workload.FPSuite(opt.Scale)},

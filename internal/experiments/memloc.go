@@ -35,7 +35,7 @@ func Memloc(opt Options) (Result, error) {
 
 	suites := []struct {
 		label   string
-		kernels []workload.Kernel
+		kernels []*workload.Ref
 	}{
 		{"SPECint-like", workload.IntSuite(opt.Scale)},
 		{"SPECfp-like", workload.FPSuite(opt.Scale)},
@@ -51,9 +51,13 @@ func Memloc(opt Options) (Result, error) {
 		// cached streams are read-only; Merge copies their sums out.
 		perKernel := make([]streams, len(suite.kernels))
 		err := sched.ForEach(len(suite.kernels), func(i int) error {
-			k := suite.kernels[i]
-			key := sched.KeyOf("memloc", k.Name, opt.Scale, ds, memWindow)
-			v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("memloc", k.Name, "vm"), true, func() (any, error) {
+			r := suite.kernels[i]
+			key := sched.KeyOf("memloc", r.Name, opt.Scale, ds, memWindow)
+			v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("memloc", r.Name, "vm"), true, func() (any, error) {
+				k, err := r.Build()
+				if err != nil {
+					return nil, err
+				}
 				local := newStreams()
 				m := vm.New(k.Prog)
 				for !m.Halted {

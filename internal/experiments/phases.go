@@ -38,9 +38,13 @@ func Phases(opt Options) (Result, error) {
 	cfg := pipeline.DefaultConfig()
 	outs := make([]out, len(kernels))
 	err := sched.ForEach(len(kernels), func(i int) error {
-		k := kernels[i]
-		key := runKey("phases", opt, k.Name, spec.id, cfg, phasesInterval)
-		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("phases", k.Name, spec.id), true, func() (any, error) {
+		r := kernels[i]
+		key := runKey("phases", opt, r.Name, spec.id, cfg, phasesInterval)
+		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("phases", r.Name, spec.id), true, func() (any, error) {
+			k, err := r.Build()
+			if err != nil {
+				return nil, err
+			}
 			cpu := pipeline.New(cfg, k.Prog, spec.new())
 			sampler := cpu.InstallMetrics(metrics.NewRegistry(), phasesInterval)
 			st, err := cpu.RunContext(opt.Ctx, nil)

@@ -9,6 +9,7 @@ import (
 
 	"carf/internal/sched"
 	"carf/internal/store"
+	"carf/internal/workload"
 )
 
 // quietLogger suppresses the store's (expected) quarantine and
@@ -108,5 +109,33 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if schedStats3.Misses != 0 {
 		t.Errorf("round 3 re-simulated %d runs; want all served from disk", schedStats3.Misses)
+	}
+}
+
+// TestWarmPassBuildsNoKernel: kernels are built inside scheduler jobs,
+// so a pass served entirely from the store builds no program, and a cold
+// pass builds each kernel of a suite at most once however many
+// configurations run over that suite.
+func TestWarmPassBuildsNoKernel(t *testing.T) {
+	const exp = "sweeps"
+	dir := t.TempDir()
+	perSuite := uint64(len(workload.Names()))
+
+	before := workload.Builds()
+	want, cold, _ := renderWithStore(t, exp, dir)
+	if n := workload.Builds() - before; n == 0 || n > perSuite {
+		t.Errorf("cold %s built %d kernel programs for %d simulations, want 1..%d", exp, n, cold.Misses, perSuite)
+	}
+
+	before = workload.Builds()
+	got, warm, _ := renderWithStore(t, exp, dir)
+	if warm.Misses != 0 || warm.DiskHits == 0 {
+		t.Fatalf("warm %s: %d misses, %d disk hits; want every run served from the store", exp, warm.Misses, warm.DiskHits)
+	}
+	if n := workload.Builds() - before; n != 0 {
+		t.Errorf("warm %s built %d kernel programs, want 0", exp, n)
+	}
+	if got != want {
+		t.Errorf("warm render differs from cold render:\n--- cold ---\n%s\n--- warm ---\n%s", want, got)
 	}
 }

@@ -21,11 +21,19 @@ type smtOut struct {
 // runSMT simulates kernels a and b sharing one content-aware file built
 // from p under the given thread-priority policy, pooled and memoized
 // like every other run (the policy and file parameters key the cache).
-func runSMT(a, b workload.Kernel, p core.Params, pol pipeline.SMTPolicy, opt Options) (smtOut, error) {
+func runSMT(ra, rb *workload.Ref, p core.Params, pol pipeline.SMTPolicy, opt Options) (smtOut, error) {
 	cfg := pipeline.DefaultConfig()
-	key := runKey("smt", opt, a.Name+"+"+b.Name, fmt.Sprintf("carf%+v", p), cfg, pol)
-	label := runLabel("smt", a.Name+"+"+b.Name, fmt.Sprintf("policy-%v", pol))
+	key := runKey("smt", opt, ra.Name+"+"+rb.Name, "carf", cfg, p, pol)
+	label := runLabel("smt", ra.Name+"+"+rb.Name, fmt.Sprintf("policy-%v", pol))
 	v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, label, true, func() (any, error) {
+		a, err := ra.Build()
+		if err != nil {
+			return nil, err
+		}
+		b, err := rb.Build()
+		if err != nil {
+			return nil, err
+		}
 		model := core.New(p)
 		smt := pipeline.NewSMT(cfg, [2]*vm.Program{a.Prog, b.Prog}, model)
 		smt.SetPolicy(pol)
@@ -55,11 +63,11 @@ func smtPolicyStudy(opt Options) (stats.Table, error) {
 		Title:  "SMT thread-priority policy under Long-file pressure (crc64+hashprobe, K=24)",
 		Header: []string{"policy", "combined IPC", "recovery stalls", "long-stall cycles"},
 	}
-	ka, err := workload.ByName("crc64", opt.Scale)
+	ka, err := workload.Lookup("crc64", opt.Scale)
 	if err != nil {
 		return stats.Table{}, err
 	}
-	kb, err := workload.ByName("hashprobe", opt.Scale)
+	kb, err := workload.Lookup("hashprobe", opt.Scale)
 	if err != nil {
 		return stats.Table{}, err
 	}
@@ -84,11 +92,11 @@ func smtPolicyStudy(opt Options) (stats.Table, error) {
 // ratio to the sum of the solo runs (the sharing cost), the shared
 // file's live-long occupancy, and recovery pressure.
 func smtPair(a, b string, opt Options) ([]string, error) {
-	ka, err := workload.ByName(a, opt.Scale)
+	ka, err := workload.Lookup(a, opt.Scale)
 	if err != nil {
 		return nil, err
 	}
-	kb, err := workload.ByName(b, opt.Scale)
+	kb, err := workload.Lookup(b, opt.Scale)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func Sweeps(opt Options) (Result, error) {
 // contention enforced (Config.PortContention), sweep the baseline file's
 // read/write port counts and report IPC relative to the 16R/8W
 // configuration alongside the static energy/area/time characterization.
-func portSweep(opt Options, ints []workload.Kernel) (stats.Table, error) {
+func portSweep(opt Options, ints []*workload.Ref) (stats.Table, error) {
 	tech := energy.DefaultTech()
 	unl := tech.UnlimitedReference()
 	cfg := pipeline.DefaultConfig()

@@ -18,7 +18,7 @@ func Table2(opt Options) (Result, error) {
 	}
 	for _, suite := range []struct {
 		label   string
-		kernels []workload.Kernel
+		kernels []*workload.Ref
 	}{
 		{"SPEC INT-like", workload.IntSuite(opt.Scale)},
 		{"SPEC FP-like", workload.FPSuite(opt.Scale)},

@@ -135,7 +135,10 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) longStallThreshold() int {
+// longStallThreshold resolves LongStallThreshold's 0 default. Issue
+// calls it every cycle, so it takes a pointer: a value receiver copied
+// the whole Config each time.
+func (c *Config) longStallThreshold() int {
 	if c.LongStallThreshold > 0 {
 		return c.LongStallThreshold
 	}

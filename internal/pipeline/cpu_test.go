@@ -39,10 +39,14 @@ func TestAllKernelsOnAllModels(t *testing.T) {
 	if testing.Short() {
 		scale = 0.03
 	}
-	for _, k := range workload.AllKernels(scale) {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
+	for _, r := range workload.AllKernels(scale) {
+		r := r
+		t.Run(r.Name, func(t *testing.T) {
 			t.Parallel()
+			k, err := r.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			base := runKernel(t, k, regfile.Baseline())
 			unl := runKernel(t, k, regfile.Unlimited())
 			carf := runKernel(t, k, carfModel())

@@ -24,7 +24,11 @@ func wakeupStressConfig() Config {
 // on every kernel under the stress configuration.
 func TestWakeupListsStayConsistent(t *testing.T) {
 	var squashes uint64
-	for _, k := range workload.AllKernels(0.02) {
+	for _, r := range workload.AllKernels(0.02) {
+		k, err := r.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
 		cpu, err := NewChecked(wakeupStressConfig(), k.Prog, carfModel())
 		if err != nil {
 			t.Fatal(err)

@@ -19,10 +19,14 @@ func wrongPathConfig() Config {
 // and the content-aware file, with zero reconstruction mismatches — the
 // squash path must fully undo speculation.
 func TestWrongPathCorrectness(t *testing.T) {
-	for _, k := range workload.AllKernels(0.05) {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
+	for _, r := range workload.AllKernels(0.05) {
+		r := r
+		t.Run(r.Name, func(t *testing.T) {
 			t.Parallel()
+			k, err := r.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, model := range []regfile.Model{regfile.Baseline(), core.New(core.DefaultParams())} {
 				cpu := New(wrongPathConfig(), k.Prog, model)
 				st, err := cpu.Run()

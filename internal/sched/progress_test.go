@@ -147,9 +147,6 @@ func TestDoProgressObserverReceives(t *testing.T) {
 	s.SetProgressInterval(0)
 	obs := newRecObserver()
 	s.SetObserver(obs)
-	if !s.Observed() {
-		t.Fatal("Observed() false with an observer attached")
-	}
 	body := func(report ProgressFunc) (any, error) {
 		if report != nil {
 			report(Progress{Insts: 5})

@@ -27,8 +27,6 @@ package sched
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -37,33 +35,6 @@ import (
 
 	"carf/internal/metrics"
 )
-
-// Key is a content digest identifying one simulation request. Two
-// requests with equal keys must be guaranteed to produce identical
-// results (the simulator is deterministic, so a key covering every
-// result-affecting input is sufficient).
-type Key [sha256.Size]byte
-
-// Short returns the first 8 hex digits of the key — the correlation id
-// used in telemetry output (span attributes, /runs rows, log fields).
-// Short ids are for humans; full keys stay the cache identity.
-func (k Key) Short() string { return hex.EncodeToString(k[:4]) }
-
-// KeyOf digests the given parts into a Key. Parts are rendered with
-// %#v, which spells out field names and values of nested structs, so
-// any config difference — and any field added to a config struct later
-// — changes the digest. Callers must include everything the run's
-// result depends on: kernel name, workload scale, model spec identity,
-// pipeline configuration, and any sampler/checker/injection knobs.
-func KeyOf(parts ...any) Key {
-	h := sha256.New()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%#v\x1f", p)
-	}
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
 
 // Outcome classifies how a Do call was served.
 type Outcome uint8
@@ -373,15 +344,6 @@ func (s *Scheduler) SetObserver(o Observer) {
 	s.mu.Lock()
 	s.obs = o
 	s.mu.Unlock()
-}
-
-// Observed reports whether a lifecycle observer is attached. Callers
-// use it to skip progress-only work (instruction-budget computation,
-// hook installation) when nobody is watching.
-func (s *Scheduler) Observed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs != nil
 }
 
 // SetTier attaches (or, with nil, detaches) the persistent result tier.

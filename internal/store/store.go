@@ -320,38 +320,47 @@ func (s *Store) Load(key sched.Key) (any, bool) {
 	return v, true
 }
 
+// maxHeader bounds the JSON header line of a blob.
+const maxHeader = 4096
+
 // readBlob reads and verifies one blob file, returning its payload.
 // Any verification failure is an error distinct from fs.ErrNotExist.
 func (s *Store) readBlob(path string) ([]byte, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := newLineReader(f)
-	line, err := r.line()
-	if err != nil {
-		return nil, fmt.Errorf("blob header unreadable: %w", err)
+	return verifyBlob(b, s.schema)
+}
+
+// verifyBlob splits a blob into its header line and payload and returns
+// the payload only if magic, schema, size and checksum all verify.
+func verifyBlob(b []byte, schema string) ([]byte, error) {
+	nl := bytes.IndexByte(b[:min(len(b), maxHeader+1)], '\n')
+	if nl < 0 {
+		if len(b) > maxHeader {
+			return nil, fmt.Errorf("blob header line exceeds %d bytes", maxHeader)
+		}
+		return nil, fmt.Errorf("blob header unreadable: %w", io.ErrUnexpectedEOF)
 	}
 	var h header
-	if err := json.Unmarshal(line, &h); err != nil {
+	if err := json.Unmarshal(b[:nl], &h); err != nil {
 		return nil, fmt.Errorf("blob header is not valid JSON: %w", err)
 	}
 	if h.Magic != blobMagic {
 		return nil, fmt.Errorf("blob magic %q, want %q", h.Magic, blobMagic)
 	}
-	if h.Schema != s.schema {
-		return nil, fmt.Errorf("blob schema %q, store schema %q", h.Schema, s.schema)
+	if h.Schema != schema {
+		return nil, fmt.Errorf("blob schema %q, store schema %q", h.Schema, schema)
 	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("blob payload unreadable: %w", err)
-	}
+	payload := b[nl+1:]
 	if int64(len(payload)) != h.Size {
 		return nil, fmt.Errorf("blob payload is %d bytes, header says %d (truncated write?)", len(payload), h.Size)
 	}
 	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != h.SHA256 {
+	var got [2 * sha256.Size]byte
+	hex.Encode(got[:], sum[:])
+	if string(got[:]) != h.SHA256 {
 		return nil, fmt.Errorf("blob checksum mismatch: payload %s, header %s", got[:8], h.SHA256[:min(8, len(h.SHA256))])
 	}
 	return payload, nil
@@ -411,17 +420,27 @@ func (s *Store) Store(key sched.Key, val any) {
 	s.count(func(st *Stats) { st.DiskBlobs++ })
 }
 
+// encodeBlob returns the on-disk form of payload: its JSON header
+// line, then the payload bytes.
+func encodeBlob(schema string, payload []byte) ([]byte, error) {
+	sum := sha256.Sum256(payload)
+	hdr, err := json.Marshal(header{
+		Magic:  blobMagic,
+		Schema: schema,
+		SHA256: hex.EncodeToString(sum[:]),
+		Size:   int64(len(payload)),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(append(hdr, '\n'), payload...), nil
+}
+
 // writeBlob writes header+payload to a temporary and renames it into
 // place, so a crash at any point leaves either the old blob or a .tmp
 // that Open sweeps — never a truncated blob under a valid name.
 func (s *Store) writeBlob(key sched.Key, payload []byte) error {
-	sum := sha256.Sum256(payload)
-	hdr, err := json.Marshal(header{
-		Magic:  blobMagic,
-		Schema: s.schema,
-		SHA256: hex.EncodeToString(sum[:]),
-		Size:   int64(len(payload)),
-	})
+	blob, err := encodeBlob(s.schema, payload)
 	if err != nil {
 		return err
 	}
@@ -432,11 +451,7 @@ func (s *Store) writeBlob(key sched.Key, payload []byte) error {
 	}
 	tmp := f.Name()
 	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		cleanup()
-		return err
-	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(blob); err != nil {
 		cleanup()
 		return err
 	}
@@ -532,34 +547,3 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	return nil
 }
-
-// lineReader reads one \n-terminated line, then exposes the rest of the
-// stream unread (bufio would buffer past the line).
-type lineReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func newLineReader(r io.Reader) *lineReader { return &lineReader{r: r} }
-
-// line reads bytes up to and excluding the first '\n'.
-func (lr *lineReader) line() ([]byte, error) {
-	var out []byte
-	for {
-		n, err := lr.r.Read(lr.buf[:])
-		if n > 0 {
-			if lr.buf[0] == '\n' {
-				return out, nil
-			}
-			out = append(out, lr.buf[0])
-			if len(out) > 4096 {
-				return nil, fmt.Errorf("header line exceeds 4096 bytes")
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (lr *lineReader) Read(p []byte) (int, error) { return lr.r.Read(p) }

@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Suite construction. The integer suite stands in for SPECint2000 and
@@ -63,23 +65,68 @@ var factories = []kernelFactory{
 	{"conv2d", true, func(s float64) Kernel { return Conv2D(40, scaled(8, s)) }},
 }
 
+// Ref is one kernel of the suite at one scale, not yet built. Name and
+// FP are known up front; the program is built by the first Build call
+// and every later call, from any goroutine, returns the same Kernel.
+// A suite value shared by many runs therefore builds each program at
+// most once, and only if some run actually needs it: runs served from
+// a cache never call Build.
+type Ref struct {
+	Name string
+	FP   bool // member of the floating-point suite
+
+	f     *kernelFactory
+	scale float64
+	once  sync.Once
+	k     Kernel
+	err   error
+}
+
+// Build returns the kernel, building its program on the first call. A
+// panic inside the kernel's factory (a bug exposed by an extreme scale)
+// is returned as an error rather than taking the caller down.
+func (r *Ref) Build() (Kernel, error) {
+	r.once.Do(func() { r.k, r.err = r.f.build(r.scale) })
+	return r.k, r.err
+}
+
+var builds atomic.Uint64
+
+// Builds reports how many kernel programs this process has built
+// through Ref.Build and ByName.
+func Builds() uint64 { return builds.Load() }
+
+func (f *kernelFactory) build(scale float64) (k Kernel, err error) {
+	builds.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("workload: building kernel %q at scale %v panicked: %v", f.name, scale, r)
+		}
+	}()
+	return f.make(scale), nil
+}
+
+func (f *kernelFactory) ref(scale float64) *Ref {
+	return &Ref{Name: f.name, FP: f.fp, f: f, scale: scale}
+}
+
 // IntSuite returns the integer kernels at the given scale (1.0 is the
-// standard experiment size).
-func IntSuite(scale float64) []Kernel { return bySuite(false, scale) }
+// standard experiment size), unbuilt.
+func IntSuite(scale float64) []*Ref { return bySuite(false, scale) }
 
-// FPSuite returns the floating-point kernels at the given scale.
-func FPSuite(scale float64) []Kernel { return bySuite(true, scale) }
+// FPSuite returns the floating-point kernels at the given scale, unbuilt.
+func FPSuite(scale float64) []*Ref { return bySuite(true, scale) }
 
-// AllKernels returns the full suite, integer kernels first.
-func AllKernels(scale float64) []Kernel {
+// AllKernels returns the full suite, integer kernels first, unbuilt.
+func AllKernels(scale float64) []*Ref {
 	return append(IntSuite(scale), FPSuite(scale)...)
 }
 
-func bySuite(fp bool, scale float64) []Kernel {
-	var out []Kernel
-	for _, f := range factories {
-		if f.fp == fp {
-			out = append(out, f.make(scale))
+func bySuite(fp bool, scale float64) []*Ref {
+	var out []*Ref
+	for i := range factories {
+		if f := &factories[i]; f.fp == fp {
+			out = append(out, f.ref(scale))
 		}
 	}
 	return out
@@ -94,22 +141,24 @@ func Names() []string {
 	return names
 }
 
-// ByName builds the named kernel at the given scale. A panic inside a
-// kernel factory (a bug exposed by an extreme scale) is converted into
-// an error rather than taking the caller down.
-func ByName(name string, scale float64) (k Kernel, err error) {
+// Lookup returns the named kernel at the given scale, unbuilt.
+func Lookup(name string, scale float64) (*Ref, error) {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-		return Kernel{}, fmt.Errorf("workload: scale %v must be a positive finite number", scale)
+		return nil, fmt.Errorf("workload: scale %v must be a positive finite number", scale)
 	}
-	for _, f := range factories {
-		if f.name == name {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("workload: building kernel %q at scale %v panicked: %v", name, scale, r)
-				}
-			}()
-			return f.make(scale), nil
+	for i := range factories {
+		if f := &factories[i]; f.name == name {
+			return f.ref(scale), nil
 		}
 	}
-	return Kernel{}, fmt.Errorf("workload: unknown kernel %q (known: %v)", name, Names())
+	return nil, fmt.Errorf("workload: unknown kernel %q (known: %v)", name, Names())
+}
+
+// ByName builds the named kernel at the given scale.
+func ByName(name string, scale float64) (Kernel, error) {
+	r, err := Lookup(name, scale)
+	if err != nil {
+		return Kernel{}, err
+	}
+	return r.Build()
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"carf/internal/isa"
@@ -12,10 +13,14 @@ import (
 // deposit its precomputed checksum in x28. A failure here means the
 // builder, the VM semantics, or a kernel's Go replica disagree.
 func TestKernelsComputeExpected(t *testing.T) {
-	for _, k := range AllKernels(0.25) {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
+	for _, r := range AllKernels(0.25) {
+		r := r
+		t.Run(r.Name, func(t *testing.T) {
 			t.Parallel()
+			k, err := r.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			m := vm.New(k.Prog)
 			n, err := m.Run(100_000_000)
 			if err != nil {
@@ -37,10 +42,14 @@ func TestKernelSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale kernels are slow in -short mode")
 	}
-	for _, k := range AllKernels(1.0) {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
+	for _, r := range AllKernels(1.0) {
+		r := r
+		t.Run(r.Name, func(t *testing.T) {
 			t.Parallel()
+			k, err := r.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			m := vm.New(k.Prog)
 			n, err := m.Run(20_000_000)
 			if err != nil {
@@ -69,18 +78,59 @@ func TestSuites(t *testing.T) {
 	if len(fps) != 8 {
 		t.Errorf("fp suite has %d kernels, want 8", len(fps))
 	}
-	for _, k := range ints {
-		if k.FP {
-			t.Errorf("%s marked FP in int suite", k.Name)
+	for _, r := range append(ints, fps...) {
+		k, err := r.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.Name != r.Name || k.FP != r.FP {
+			t.Errorf("ref %s (FP %v) built kernel %s (FP %v)", r.Name, r.FP, k.Name, k.FP)
 		}
 	}
-	for _, k := range fps {
-		if !k.FP {
-			t.Errorf("%s not marked FP in fp suite", k.Name)
+	for _, r := range ints {
+		if r.FP {
+			t.Errorf("%s marked FP in int suite", r.Name)
+		}
+	}
+	for _, r := range fps {
+		if !r.FP {
+			t.Errorf("%s not marked FP in fp suite", r.Name)
 		}
 	}
 	if got := len(Names()); got != 22 {
 		t.Errorf("Names() returned %d, want 22", got)
+	}
+}
+
+// TestRefBuildsOnce: a Ref builds its program on first use only, and
+// concurrent callers all receive that one program.
+func TestRefBuildsOnce(t *testing.T) {
+	r, err := Lookup("crc64", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := Builds()
+	progs := make([]*vm.Program, 8)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k, err := r.Build()
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = k.Prog
+		}(i)
+	}
+	wg.Wait()
+	if n := Builds() - before; n != 1 {
+		t.Errorf("%d builds for one ref, want 1", n)
+	}
+	for _, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatal("concurrent Build calls returned different programs")
+		}
 	}
 }
 
