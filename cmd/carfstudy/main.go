@@ -98,6 +98,31 @@ func progressLogger(logger *slog.Logger, exp string) func(carf.Progress) {
 	}
 }
 
+// runExperiment runs one experiment under an experiment span on hub
+// (nil-safe) and logs "<what> started" and "<what> finished" lines,
+// tagged with tags before the experiment name. With progress, live
+// frames are logged through progressLogger.
+func runExperiment(ctx context.Context, logger *slog.Logger, hub *telemetry.Hub, name string, scale float64, progress bool, what string, tags ...any) result {
+	sp := hub.ExperimentStart(name)
+	logger.Info(what+" started", append(tags[:len(tags):len(tags)], "exp", name)...)
+	t0 := time.Now()
+	opt := carf.ExperimentOptions{Ctx: ctx, Scale: scale}
+	if progress {
+		opt.OnProgress = progressLogger(logger, name)
+	}
+	rep, err := carf.RunExperimentReport(name, opt)
+	elapsed := time.Since(t0)
+	hub.ExperimentEnd(name, sp, elapsed, err)
+	if err == nil {
+		logger.Info(what+" finished", append(tags[:len(tags):len(tags)], "exp", name,
+			"elapsed", elapsed.Round(time.Millisecond),
+			"runs", rep.Sched.Runs, "simulated", rep.Sched.Misses,
+			"cached", rep.Sched.Hits, "disk", rep.Sched.DiskHits,
+			"peer", rep.Sched.PeerHits, "joined", rep.Sched.Joins)...)
+	}
+	return result{rep: rep, err: err, elapsed: elapsed}
+}
+
 func main() {
 	var (
 		exps     = flag.String("exp", "all", "comma-separated experiment ids, or \"all\"")
@@ -238,23 +263,7 @@ func main() {
 			go func(name string, ch chan<- result) {
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				sp := hub.ExperimentStart(name)
-				logger.Info("experiment started", "exp", name)
-				t0 := time.Now()
-				opt := carf.ExperimentOptions{Ctx: ctx, Scale: *scale}
-				if *progress {
-					opt.OnProgress = progressLogger(logger, name)
-				}
-				rep, err := carf.RunExperimentReport(name, opt)
-				elapsed := time.Since(t0)
-				hub.ExperimentEnd(name, sp, elapsed, err)
-				if err == nil {
-					logger.Info("experiment finished", "exp", name,
-						"elapsed", elapsed.Round(time.Millisecond),
-						"runs", rep.Sched.Runs, "simulated", rep.Sched.Misses,
-						"cached", rep.Sched.Hits, "disk", rep.Sched.DiskHits, "joined", rep.Sched.Joins)
-				}
-				ch <- result{rep: rep, err: err, elapsed: elapsed}
+				ch <- runExperiment(ctx, logger, hub, name, *scale, *progress, "experiment")
 			}(name, done[i])
 		}
 
@@ -379,27 +388,15 @@ func runFleetWorker(ctx context.Context, logger *slog.Logger, shardDir string, i
 	sh := fleet.OpenShard(shardDir)
 	t0 := time.Now()
 	ran, workErr := sh.Work(ctx, names, func(name string) (fleet.Result, error) {
-		logger.Info("fleet experiment started", "worker", index, "exp", name)
-		et := time.Now()
-		opt := carf.ExperimentOptions{Ctx: ctx, Scale: scale}
-		if progress {
-			opt.OnProgress = progressLogger(logger, name)
+		r := runExperiment(ctx, logger, nil, name, scale, progress, "fleet experiment", "worker", index)
+		if r.err != nil {
+			return fleet.Result{}, r.err
 		}
-		rep, err := carf.RunExperimentReport(name, opt)
-		elapsed := time.Since(et)
-		if err != nil {
-			return fleet.Result{}, err
-		}
-		logger.Info("fleet experiment finished", "worker", index, "exp", name,
-			"elapsed", elapsed.Round(time.Millisecond),
-			"runs", rep.Sched.Runs, "simulated", rep.Sched.Misses,
-			"cached", rep.Sched.Hits, "disk", rep.Sched.DiskHits,
-			"peer", rep.Sched.PeerHits, "joined", rep.Sched.Joins)
-		sb, merr := json.Marshal(rep.Sched)
+		sb, merr := json.Marshal(r.rep.Sched)
 		if merr != nil {
 			return fleet.Result{}, merr
 		}
-		return fleet.Result{Text: rep.Text, ElapsedSeconds: elapsed.Seconds(), Sched: sb}, nil
+		return fleet.Result{Text: r.rep.Text, ElapsedSeconds: r.elapsed.Seconds(), Sched: sb}, nil
 	})
 
 	sb, _ := json.Marshal(carf.GlobalSchedulerStats())
@@ -491,25 +488,16 @@ func runFleetParent(ctx context.Context, logger *slog.Logger, w io.Writer, hub *
 			// (a crashed worker's lease) already happened below, via
 			// stale-lease takeover.
 			logger.Warn("fleet: experiment has no recorded result; sweeping it in-process", "exp", name)
-			sp := hub.ExperimentStart(name)
-			t0 := time.Now()
-			opt := carf.ExperimentOptions{Ctx: ctx, Scale: scale}
-			if progress {
-				opt.OnProgress = progressLogger(logger, name)
-			}
-			rep, rerr := carf.RunExperimentReport(name, opt)
-			elapsed := time.Since(t0)
-			hub.ExperimentEnd(name, sp, elapsed, rerr)
-			if rerr != nil {
-				if errors.Is(rerr, context.Canceled) || ctx.Err() != nil {
+			r = runExperiment(ctx, logger, hub, name, scale, progress, "experiment")
+			if r.err != nil {
+				if errors.Is(r.err, context.Canceled) || ctx.Err() != nil {
 					logger.Error("study interrupted, flushing partial output", "exp", name)
 				} else {
-					logger.Error("experiment failed", "exp", name, "err", rerr)
+					logger.Error("experiment failed", "exp", name, "err", r.err)
 				}
 				fo.exitCode = 1
 				break
 			}
-			r = result{rep: rep, elapsed: elapsed}
 		}
 		reports[i] = r
 		completed++

@@ -318,7 +318,7 @@ func runOneCfg(k *workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options
 		onProgress = func(p sched.Progress) { opt.OnProgress(label, p) }
 	}
 	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
-		label, true, 0, onProgress,
+		label, true, onProgress,
 		func(report sched.ProgressFunc) (any, error) {
 			return simulate(opt, k, spec, cfg, nil, report)
 		})

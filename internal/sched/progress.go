@@ -37,7 +37,7 @@ type Progress struct {
 	// sees the run reach its end state.
 	Final bool `json:"final,omitempty"`
 
-	// Scheduler-stamped fields.
+	// Target is stamped by the body; the rest by the scheduler.
 	Target         uint64  `json:"target,omitempty"`          // known instruction budget (0 = unknown)
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"` // wall time since the sim started
 	InstsPerSec    float64 `json:"insts_per_sec,omitempty"`   // retirement rate over the whole run
@@ -82,7 +82,7 @@ func (s *Scheduler) SetProgressInterval(d time.Duration) {
 // body. It is called from the simulating goroutine only (the leader),
 // so its throttle state needs no lock; the observer and onProgress
 // callbacks must themselves be safe for concurrent use across runs.
-func (s *Scheduler) reporter(id uint64, target uint64, obs Observer, on ProgressFunc, simStart time.Time) ProgressFunc {
+func (s *Scheduler) reporter(id uint64, obs Observer, on ProgressFunc, simStart time.Time) ProgressFunc {
 	var last time.Time
 	return func(p Progress) {
 		now := time.Now()
@@ -92,9 +92,6 @@ func (s *Scheduler) reporter(id uint64, target uint64, obs Observer, on Progress
 			}
 		}
 		last = now
-		if p.Target == 0 {
-			p.Target = target
-		}
 		p.ElapsedSeconds = now.Sub(simStart).Seconds()
 		if p.ElapsedSeconds > 0 {
 			p.InstsPerSec = float64(p.Insts) / p.ElapsedSeconds

@@ -13,7 +13,7 @@ import (
 func TestDoProgressNilReportWhenUnobserved(t *testing.T) {
 	s := New(2)
 	var gotReport ProgressFunc
-	_, prov, err := s.DoProgress(context.Background(), KeyOf("silent"), "", true, 100, nil,
+	_, prov, err := s.DoProgress(context.Background(), KeyOf("silent"), "", true, nil,
 		func(report ProgressFunc) (any, error) {
 			gotReport = report
 			return 1, nil
@@ -26,10 +26,10 @@ func TestDoProgressNilReportWhenUnobserved(t *testing.T) {
 	}
 }
 
-// TestDoProgressStamping: the reporter stamps Target, ElapsedSeconds,
-// InstsPerSec and ETASeconds onto body frames, forwards them to both
-// the observer and the caller's onProgress, and keeps a body-provided
-// Target.
+// TestDoProgressStamping: the reporter stamps ElapsedSeconds,
+// InstsPerSec and ETASeconds onto body frames, derives the ETA from the
+// Target the body stamped (the only source of a target), and forwards
+// the frames to both the observer and the caller's onProgress.
 func TestDoProgressStamping(t *testing.T) {
 	s := New(2)
 	s.SetProgressInterval(0) // forward every frame
@@ -41,16 +41,16 @@ func TestDoProgressStamping(t *testing.T) {
 		got = append(got, p)
 		mu.Unlock()
 	}
-	_, prov, err := s.DoProgress(context.Background(), KeyOf("stamped"), "", true, 1000, on,
+	_, prov, err := s.DoProgress(context.Background(), KeyOf("stamped"), "", true, on,
 		func(report ProgressFunc) (any, error) {
 			if report == nil {
 				t.Error("body received a nil report with an onProgress caller")
 				return nil, nil
 			}
-			report(Progress{Cycles: 100, Insts: 250})
+			report(Progress{Cycles: 100, Insts: 250, Target: 1000})
 			time.Sleep(5 * time.Millisecond) // a nonzero elapsed for the rate
-			report(Progress{Cycles: 200, Insts: 500})
-			report(Progress{Cycles: 400, Insts: 1000, Final: true})
+			report(Progress{Cycles: 200, Insts: 500, Target: 1000})
+			report(Progress{Cycles: 400, Insts: 1000, Target: 1000, Final: true})
 			return 1, nil
 		})
 	if err != nil || prov.Outcome != Miss {
@@ -63,7 +63,7 @@ func TestDoProgressStamping(t *testing.T) {
 	}
 	for i, p := range got {
 		if p.Target != 1000 {
-			t.Errorf("frame %d target %d, want the stamped 1000", i, p.Target)
+			t.Errorf("frame %d target %d, want the body's 1000", i, p.Target)
 		}
 		if i > 0 && (p.Insts < got[i-1].Insts || p.Cycles < got[i-1].Cycles) {
 			t.Errorf("frame %d not monotonic after %d", i, i-1)
@@ -94,33 +94,13 @@ func TestDoProgressStamping(t *testing.T) {
 	}
 }
 
-// TestDoProgressBodyTargetWins: a Target the body already stamped (carf
-// computes its own budget) survives the reporter.
-func TestDoProgressBodyTargetWins(t *testing.T) {
-	s := New(2)
-	s.SetProgressInterval(0)
-	var got []Progress
-	_, _, err := s.DoProgress(context.Background(), KeyOf("bodytarget"), "", true, 1000,
-		func(p Progress) { got = append(got, p) },
-		func(report ProgressFunc) (any, error) {
-			report(Progress{Insts: 10, Target: 777})
-			return 1, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Target != 777 {
-		t.Fatalf("frames %+v, want one frame keeping the body's target 777", got)
-	}
-}
-
 // TestDoProgressThrottle: at a long interval only the first frame and
 // Final frames pass; the flood in between is thinned.
 func TestDoProgressThrottle(t *testing.T) {
 	s := New(2)
 	s.SetProgressInterval(time.Hour)
 	var got []Progress
-	_, _, err := s.DoProgress(context.Background(), KeyOf("throttled"), "", true, 0,
+	_, _, err := s.DoProgress(context.Background(), KeyOf("throttled"), "", true,
 		func(p Progress) { got = append(got, p) },
 		func(report ProgressFunc) (any, error) {
 			for i := 1; i <= 100; i++ {
@@ -154,7 +134,7 @@ func TestDoProgressObserverReceives(t *testing.T) {
 		}
 		return 1, nil
 	}
-	_, prov, err := s.DoProgress(context.Background(), KeyOf("observed"), "lbl", true, 10, nil, body)
+	_, prov, err := s.DoProgress(context.Background(), KeyOf("observed"), "lbl", true, nil, body)
 	if err != nil || prov.Outcome != Miss {
 		t.Fatalf("prov=%+v err=%v", prov, err)
 	}
@@ -175,7 +155,7 @@ func TestDoProgressObserverReceives(t *testing.T) {
 	}
 
 	// A cache hit does no work: no new frames appear anywhere.
-	_, prov2, err := s.DoProgress(context.Background(), KeyOf("observed"), "lbl", true, 10, nil, body)
+	_, prov2, err := s.DoProgress(context.Background(), KeyOf("observed"), "lbl", true, nil, body)
 	if err != nil || prov2.Outcome != Hit {
 		t.Fatalf("second call prov=%+v err=%v", prov2, err)
 	}

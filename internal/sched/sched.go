@@ -529,15 +529,16 @@ func (s *Scheduler) Do(key Key, label string, cacheable bool, fn func() (any, er
 // fn must not call Do on the same scheduler (a saturated pool of
 // parent runs waiting on child runs would deadlock).
 func (s *Scheduler) DoCtx(ctx context.Context, key Key, label string, cacheable bool, fn func() (any, error)) (any, Provenance, error) {
-	return s.DoProgress(ctx, key, label, cacheable, 0, nil, func(ProgressFunc) (any, error) { return fn() })
+	return s.DoProgress(ctx, key, label, cacheable, nil, func(ProgressFunc) (any, error) { return fn() })
 }
 
 // DoProgress is DoCtx for runs that can report live progress. fn
 // receives a report function to call with in-flight Progress snapshots;
 // the scheduler stamps each forwarded frame with the wall-clock rate
-// and an ETA derived from target (the run's known dynamic-instruction
-// budget; 0 = unknown, frames then carry no ETA), throttles non-final
-// frames to one per SetProgressInterval, and fans the result out to the
+// and an ETA derived from the frame's Target (the run's known
+// dynamic-instruction budget, stamped by the body; 0 = unknown, frames
+// then carry no ETA), throttles non-final frames to one per
+// SetProgressInterval, and fans the result out to the
 // attached Observer (RunProgressed) and to onProgress. Both are
 // optional; when neither is attached fn receives a nil report and the
 // call is exactly DoCtx — callers guard their hook installation on
@@ -546,7 +547,7 @@ func (s *Scheduler) DoCtx(ctx context.Context, key Key, label string, cacheable 
 // Progress frames are leader-only: hits, disk hits, and joiners resolve
 // without frames (their provenance says why). onProgress runs on the
 // simulating goroutine and must return quickly.
-func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cacheable bool, target uint64, onProgress ProgressFunc, fn func(report ProgressFunc) (any, error)) (any, Provenance, error) {
+func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cacheable bool, onProgress ProgressFunc, fn func(report ProgressFunc) (any, error)) (any, Provenance, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival: account for the request, touch nothing else.
@@ -743,7 +744,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	simStart := time.Now()
 	var report ProgressFunc
 	if obs != nil || onProgress != nil {
-		report = s.reporter(id, target, obs, onProgress, simStart)
+		report = s.reporter(id, obs, onProgress, simStart)
 	}
 	e.val, e.err = fn(report)
 	simWall := time.Since(simStart)

@@ -29,7 +29,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -177,7 +176,7 @@ type Job struct {
 
 	result string             // rendered output, available when done
 	cancel context.CancelFunc // cancels this job's context
-	stream *jobStream         // per-job progress frame stream
+	stream *telemetry.Stream  // per-job progress frame stream
 }
 
 // jobSched is the per-job scheduler summary in API responses.
@@ -473,7 +472,7 @@ func (d *Daemon) submit(w http.ResponseWriter, r *http.Request) {
 		Spec:      req,
 		Status:    StatusQueued,
 		Submitted: time.Now(),
-		stream:    newJobStream(),
+		stream:    telemetry.NewStream(),
 	}
 	ctx, cancel := context.WithTimeout(d.base, d.opt.JobTimeout)
 	j.cancel = cancel
@@ -577,11 +576,7 @@ func (d *Daemon) finish(j *Job, text string, st sched.Stats, err error) {
 			frame.Note = "joined an identical in-flight run — progress was reported on the leader's stream"
 		}
 	}
-	if payload, merr := json.Marshal(frame); merr == nil {
-		j.stream.finish(payload)
-	} else {
-		j.stream.finish([]byte(`{"type":"done"}`))
-	}
+	j.stream.Finish(frame)
 }
 
 // jobProgress records a job's latest progress snapshot and publishes a
@@ -594,9 +589,7 @@ func (d *Daemon) jobProgress(j *Job, label string, p sched.Progress) {
 		j.Progress = jp
 	}
 	d.mu.Unlock()
-	if payload, err := json.Marshal(JobStreamFrame{Type: "progress", ID: j.ID, Progress: jp}); err == nil {
-		j.stream.publish(payload)
-	}
+	j.stream.Publish(JobStreamFrame{Type: "progress", ID: j.ID, Progress: jp})
 }
 
 // runJob is the real execution body: experiments through the
@@ -633,14 +626,13 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) (string, sched.Stats, error
 		// data.
 		key := sched.KeyOf("serve-kernel", j.Spec.Kernel, cfg)
 		label := "serve/" + j.Spec.Kernel
-		v, prov, err := d.sch.DoProgress(ctx, key, label, true, 0,
+		v, prov, err := d.sch.DoProgress(ctx, key, label, true,
 			func(p sched.Progress) { d.jobProgress(j, label, p) },
 			func(report sched.ProgressFunc) (any, error) {
 				var on func(carf.Progress)
 				if report != nil {
-					// carf computes the kernel's own target; forward it so
-					// the scheduler's reporter keeps it (it only stamps a
-					// target when the frame has none).
+					// carf computes the kernel's own target; forward it
+					// for the scheduler's ETA.
 					on = func(cp carf.Progress) {
 						report(sched.Progress{
 							Cycles:      cp.Cycles,
@@ -703,7 +695,6 @@ func (d *Daemon) list(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, copyJob(d.jobs[id]))
 	}
 	d.mu.Unlock()
-	sort.SliceStable(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"runs": out})
 }
 

@@ -521,3 +521,33 @@ func TestKernelJobAcrossRestart(t *testing.T) {
 		t.Fatalf("kernel result IPC %v", res["IPC"])
 	}
 }
+
+// TestListSubmissionOrder: GET /api/v1/runs lists jobs in submission
+// order, also where the zero-padded id widens (a string sort would put
+// r-1000000 before r-999999).
+func TestListSubmissionOrder(t *testing.T) {
+	d, ts := newTestDaemon(t, Options{
+		runJob: func(ctx context.Context, j *Job) (string, sched.Stats, error) {
+			return "ok\n", sched.Stats{}, nil
+		},
+	})
+	d.mu.Lock()
+	d.nextID = 999_998
+	d.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		acc := decode[map[string]string](t, submit(t, ts, "c1", expBody))
+		waitStatus(t, ts, acc["id"], StatusDone)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := decode[struct{ Runs []Job }](t, resp)
+	var ids []string
+	for _, j := range list.Runs {
+		ids = append(ids, j.ID)
+	}
+	if len(ids) != 2 || ids[0] != "r-999999" || ids[1] != "r-1000000" {
+		t.Errorf("listed %v, want [r-999999 r-1000000]", ids)
+	}
+}

@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"carf/internal/sched"
 )
@@ -56,140 +53,17 @@ type JobStreamFrame struct {
 	Err    string `json:"error,omitempty"`
 }
 
-// jobFrameCap bounds the replayable progress frames per job; a late
-// subscriber sees the recent window (the done frame is kept separately).
-const jobFrameCap = 64
-
-// jobStream is one job's frame history plus live followers. It has its
-// own lock so high-rate progress fan-out never contends with the
-// daemon's job-table mutex.
-type jobStream struct {
-	mu       sync.Mutex
-	frames   [][]byte
-	terminal []byte
-	subs     map[chan []byte]struct{}
-}
-
-func newJobStream() *jobStream {
-	return &jobStream{subs: map[chan []byte]struct{}{}}
-}
-
-// publish appends a progress frame and fans it out non-blockingly
-// (slow followers miss frames; the done frame always arrives via the
-// close path).
-func (s *jobStream) publish(payload []byte) {
-	s.mu.Lock()
-	if s.terminal != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.frames = append(s.frames, payload)
-	if len(s.frames) > jobFrameCap {
-		s.frames = s.frames[len(s.frames)-jobFrameCap:]
-	}
-	for ch := range s.subs {
-		select {
-		case ch <- payload:
-		default:
-		}
-	}
-	s.mu.Unlock()
-}
-
-// finish records the terminal frame and closes every follower; their
-// handlers then fetch it with terminalFrame.
-func (s *jobStream) finish(payload []byte) {
-	s.mu.Lock()
-	if s.terminal != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.terminal = payload
-	for ch := range s.subs {
-		close(ch)
-	}
-	s.subs = map[chan []byte]struct{}{}
-	s.mu.Unlock()
-}
-
-// subscribe returns the replayable history (ending with the terminal
-// frame if the job finished — the channel is then nil), a live channel
-// closed when the job finishes, and a cancel function.
-func (s *jobStream) subscribe() (replay [][]byte, ch chan []byte, cancel func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	replay = append([][]byte(nil), s.frames...)
-	if s.terminal != nil {
-		replay = append(replay, s.terminal)
-		return replay, nil, func() {}
-	}
-	c := make(chan []byte, 128)
-	s.subs[c] = struct{}{}
-	return replay, c, func() {
-		s.mu.Lock()
-		delete(s.subs, c)
-		s.mu.Unlock()
-	}
-}
-
-func (s *jobStream) terminalFrame() ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.terminal, s.terminal != nil
-}
-
-// stream serves GET /api/v1/runs/{id}/stream: replay the job's recent
-// progress frames, then follow live until the terminal done frame.
+// stream serves GET /api/v1/runs/{id}/stream: the job's
+// telemetry.Stream — recent progress frames replayed, then followed
+// live until the terminal done frame.
 func (d *Daemon) stream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	d.mu.Lock()
 	j, ok := d.jobs[id]
-	var st *jobStream
-	if ok {
-		st = j.stream
-	}
 	d.mu.Unlock()
-	if !ok || st == nil {
+	if !ok {
 		writeErr(w, http.StatusNotFound, "no such run %q", id)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	replay, ch, cancel := st.subscribe()
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	for _, payload := range replay {
-		fmt.Fprintf(w, "data: %s\n\n", payload)
-	}
-	fl.Flush()
-	if ch == nil {
-		// Finished job: the replay ended with the done frame.
-		return
-	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		case payload, ok := <-ch:
-			if !ok {
-				if t, ok := st.terminalFrame(); ok {
-					fmt.Fprintf(w, "data: %s\n\n", t)
-					fl.Flush()
-				}
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-			fl.Flush()
-		}
-	}
+	j.stream.ServeHTTP(w, r)
 }

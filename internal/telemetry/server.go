@@ -211,99 +211,30 @@ func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 }
 
 // eventsSSE streams hub events as server-sent events until the client
-// disconnects. Each message is one `data:` line holding an Event JSON
-// object; a hello event opens the stream so clients can sync clocks.
+// disconnects or is disconnected as a slow subscriber (its channel is
+// closed, so the client learns it fell behind). Each message is one
+// Event JSON object; a hello event opens the stream so clients can sync
+// clocks.
 func (sv *Server) eventsSSE(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	hello, _ := json.Marshal(Event{Type: "hello", TMs: sv.hub.nowMs()})
-	fmt.Fprintf(w, "data: %s\n\n", hello)
-	fl.Flush()
-
 	ch, cancel := sv.hub.Subscribe()
 	defer cancel()
-	// Heartbeat comments keep idle connections from timing out.
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		case payload, ok := <-ch:
-			if !ok {
-				// Forcibly disconnected as a slow subscriber: end the
-				// stream so the client learns it fell behind.
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-			fl.Flush()
-		}
-	}
+	hello, _ := json.Marshal(Event{Type: "hello", TMs: sv.hub.nowMs()})
+	writeSSE(w, r, [][]byte{hello}, ch)
 }
 
-// runStream streams one run's progress frames as SSE: the retained
-// history first (so a late subscriber still sees recent interval
-// samples), then live frames until the terminal "done" frame, which
-// always closes the stream. A run that was served without simulating
-// (cache hit, disk hit) replays a single done frame whose note says so.
+// runStream streams one run's frames (see Stream.ServeHTTP). A run that
+// was served without simulating (cache hit, disk hit) replays a single
+// done frame whose note says so.
 func (sv *Server) runStream(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad run id", http.StatusBadRequest)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	replay, ch, cancel, ok := sv.hub.SubscribeRun(id)
-	if !ok {
+	st := sv.hub.stream(id)
+	if st == nil {
 		http.Error(w, "no such run (or its stream aged out)", http.StatusNotFound)
 		return
 	}
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	for _, payload := range replay {
-		fmt.Fprintf(w, "data: %s\n\n", payload)
-	}
-	fl.Flush()
-	if ch == nil {
-		// Finished run: the replay ended with the terminal frame.
-		return
-	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		case payload, ok := <-ch:
-			if !ok {
-				// Run finished: the channel closed; emit the terminal frame.
-				if t, ok := sv.hub.RunTerminal(id); ok {
-					fmt.Fprintf(w, "data: %s\n\n", t)
-					fl.Flush()
-				}
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-			fl.Flush()
-		}
-	}
+	st.ServeHTTP(w, r)
 }

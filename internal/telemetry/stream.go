@@ -2,18 +2,32 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"sync"
+	"time"
 
 	"carf/internal/sched"
 )
 
 // streamFrameCap bounds the replayable progress frames retained per
-// run: a late subscriber sees the most recent window, not the whole
+// stream: a late subscriber sees the most recent window, not the whole
 // history (the terminal frame is always retained separately).
 const streamFrameCap = 64
 
-// streamCap bounds finished streams retained for replay; older ones
-// fall off oldest-first. In-flight streams are never evicted.
+// streamCap bounds finished run streams the hub retains for replay;
+// older ones fall off oldest-first. In-flight streams are never
+// evicted.
 const streamCap = 256
+
+// followerBuf is a live follower's frame buffer. Its channel has one
+// more slot, reserved for the terminal frame, so a follower that fell
+// behind still learns how the stream ended.
+const followerBuf = 128
+
+// sseHeartbeat is the comment interval that keeps idle SSE connections
+// from timing out.
+const sseHeartbeat = 15 * time.Second
 
 // StreamFrame is one SSE message on a per-run /runs/{id}/stream:
 // "progress" frames while the run executes, then exactly one "done"
@@ -36,116 +50,141 @@ type StreamFrame struct {
 	Note      string  `json:"note,omitempty"` // provenance for frame-less runs
 }
 
-// runStream is one run's frame history plus its live followers. All
-// access goes through the hub's mutex.
-type runStream struct {
+// Stream is one replayable frame stream: the recent progress frames,
+// the terminal frame once finished, and the live followers. Every
+// per-run (/runs/{id}/stream) and per-job (carfserve's
+// /api/v1/runs/{id}/stream) stream is one. It has its own lock, so
+// high-rate progress fan-out never contends with its owner's tables.
+// Frames are JSON-encoded on the way in.
+type Stream struct {
+	mu       sync.Mutex
 	frames   [][]byte // recent progress frames, oldest first
 	terminal []byte   // the done frame; non-nil once finished
 	subs     map[chan []byte]struct{}
 }
 
-// streamOpen creates the per-run stream. Callers hold h.mu.
-func (h *Hub) streamOpen(id uint64) {
-	h.streams[id] = &runStream{subs: map[chan []byte]struct{}{}}
+// NewStream returns an empty, unfinished stream.
+func NewStream() *Stream {
+	return &Stream{subs: map[chan []byte]struct{}{}}
 }
 
-// streamPublish appends a progress frame to the run's history and fans
-// it out to live followers (non-blocking; slow followers miss frames
-// but always receive the terminal frame via the close path).
-func (h *Hub) streamPublish(id uint64, f StreamFrame) {
-	payload, err := json.Marshal(f)
+// Publish appends a progress frame to the replay window and fans it
+// out to live followers without blocking: a follower whose buffer is
+// full misses the frame (counted in dropped). ok is false — and
+// nothing happens — once the stream has finished, or when frame does
+// not encode.
+func (s *Stream) Publish(frame any) (ok bool, dropped int) {
+	payload, err := json.Marshal(frame)
 	if err != nil {
-		return
+		return false, 0
 	}
-	h.mu.Lock()
-	st := h.streams[id]
-	if st == nil || st.terminal != nil {
-		h.mu.Unlock()
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.terminal != nil {
+		return false, 0
 	}
-	st.frames = append(st.frames, payload)
-	if len(st.frames) > streamFrameCap {
-		st.frames = st.frames[len(st.frames)-streamFrameCap:]
+	s.frames = append(s.frames, payload)
+	if len(s.frames) > streamFrameCap {
+		s.frames = s.frames[len(s.frames)-streamFrameCap:]
 	}
-	h.events++
-	for ch := range st.subs {
-		select {
-		case ch <- payload:
-		default:
-			h.dropped++
+	for ch := range s.subs {
+		if len(ch) < followerBuf {
+			ch <- payload
+		} else {
+			dropped++
 		}
 	}
-	h.mu.Unlock()
+	return true, dropped
 }
 
-// streamFinish records the run's terminal frame, ends every follower
-// (closing their channels; handlers then read the terminal frame via
-// RunTerminal), and applies the finished-stream retention bound.
-func (h *Hub) streamFinish(id uint64, f StreamFrame) {
-	payload, err := json.Marshal(f)
+// Finish records the terminal frame, hands it to every follower (into
+// the slot reserved for it) and closes their channels. Only the first
+// call counts; it reports whether this one did. A frame that does not
+// encode still terminates the stream, with a minimal done frame.
+func (s *Stream) Finish(frame any) bool {
+	payload, err := json.Marshal(frame)
 	if err != nil {
-		// The stream must still terminate: synthesize a minimal frame.
 		payload = []byte(`{"type":"done"}`)
 	}
-	h.mu.Lock()
-	st := h.streams[id]
-	if st == nil || st.terminal != nil {
-		h.mu.Unlock()
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.terminal != nil {
+		return false
 	}
-	st.terminal = payload
-	h.events++
-	for ch := range st.subs {
+	s.terminal = payload
+	for ch := range s.subs {
+		ch <- payload
 		close(ch)
 	}
-	st.subs = map[chan []byte]struct{}{}
-	h.streamOrder = append(h.streamOrder, id)
-	for len(h.streamOrder) > streamCap {
-		delete(h.streams, h.streamOrder[0])
-		h.streamOrder = h.streamOrder[1:]
-	}
-	h.mu.Unlock()
+	s.subs = nil
+	return true
 }
 
-// SubscribeRun attaches to one run's frame stream. It returns the
-// replayable history (recent progress frames, plus the terminal frame
-// when the run has already finished), a channel of live frames, and a
-// cancel function. For a finished run the channel is nil — the replay
-// is complete and there is nothing to follow. For an in-flight run the
-// channel delivers subsequent progress frames and is closed when the
-// run finishes; read the terminal frame with RunTerminal then. ok is
-// false for an unknown (or evicted) run id.
-func (h *Hub) SubscribeRun(id uint64) (replay [][]byte, ch <-chan []byte, cancel func(), ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.streams[id]
-	if st == nil {
-		return nil, nil, nil, false
+// Subscribe returns the replayable history — ending with the terminal
+// frame if the stream has finished, in which case live is nil — a live
+// channel that delivers later frames, the terminal one last, and is
+// then closed, and a cancel function (safe at any time, also after
+// Finish).
+func (s *Stream) Subscribe() (replay [][]byte, live <-chan []byte, cancel func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	replay = append([][]byte(nil), s.frames...)
+	if s.terminal != nil {
+		return append(replay, s.terminal), nil, func() {}
 	}
-	replay = append([][]byte(nil), st.frames...)
-	if st.terminal != nil {
-		replay = append(replay, st.terminal)
-		return replay, nil, func() {}, true
+	ch := make(chan []byte, followerBuf+1)
+	s.subs[ch] = struct{}{}
+	return replay, ch, func() {
+		s.mu.Lock()
+		delete(s.subs, ch)
+		s.mu.Unlock()
 	}
-	c := make(chan []byte, 128)
-	st.subs[c] = struct{}{}
-	cancel = func() {
-		h.mu.Lock()
-		if cur := h.streams[id]; cur != nil {
-			delete(cur.subs, c)
+}
+
+// ServeHTTP streams the frames as SSE: the retained history first (so
+// a late subscriber still sees recent interval samples), then live
+// frames until the terminal one. A finished stream replays and closes.
+func (s *Stream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	replay, live, cancel := s.Subscribe()
+	defer cancel()
+	writeSSE(w, r, replay, live)
+}
+
+// writeSSE is the one server-sent-events write loop: each frame is one
+// `data:` message. It writes replay, then every frame from live until
+// live closes (or at once when live is nil) or the client disconnects,
+// with heartbeat comments while idle.
+func writeSSE(w http.ResponseWriter, r *http.Request, replay [][]byte, live <-chan []byte) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	for _, payload := range replay {
+		fmt.Fprintf(w, "data: %s\n\n", payload)
+	}
+	fl.Flush()
+	if live == nil {
+		return
+	}
+	heartbeat := time.NewTicker(sseHeartbeat)
+	defer heartbeat.Stop()
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-heartbeat.C:
+			fmt.Fprint(w, ": heartbeat\n\n")
+			fl.Flush()
+		case payload, ok := <-live:
+			if !ok {
+				return
+			}
+			fmt.Fprintf(w, "data: %s\n\n", payload)
+			fl.Flush()
 		}
-		h.mu.Unlock()
 	}
-	return replay, c, cancel, true
-}
-
-// RunTerminal returns the run's terminal frame, if it has finished.
-func (h *Hub) RunTerminal(id uint64) ([]byte, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.streams[id]
-	if st == nil || st.terminal == nil {
-		return nil, false
-	}
-	return st.terminal, true
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -53,13 +54,13 @@ func TestRunStreamLiveThenTerminal(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-live"), "sim/qsort/carf", true, 1000, nil,
+		_, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-live"), "sim/qsort/carf", true, nil,
 			func(report sched.ProgressFunc) (any, error) {
-				report(sched.Progress{Cycles: 1000, Insts: 250, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25})
-				report(sched.Progress{Cycles: 2000, Insts: 500, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25})
+				report(sched.Progress{Cycles: 1000, Insts: 250, Target: 1000, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25})
+				report(sched.Progress{Cycles: 2000, Insts: 500, Target: 1000, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25})
 				close(reported)
 				<-release
-				report(sched.Progress{Cycles: 4000, Insts: 1000, Final: true})
+				report(sched.Progress{Cycles: 4000, Insts: 1000, Target: 1000, Final: true})
 				return 42, nil
 			})
 		done <- err
@@ -132,7 +133,7 @@ func TestRunStreamFinishedReplay(t *testing.T) {
 	srv := httptest.NewServer(sv.Handler())
 	defer srv.Close()
 
-	if _, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-done"), "sim/crc64/carf", true, 0, nil,
+	if _, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-done"), "sim/crc64/carf", true, nil,
 		func(report sched.ProgressFunc) (any, error) {
 			report(sched.Progress{Cycles: 10, Insts: 5})
 			report(sched.Progress{Cycles: 20, Insts: 10, Final: true})
@@ -295,5 +296,163 @@ drain:
 	}
 	if persub != 0 {
 		t.Errorf("healthy subscriber's drop counter = %v, want 0", persub)
+	}
+}
+
+// TestStream pins the shared frame stream's rules: the replay window,
+// the terminal frame, what happens after Finish, and the
+// drop-but-always-terminate rule for slow followers.
+func TestStream(t *testing.T) {
+	progress := func(i int) StreamFrame { return StreamFrame{Type: "progress", ID: uint64(i)} }
+	done := StreamFrame{Type: "done", Outcome: "miss"}
+	decodeAll := func(t *testing.T, payloads [][]byte) []StreamFrame {
+		t.Helper()
+		out := make([]StreamFrame, len(payloads))
+		for i, p := range payloads {
+			if err := json.Unmarshal(p, &out[i]); err != nil {
+				t.Fatalf("frame %d %q: %v", i, p, err)
+			}
+		}
+		return out
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T, s *Stream)
+	}{
+		{"replay is the last 64 frames in order", func(t *testing.T, s *Stream) {
+			for i := 1; i <= 100; i++ {
+				if ok, _ := s.Publish(progress(i)); !ok {
+					t.Fatalf("publish %d refused", i)
+				}
+			}
+			replay, live, cancel := s.Subscribe()
+			defer cancel()
+			if live == nil {
+				t.Fatal("unfinished stream has no live channel")
+			}
+			frames := decodeAll(t, replay)
+			if len(frames) != 64 {
+				t.Fatalf("replayed %d frames, want 64", len(frames))
+			}
+			for i, f := range frames {
+				if want := uint64(37 + i); f.ID != want {
+					t.Fatalf("replay[%d] = frame %d, want %d", i, f.ID, want)
+				}
+			}
+		}},
+		{"finish ends the replay with the terminal frame", func(t *testing.T, s *Stream) {
+			s.Publish(progress(1))
+			s.Publish(progress(2))
+			if !s.Finish(done) {
+				t.Fatal("first Finish not accepted")
+			}
+			replay, live, cancel := s.Subscribe()
+			defer cancel()
+			if live != nil {
+				t.Error("finished stream has a live channel")
+			}
+			frames := decodeAll(t, replay)
+			if len(frames) != 3 || frames[2].Type != "done" || frames[2].Outcome != "miss" {
+				t.Errorf("replay = %+v, want 2 progress frames then the done frame", frames)
+			}
+		}},
+		{"publish and a second finish after finish are ignored", func(t *testing.T, s *Stream) {
+			s.Finish(done)
+			if ok, _ := s.Publish(progress(1)); ok {
+				t.Error("publish after Finish accepted")
+			}
+			if s.Finish(StreamFrame{Type: "done", Outcome: "hit"}) {
+				t.Error("second Finish accepted")
+			}
+			replay, _, cancel := s.Subscribe()
+			defer cancel()
+			frames := decodeAll(t, replay)
+			if len(frames) != 1 || frames[0].Outcome != "miss" {
+				t.Errorf("replay = %+v, want only the first done frame", frames)
+			}
+		}},
+		{"a full follower drops frames and still gets the terminal frame", func(t *testing.T, s *Stream) {
+			_, live, cancel := s.Subscribe()
+			defer cancel()
+			dropped := 0
+			for i := 1; i <= 128+5; i++ {
+				_, d := s.Publish(progress(i))
+				dropped += d
+			}
+			if dropped != 5 {
+				t.Errorf("dropped %d frames, want 5", dropped)
+			}
+			s.Finish(done)
+			var got []StreamFrame
+			for p := range live {
+				got = append(got, decodeAll(t, [][]byte{p})...)
+			}
+			if len(got) != 128+1 {
+				t.Fatalf("follower received %d frames, want 128 progress + done", len(got))
+			}
+			if last := got[len(got)-1]; last.Type != "done" {
+				t.Errorf("last frame = %+v, want the done frame", last)
+			}
+		}},
+		{"cancel after finish is safe", func(t *testing.T, s *Stream) {
+			_, _, cancelLive := s.Subscribe()
+			s.Finish(done)
+			_, _, cancelDone := s.Subscribe()
+			cancelLive()
+			cancelLive()
+			cancelDone()
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, NewStream()) })
+	}
+}
+
+// TestRunStreamRetention: the hub keeps the newest 256 finished run
+// streams for replay and never evicts an in-flight one.
+func TestRunStreamRetention(t *testing.T) {
+	hub := NewHub()
+	srv := httptest.NewServer(NewServer(hub, nil).Handler())
+	defer srv.Close()
+
+	const inflight = 1000
+	hub.RunEnqueued(inflight, sched.KeyOf("retention", "in-flight"), "sim/in-flight")
+	for id := uint64(1); id <= 257; id++ {
+		key := sched.KeyOf("retention", id)
+		hub.RunEnqueued(id, key, "sim/finished")
+		hub.RunFinished(id, sched.Provenance{Outcome: sched.Hit, Key: key}, nil)
+	}
+
+	get := func(id uint64) *http.Response {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + fmt.Sprintf("/runs/%d/stream", id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := get(1)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("oldest finished run: status %d, want 404", resp.StatusCode)
+	}
+	resp = get(257)
+	frames := readSSEFrames(t, bufio.NewReader(resp.Body), 0)
+	resp.Body.Close()
+	if len(frames) != 1 || frames[0].Type != "done" || frames[0].ID != 257 {
+		t.Errorf("newest finished run replayed %+v, want its done frame", frames)
+	}
+	if hub.stream(inflight) == nil {
+		t.Error("in-flight run's stream was evicted")
+	}
+	retained := -1.0
+	for _, r := range hub.MetaReadings() {
+		if r.Name == "telemetry.streams_retained" {
+			retained = r.Value
+		}
+	}
+	if retained != 257 {
+		t.Errorf("streams retained = %v, want 256 finished + 1 in flight", retained)
 	}
 }

@@ -125,7 +125,7 @@ type Hub struct {
 
 	// Per-run frame streams (/runs/{id}/stream): every enqueued run gets
 	// one, so hits and disk hits still stream their terminal frame.
-	streams     map[uint64]*runStream
+	streams     map[uint64]*Stream
 	streamOrder []uint64 // finished stream ids, oldest first (eviction)
 }
 
@@ -145,7 +145,7 @@ func NewHub() *Hub {
 		t0:       time.Now(),
 		inflight: map[uint64]*runState{},
 		subs:     map[*subscriber]struct{}{},
-		streams:  map[uint64]*runStream{},
+		streams:  map[uint64]*Stream{},
 	}
 }
 
@@ -182,7 +182,7 @@ func (h *Hub) RunEnqueued(id uint64, key sched.Key, label string) {
 		},
 		span: sp,
 	}
-	h.streamOpen(id)
+	h.streams[id] = NewStream()
 	h.mu.Unlock()
 	h.publish(Event{Type: "run-start", TMs: h.nowMs(), ID: id, Label: label, Key: key.Short()})
 }
@@ -208,13 +208,19 @@ func (h *Hub) RunProgressed(id uint64, p sched.Progress) {
 	st.rec.InstsPerSec = p.InstsPerSec
 	st.rec.EtaSeconds = p.ETASeconds
 	label, key := st.rec.Label, st.rec.Key
+	stream := h.streams[id]
 	h.mu.Unlock()
 
 	pp := p
-	h.streamPublish(id, StreamFrame{
+	if ok, dropped := stream.Publish(StreamFrame{
 		Type: "progress", TMs: h.nowMs(), ID: id, Label: label, Key: key,
 		Progress: &pp,
-	})
+	}); ok {
+		h.mu.Lock()
+		h.events++
+		h.dropped += uint64(dropped)
+		h.mu.Unlock()
+	}
 	h.publish(Event{Type: "run-progress", TMs: h.nowMs(), ID: id, Label: label, Key: key, Progress: &pp})
 }
 
@@ -267,6 +273,7 @@ func (h *Hub) RunFinished(id uint64, p sched.Provenance, err error) {
 	}
 	h.completedTotal++
 	span, work := st.span, st.work
+	stream := h.streams[id]
 	h.mu.Unlock()
 
 	if work != nil {
@@ -285,12 +292,29 @@ func (h *Hub) RunFinished(id uint64, p sched.Provenance, err error) {
 		QueueWaitMs: st.rec.QueueWaitMs, SimWallMs: st.rec.SimWallMs,
 		Err: st.rec.Err,
 	})
-	h.streamFinish(id, StreamFrame{
+	if stream.Finish(StreamFrame{
 		Type: "done", TMs: h.nowMs(), ID: id,
 		Label: st.rec.Label, Key: st.rec.Key, Outcome: st.rec.Outcome,
 		SimWallMs: st.rec.SimWallMs, Err: st.rec.Err,
 		Note: provenanceNote(p.Outcome),
-	})
+	}) {
+		// The finished stream joins the retention queue.
+		h.mu.Lock()
+		h.events++
+		h.streamOrder = append(h.streamOrder, id)
+		for len(h.streamOrder) > streamCap {
+			delete(h.streams, h.streamOrder[0])
+			h.streamOrder = h.streamOrder[1:]
+		}
+		h.mu.Unlock()
+	}
+}
+
+// stream returns run id's frame stream, nil when unknown or evicted.
+func (h *Hub) stream(id uint64) *Stream {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.streams[id]
 }
 
 // provenanceNote explains a terminal frame with no preceding progress
