@@ -10,6 +10,7 @@ package carf
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"carf/internal/core"
@@ -105,5 +106,34 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 					c.name, got, allocBudget)
 			}
 		})
+	}
+}
+
+// simBytesBudget caps the heap bytes one warm histo simulation may
+// allocate. Counting allocations cannot see a table: a 256 KiB L2 tag
+// array is one allocation. With the machine's fixed-size tables
+// recycled (pipeline.CPU.Finalize) a second simulation allocates about
+// 40 KiB — vm pages, per-tag scoreboards, the model — so the budget has
+// 2× headroom; rebuilding the tables costs about 415 KiB.
+const simBytesBudget = 80 << 10
+
+func TestSimulationHeapBytes(t *testing.T) {
+	k, err := workload.ByName("histo", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := pipeline.New(pipeline.DefaultConfig(), k.Prog, regfile.Baseline()).Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: leaves its tables for the measured run
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > simBytesBudget {
+		t.Errorf("a warm histo simulation allocated %d KiB, budget %d KiB — a fixed-size table is no longer recycled",
+			got>>10, simBytesBudget>>10)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"carf/internal/metrics"
+	"carf/internal/recycle"
 )
 
 // Config describes one cache level.
@@ -75,8 +76,12 @@ type Cache struct {
 	stats     Stats
 }
 
+// wayPool recycles tag arrays released by Hierarchy.Release.
+var wayPool recycle.Pool[way]
+
 // New builds a cache from cfg, rejecting invalid configurations with a
-// descriptive error (see Config.Valid).
+// descriptive error (see Config.Valid). The tag array is a released one
+// when available, every way invalid as in a fresh one.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Valid(); err != nil {
 		return nil, err
@@ -86,7 +91,7 @@ func New(cfg Config) (*Cache, error) {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	return &Cache{cfg: cfg, ways: make([]way, numSets*cfg.Ways), lineShift: shift, setMask: uint64(numSets - 1)}, nil
+	return &Cache{cfg: cfg, ways: wayPool.Get(numSets * cfg.Ways), lineShift: shift, setMask: uint64(numSets - 1)}, nil
 }
 
 // set returns the ways of the set holding line.
@@ -256,6 +261,16 @@ func (h *Hierarchy) Reset() {
 	h.L1I.Reset()
 	h.L1D.Reset()
 	h.L2.Reset()
+}
+
+// Release hands every level's tag array back for reuse by a later New.
+// Statistics and configuration stay readable; the levels must not be
+// accessed or probed again. Releasing twice is a no-op.
+func (h *Hierarchy) Release() {
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+		wayPool.Put(c.ways)
+		c.ways = nil
+	}
 }
 
 // RegisterMetrics registers per-level access, miss, and interval

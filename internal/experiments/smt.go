@@ -45,6 +45,9 @@ func runSMT(ra, rb *workload.Ref, p core.Params, pol pipeline.SMTPolicy, opt Opt
 			if got := smt.Thread(i).Machine().X[workload.ResultReg]; got != k.Expected {
 				return nil, fmt.Errorf("smt %s (policy %s): result %#x, want %#x", k.Name, pol, got, k.Expected)
 			}
+			if n := sts[i].ValueMismatches; n != 0 {
+				return nil, fmt.Errorf("smt %s (policy %s): %d register reconstruction mismatches", k.Name, pol, n)
+			}
 		}
 		return smtOut{sts: sts, avgLiveLong: model.Stats().AvgLiveLong()}, nil
 	})

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -243,6 +244,16 @@ type CPU struct {
 	// called — the fast path).
 	pp *profState
 
+	// Run lifecycle (see Finalize). slab holds the records seeding pool;
+	// ownsHier is false for SMT threads, whose shared hierarchy SMT.Run
+	// releases once.
+	slab      []dynInst
+	ownsHier  bool
+	runErr    error // first RunChunk error: the run cannot resume
+	complete  bool  // RunChunk reported done without error
+	finalized bool
+	finalErr  error
+
 	stats Stats
 }
 
@@ -305,12 +316,26 @@ func (s Stats) BypassRate() float64 {
 // New builds a CPU running prog with the given integer register file
 // organization. The configuration and model must already be valid (see
 // Config.Validate and NewChecked, which return errors instead); New
-// panics on a config that cannot build a machine.
+// panics on a config that cannot build a machine. The fixed-size tables
+// (caches, predictors, instruction records) are ones an earlier
+// simulation's Finalize released when available.
 func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
-	hier, err := cache.NewHierarchy(cfg.Hierarchy)
+	c := newCPU(cfg, prog, model, mustHierarchy("New", cfg.Hierarchy))
+	c.ownsHier = true
+	return c
+}
+
+// mustHierarchy builds the memory system of a validated config.
+func mustHierarchy(caller string, cfg cache.HierarchyConfig) *cache.Hierarchy {
+	hier, err := cache.NewHierarchy(cfg)
 	if err != nil {
-		panic(fmt.Sprintf("pipeline: New called with unvalidated config (invariant: callers run Config.Validate first): %v", err))
+		panic(fmt.Sprintf("pipeline: %s called with unvalidated config (invariant: callers run Config.Validate first): %v", caller, err))
 	}
+	return hier
+}
+
+// newCPU builds a CPU on the memory system hier.
+func newCPU(cfg Config, prog *vm.Program, model regfile.Model, hier *cache.Hierarchy) *CPU {
 	c := &CPU{
 		cfg:    cfg,
 		mach:   vm.New(prog),
@@ -351,6 +376,9 @@ func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
 	c.intIQ = make([]*dynInst, 0, cfg.IntQueue)
 	c.fpIQ = make([]*dynInst, 0, cfg.FPQueue)
 	c.archScratch = make([]int, 0, isa.NumRegs)
+	// A run never holds more records than a full ROB plus a full fetch
+	// queue, so the seeded pool never runs dry.
+	c.seedPool(cfg.ROBSize + 3*cfg.FetchWidth)
 
 	n := model.NumTags()
 	c.tagCluster = make([]uint8, n)
@@ -473,6 +501,9 @@ func (c *CPU) RunContext(ctx context.Context, progress func(Progress)) (Stats, e
 	return st, err
 }
 
+// errFinalized is RunChunk's answer once Finalize has run.
+var errFinalized = errors.New("pipeline: simulation already finalized; its tables may belong to another run")
+
 // RunChunk simulates up to budget cycles (budget <= 0 means until the
 // program finishes) and reports whether the simulation is complete. It
 // is the resumable core of RunContext; callers driving a CPU themselves
@@ -481,8 +512,22 @@ func (c *CPU) RunContext(ctx context.Context, progress func(Progress)) (Stats, e
 // bit-identical regardless of chunking.
 //
 // A non-nil error means the run failed (hardening divergence, deadlock,
-// no commit progress); the simulation must not be resumed afterwards.
+// no commit progress); later calls return the same error. After
+// Finalize, RunChunk returns an error without simulating.
 func (c *CPU) RunChunk(budget int64) (bool, error) {
+	if c.finalized {
+		return true, errFinalized
+	}
+	if c.runErr != nil {
+		return true, c.runErr
+	}
+	done, err := c.runChunk(budget)
+	c.runErr = err
+	c.complete = done && err == nil
+	return done, err
+}
+
+func (c *CPU) runChunk(budget int64) (bool, error) {
 	const idleLimit = 100000
 	watchdog := c.hard != nil && c.hard.wd != nil
 	for spent := int64(0); !c.done; spent++ {
@@ -519,20 +564,58 @@ func (c *CPU) RunChunk(budget int64) (bool, error) {
 	return true, nil
 }
 
-// Finalize flushes end-of-run samplers and surfaces accumulated model
-// faults. Call exactly once, after RunChunk reports done without error.
+// Finalize flushes end-of-run samplers, surfaces accumulated model
+// faults and, for a run that completed cleanly, hands the machine's
+// fixed-size tables — cache tag arrays, BTB, gshare counters and the
+// instruction-record slab — back for the next simulation's New. Call it
+// after RunChunk reports done without error.
+//
+// Lifetime rule: after Finalize, everything a caller reads stays
+// readable — Stats, the Hierarchy levels' Stats and Config, the
+// predictor counters, Machine (registers and memory) and Model — but
+// the CPU cannot run again: RunChunk and RunContext return an error
+// instead of touching a table another simulation may now own. Finalize
+// is idempotent; later calls return the first call's result. A run
+// that failed, was abandoned, or reports model faults keeps its tables,
+// which become ordinary garbage.
 func (c *CPU) Finalize() (Stats, error) {
+	if c.finalized {
+		return c.stats, c.finalErr
+	}
+	c.finalized = true
 	if c.msampler != nil {
 		c.msampler.Final(c.stats.Cycles)
 	}
-	// Internal faults (double frees) are recorded instead of panicking;
-	// a run that accumulated any did not execute correctly.
+	c.finalErr = c.modelFaults()
+	if c.finalErr == nil && c.complete {
+		c.release()
+	}
+	return c.stats, c.finalErr
+}
+
+// modelFaults reports the model's internal faults (double frees), which
+// it records instead of panicking; a run that accumulated any did not
+// execute correctly.
+func (c *CPU) modelFaults() error {
 	if fr, ok := c.model.(harden.FaultReporter); ok {
 		if faults := fr.Faults(); len(faults) > 0 {
-			return c.stats, fmt.Errorf("pipeline: %d register file fault(s), first: %s", len(faults), faults[0])
+			return fmt.Errorf("pipeline: %d register file fault(s), first: %s", len(faults), faults[0])
 		}
 	}
-	return c.stats, nil
+	return nil
+}
+
+// release hands the recyclable tables back (see Finalize). Structures
+// still pointing into the slab (ROB, queues) keep only their lengths
+// meaningful; nothing reads the records once the CPU cannot run.
+func (c *CPU) release() {
+	if c.ownsHier {
+		c.hier.Release()
+	}
+	c.gshare.Release()
+	c.btb.Release()
+	recordPool.Put(c.slab)
+	c.slab, c.pool = nil, nil
 }
 
 func max64(a, b int64) int64 {

@@ -1,0 +1,221 @@
+package pipeline
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+
+	"carf/internal/cache"
+	"carf/internal/regfile"
+	"carf/internal/vm"
+	"carf/internal/workload"
+)
+
+// assertUnshared fails when two live CPUs hold the same recycled table:
+// state written through a must be invisible to b.
+func assertUnshared(t *testing.T, a, b *CPU) {
+	t.Helper()
+	if &a.slab[0] == &b.slab[0] {
+		t.Error("two live CPUs share an instruction-record slab")
+	}
+	const addr = 0x7654_3210
+	for i, lv := range []*cache.Cache{a.hier.L1I, a.hier.L1D, a.hier.L2} {
+		lv.Access(addr)
+		if []*cache.Cache{b.hier.L1I, b.hier.L1D, b.hier.L2}[i].Probe(addr) {
+			t.Errorf("a line filled in one CPU's %s is resident in another's", lv.Config().Name)
+		}
+	}
+	const pc = 0
+	a.btb.Insert(pc, 0x9000)
+	if _, ok := b.btb.Lookup(pc); ok {
+		t.Error("a target inserted in one CPU's BTB hits in another's")
+	}
+	// Twenty taken updates fill a's global history with ones and then
+	// saturate the counter at pc ^ all-ones. Fourteen taken updates at a
+	// pc whose path avoids that counter bring b's history to all ones
+	// too, so b reads the same counter — fresh (not taken) unless shared.
+	for i := 0; i < 20; i++ {
+		a.gshare.Update(pc, true)
+	}
+	for i := 0; i < 14; i++ {
+		b.gshare.Update(8, true)
+	}
+	if !a.gshare.Predict(pc) {
+		t.Fatal("training did not saturate the counter")
+	}
+	if b.gshare.Predict(pc) {
+		t.Error("a counter trained in one CPU's gshare is taken in another's")
+	}
+}
+
+// TestFinalizeLifetime pins Finalize's lifetime rule: a second call is a
+// no-op, the CPU cannot run again, everything a caller reads stays
+// readable, and the released tables go back exactly once.
+func TestFinalizeLifetime(t *testing.T) {
+	k, err := workload.ByName("histo", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := New(DefaultConfig(), k.Prog, carfModel())
+	st, err := cpu.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpu.slab != nil {
+		t.Error("a clean run kept its record slab after Finalize")
+	}
+	h := cpu.Hierarchy()
+	l1d, l2, acc := h.L1D.Stats(), h.L2.Stats(), cpu.Gshare().Accuracy()
+	writes := cpu.Model().Files()[0].Writes
+	pages := cpu.Machine().Mem.MappedPages()
+	if l1d.Accesses == 0 || l2.Accesses == 0 || acc == 0 || writes == 0 || pages == 0 {
+		t.Fatalf("run left nothing to read: L1D %+v L2 %+v accuracy %v writes %d pages %d", l1d, l2, acc, writes, pages)
+	}
+
+	again, err := cpu.Finalize()
+	if err != nil || !reflect.DeepEqual(again, st) {
+		t.Errorf("second Finalize = %+v, %v; want the first call's %+v, nil", again, err, st)
+	}
+	if _, err := cpu.RunChunk(0); err == nil {
+		t.Error("RunChunk after Finalize returned no error")
+	}
+	if _, err := cpu.RunContext(context.Background(), nil); err == nil {
+		t.Error("RunContext after Finalize returned no error")
+	}
+
+	if got := cpu.Stats(); !reflect.DeepEqual(got, st) {
+		t.Errorf("Stats after Finalize = %+v, want %+v", got, st)
+	}
+	if h.L1D.Stats() != l1d || h.L2.Stats() != l2 {
+		t.Errorf("cache counters moved after Finalize: L1D %+v → %+v, L2 %+v → %+v", l1d, h.L1D.Stats(), l2, h.L2.Stats())
+	}
+	if cpu.Gshare().Accuracy() != acc {
+		t.Error("predictor accuracy moved after Finalize")
+	}
+	if got := cpu.Machine().X[workload.ResultReg]; got != k.Expected {
+		t.Errorf("result register after Finalize = %#x, want %#x", got, k.Expected)
+	}
+	if cpu.Machine().Mem.MappedPages() != pages || cpu.Model().Files()[0].Writes != writes {
+		t.Error("memory or model state moved after Finalize")
+	}
+
+	assertUnshared(t, New(DefaultConfig(), k.Prog, carfModel()), New(DefaultConfig(), k.Prog, carfModel()))
+}
+
+// TestAbandonedRunKeepsTables: a run finalized before it completed, or
+// one that failed, hands nothing back.
+func TestAbandonedRunKeepsTables(t *testing.T) {
+	k, err := workload.ByName("histo", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := New(DefaultConfig(), k.Prog, carfModel())
+	if done, err := cpu.RunChunk(100); done || err != nil {
+		t.Fatalf("RunChunk(100) = %v, %v", done, err)
+	}
+	if _, err := cpu.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.slab == nil {
+		t.Error("an abandoned run released its tables")
+	}
+
+	faulty := New(DefaultConfig(), k.Prog, faultyModel{carfModel()})
+	if _, err := faulty.Run(); err == nil || !strings.Contains(err.Error(), "register file fault") {
+		t.Fatalf("faulty model: err = %v, want a register file fault", err)
+	}
+	if faulty.slab == nil {
+		t.Error("a run that reported model faults released its tables")
+	}
+}
+
+// faultyModel reports one internal fault, as a model that double-freed a
+// register would.
+type faultyModel struct{ regfile.Model }
+
+func (faultyModel) Faults() []string { return []string{"injected fault"} }
+
+// TestSMTFinalizes: SMT.Run surfaces model faults with Finalize's error,
+// and a clean run releases the shared hierarchy exactly once and cannot
+// run again.
+func TestSMTFinalizes(t *testing.T) {
+	ka, err := workload.ByName("histo", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := workload.ByName("crc64", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := [2]*vm.Program{ka.Prog, kb.Prog}
+
+	_, err = NewSMT(DefaultConfig(), progs, faultyModel{carfModel()}).Run()
+	if err == nil || !strings.Contains(err.Error(), "pipeline: 1 register file fault(s), first: injected fault") {
+		t.Fatalf("SMT run on a faulty model: err = %v, want Finalize's fault error", err)
+	}
+
+	smt := NewSMT(DefaultConfig(), progs, carfModel())
+	sts, err := smt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := smt.Run(); err == nil {
+		t.Error("a finished SMT ran again")
+	}
+	for i := range sts {
+		if got, err := smt.Thread(i).Finalize(); err != nil || !reflect.DeepEqual(got, sts[i]) {
+			t.Errorf("thread %d: Finalize after SMT.Run = %+v, %v; want %+v", i, got, err, sts[i])
+		}
+	}
+	assertUnshared(t, New(DefaultConfig(), ka.Prog, carfModel()), New(DefaultConfig(), ka.Prog, carfModel()))
+}
+
+// TestRecycledTablesIsolateRuns: a simulation on tables another run
+// released reports exactly what it reports on fresh ones. Kernel B runs
+// three times — first, right after itself (a leftover of its own would
+// warm every cache and predictor), and after kernel A on the other
+// register file, stopped by an instruction budget so its records are
+// released while still in flight — and must report the same statistics
+// every time. B is branchy, so a stale predictor shows in its counts.
+func TestRecycledTablesIsolateRuns(t *testing.T) {
+	ka, err := workload.ByName("histo", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := workload.ByName("qsort", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		Stats   Stats
+		L1D, L2 cache.Stats
+	}
+	run := func(cfg Config, k workload.Kernel, model regfile.Model) result {
+		cpu := New(cfg, k.Prog, model)
+		st, err := cpu.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cpu.Machine().X[workload.ResultReg]; cfg.MaxInstructions == 0 && got != k.Expected {
+			t.Fatalf("%s: result %#x, want %#x", k.Name, got, k.Expected)
+		}
+		if cpu.slab != nil {
+			t.Fatalf("%s: tables not released", k.Name)
+		}
+		return result{st, cpu.Hierarchy().L1D.Stats(), cpu.Hierarchy().L2.Stats()}
+	}
+	first := run(DefaultConfig(), kb, regfile.Baseline())
+	afterSelf := run(DefaultConfig(), kb, regfile.Baseline())
+	budget := DefaultConfig()
+	budget.MaxInstructions = 8000
+	if a := run(budget, ka, carfModel()); a.Stats.Instructions < budget.MaxInstructions {
+		t.Fatalf("%s stopped at %d instructions, before its budget", ka.Name, a.Stats.Instructions)
+	}
+	afterA := run(DefaultConfig(), kb, regfile.Baseline())
+	for name, got := range map[string]result{"after itself": afterSelf, "after " + ka.Name: afterA} {
+		if !reflect.DeepEqual(got, first) {
+			t.Errorf("%s %s differs from its first run:\n got: %+v\nwant: %+v", kb.Name, name, got, first)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 // register file sharing.
 type SMT struct {
 	threads [2]*CPU
+	hier    *cache.Hierarchy // shared by both threads
 	cycles  uint64
 	policy  SMTPolicy
 }
@@ -64,15 +65,9 @@ func NewSMT(cfg Config, progs [2]*vm.Program, model regfile.Model) *SMT {
 	half.DCachePorts = max1(cfg.DCachePorts / 2)
 	half.NumFPRegs = max1(cfg.NumFPRegs / 2)
 
-	hier, err := cache.NewHierarchy(cfg.Hierarchy)
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: NewSMT called with unvalidated config (invariant: callers run Config.Validate first): %v", err))
-	}
-	s := &SMT{}
+	s := &SMT{hier: mustHierarchy("NewSMT", cfg.Hierarchy)}
 	for i, prog := range progs {
-		cpu := New(half, prog, model)
-		cpu.hier = hier // share the memory system
-		s.threads[i] = cpu
+		s.threads[i] = newCPU(half, prog, model, s.hier)
 	}
 	return s
 }
@@ -91,8 +86,15 @@ func (s *SMT) Thread(i int) *CPU { return s.threads[i] }
 func (s *SMT) Cycles() uint64 { return s.cycles }
 
 // Run simulates until both threads halt and returns their statistics.
+// Like CPU.RunContext it finalizes the run: model faults fail it with
+// Finalize's error, and a clean run hands each thread's tables and the
+// shared hierarchy back for reuse, under Finalize's lifetime rule. A
+// finished SMT cannot run again.
 func (s *SMT) Run() ([2]Stats, error) {
 	var out [2]Stats
+	if s.threads[0].finalized {
+		return out, errFinalized
+	}
 	const idleLimit = 200000
 	idle := 0
 	lastTotal := uint64(0)
@@ -115,8 +117,15 @@ func (s *SMT) Run() ([2]Stats, error) {
 			lastTotal = total
 		}
 	}
-	out[0] = s.threads[0].stats
-	out[1] = s.threads[1].stats
+	for i, t := range s.threads {
+		t.complete = true
+		st, err := t.Finalize()
+		if err != nil {
+			return out, err
+		}
+		out[i] = st
+	}
+	s.hier.Release()
 	return out, nil
 }
 

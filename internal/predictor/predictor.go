@@ -4,7 +4,17 @@
 // address stack for call/return pairs.
 package predictor
 
-import "carf/internal/metrics"
+import (
+	"carf/internal/metrics"
+	"carf/internal/recycle"
+)
+
+// Tables released by Gshare.Release and BTB.Release, reused by the
+// constructors.
+var (
+	counterPool recycle.Pool[uint8]
+	btbPool     recycle.Pool[btbEntry]
+)
 
 // GshareConfig sizes the conditional predictor.
 type GshareConfig struct {
@@ -34,11 +44,19 @@ func NewGshare(cfg GshareConfig) *Gshare {
 		cfg.HistoryBits = 14
 	}
 	size := 1 << cfg.HistoryBits
-	t := make([]uint8, size)
+	t := counterPool.Get(size)
 	for i := range t {
 		t[i] = 1 // weakly not-taken
 	}
 	return &Gshare{mask: uint64(size - 1), table: t}
+}
+
+// Release hands the counter table back for reuse by a later NewGshare.
+// Accuracy and the registered metrics stay readable; Predict and Update
+// must not be called again. Releasing twice is a no-op.
+func (g *Gshare) Release() {
+	counterPool.Put(g.table)
+	g.table = nil
 }
 
 func (g *Gshare) index(pc uint64) uint64 {
@@ -119,7 +137,15 @@ func NewBTB(entries int) *BTB {
 	for n < entries {
 		n <<= 1
 	}
-	return &BTB{entries: make([]btbEntry, n), mask: uint64(n - 1)}
+	return &BTB{entries: btbPool.Get(n), mask: uint64(n - 1)}
+}
+
+// Release hands the entry table back for reuse by a later NewBTB.
+// HitRate and the registered metrics stay readable; Lookup and Insert
+// must not be called again. Releasing twice is a no-op.
+func (b *BTB) Release() {
+	btbPool.Put(b.entries)
+	b.entries = nil
 }
 
 // Lookup returns the predicted target for the control instruction at pc.

@@ -96,10 +96,12 @@ func (m *Memory) Write(addr uint64, size int, val uint64) {
 	}
 }
 
-// StoreBytes copies b into memory starting at addr.
+// StoreBytes copies b into memory starting at addr, one page at a time.
 func (m *Memory) StoreBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		m.StoreByte(addr+uint64(i), c)
+	for len(b) > 0 {
+		n := copy(m.page(addr, true)[addr&pageMask:], b)
+		addr += uint64(n)
+		b = b[n:]
 	}
 }
 

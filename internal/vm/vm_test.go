@@ -47,6 +47,48 @@ func TestMemoryCrossPage(t *testing.T) {
 	}
 }
 
+// StoreBytes copies a page at a time; every span must read back exactly
+// as a byte-by-byte store would leave memory, with the same pages mapped.
+func TestStoreBytesSpans(t *testing.T) {
+	cases := []struct {
+		name string
+		addr uint64
+		n    int
+	}{
+		{"empty", 0x1000, 0},
+		{"one byte", 0x1234, 1},
+		{"unaligned within a page", 0x2003, 100},
+		{"whole page", 0x3000, pageSize},
+		{"crosses one boundary", 2*pageSize - 5, 20},
+		{"unaligned, crosses one boundary", 5*pageSize + 7, pageSize},
+		{"crosses two boundaries", 8*pageSize - 3, pageSize + 10},
+		{"wraps the address space", ^uint64(0) - 2, 8},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := make([]byte, c.n)
+			for i := range b {
+				b[i] = byte(i*7 + 1)
+			}
+			var got, want Memory
+			got.StoreBytes(c.addr, b)
+			for i, v := range b {
+				want.StoreByte(c.addr+uint64(i), v)
+			}
+			// Read back a margin on both sides: nothing outside the
+			// span may change.
+			const margin = 16
+			from, n := c.addr-margin, c.n+2*margin
+			if g, w := got.LoadBytes(from, n), want.LoadBytes(from, n); string(g) != string(w) {
+				t.Errorf("StoreBytes(%#x, %d bytes) reads back differently from a byte-wise store", c.addr, c.n)
+			}
+			if got.MappedPages() != want.MappedPages() {
+				t.Errorf("%d pages mapped, byte-wise store maps %d", got.MappedPages(), want.MappedPages())
+			}
+		})
+	}
+}
+
 // Property: read-after-write returns the written value (masked to size)
 // at arbitrary addresses and sizes.
 func TestMemoryReadAfterWriteProperty(t *testing.T) {
