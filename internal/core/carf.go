@@ -221,6 +221,10 @@ type File struct {
 	archBuf  [2][]bool
 	// refScratch is OnRobInterval's non-retained scratch vector.
 	refScratch []bool
+	// checkFree (free-list marks: Simple tags, then Long entries) and
+	// checkOwner are CheckInvariants' scratch vectors.
+	checkFree  []bool
+	checkOwner []int
 	// stuckTarc indexes a Short entry whose Tarch clear is dropped
 	// (harden.FaultRefClear); -1 when no such fault is injected.
 	stuckTarc int

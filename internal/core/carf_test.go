@@ -450,3 +450,20 @@ func TestDoubleFreeIsLogged(t *testing.T) {
 		t.Errorf("fault log = %q, want a double-free report", faults[0])
 	}
 }
+
+// TestCheckInvariantsAllocsNothing: an invariant sweep over a healthy
+// file reuses its scratch vectors, so after one warm-up call a sweep
+// allocates nothing.
+func TestCheckInvariantsAllocsNothing(t *testing.T) {
+	f := New(DefaultParams())
+	for _, v := range []uint64{3, 0x5542_1000_0040, 0x5542_1000_0080, 0x9E37_79B9_7F4A_7C15} {
+		tag, _ := f.Alloc()
+		f.TryWrite(tag, v)
+	}
+	if vs := f.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("healthy file reports violations: %+v", vs)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.CheckInvariants() }); n != 0 {
+		t.Errorf("CheckInvariants allocates %v times per sweep, want 0", n)
+	}
+}

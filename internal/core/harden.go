@@ -30,8 +30,15 @@ func (f *File) CheckInvariants() []harden.Violation {
 		vs = append(vs, harden.Violation{Check: check, Detail: fmt.Sprintf(format, args...)})
 	}
 
+	// The scratch vectors are kept across sweeps and cleared here.
+	if f.checkFree == nil {
+		f.checkFree = make([]bool, f.p.NumSimple+f.p.NumLong)
+		f.checkOwner = make([]int, f.p.NumLong)
+	}
+	clear(f.checkFree)
+
 	// Simple free list: every tag allocated or free, exactly once.
-	onFree := make([]bool, f.p.NumSimple)
+	onFree := f.checkFree[:f.p.NumSimple]
 	for _, tag := range f.freeTags {
 		if tag < 0 || tag >= f.p.NumSimple {
 			add("freelist", "free-list tag %d out of range", tag)
@@ -58,7 +65,7 @@ func (f *File) CheckInvariants() []harden.Violation {
 	}
 
 	// Long free list and entry ownership.
-	longFree := make([]bool, f.p.NumLong)
+	longFree := f.checkFree[f.p.NumSimple:]
 	for _, idx := range f.freeLong {
 		if idx < 0 || idx >= f.p.NumLong {
 			add("longlist", "free long index %d out of range", idx)
@@ -83,7 +90,7 @@ func (f *File) CheckInvariants() []harden.Violation {
 	if longUsed+len(f.freeLong) != f.p.NumLong {
 		add("longlist", "%d in use + %d free != %d long entries", longUsed, len(f.freeLong), f.p.NumLong)
 	}
-	owner := make([]int, f.p.NumLong)
+	owner := f.checkOwner
 	for i := range owner {
 		owner[i] = -1
 	}

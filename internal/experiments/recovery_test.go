@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"carf/internal/sched"
 	"carf/internal/store"
@@ -18,10 +19,10 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// renderWithStore runs name on a fresh scheduler backed by a fresh
+// renderWithStore runs name at scale on a fresh scheduler backed by a fresh
 // store over dir and returns the rendered text plus both stat
 // snapshots.
-func renderWithStore(t *testing.T, name, dir string) (string, sched.Stats, store.Stats) {
+func renderWithStore(t *testing.T, name, dir string, scale float64) (string, sched.Stats, store.Stats) {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: dir, Schema: StoreSchema, Logger: quietLogger()})
 	if err != nil {
@@ -30,7 +31,7 @@ func renderWithStore(t *testing.T, name, dir string) (string, sched.Stats, store
 	defer st.Close()
 	s := sched.New(4)
 	s.SetTier(st)
-	text := render(t, name, Options{Scale: determinismScale, Sched: s})
+	text := render(t, name, Options{Scale: scale, Sched: s})
 	return text, s.Stats(), st.Stats()
 }
 
@@ -45,7 +46,7 @@ func TestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	// Round 1: populate the store.
-	text, _, sst := renderWithStore(t, exp, dir)
+	text, _, sst := renderWithStore(t, exp, dir, determinismScale)
 	if text != want {
 		t.Fatalf("store-backed render differs from plain render:\n--- want ---\n%s\n--- got ---\n%s", want, text)
 	}
@@ -71,11 +72,17 @@ func TestCrashRecovery(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("torn write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Open sweeps only temporaries older than the lease timeout (a
+	// younger one may be a live peer's write); the crash was long ago.
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(stray, old, old); err != nil {
+		t.Fatal(err)
+	}
 
 	// Round 2: a fresh store over the damaged directory must sweep the
 	// temp file, quarantine the truncated blob, serve the intact ones
 	// from disk, and re-simulate the lost run — byte-identically.
-	text2, schedStats, sst2 := renderWithStore(t, exp, dir)
+	text2, schedStats, sst2 := renderWithStore(t, exp, dir, determinismScale)
 	if text2 != want {
 		t.Errorf("recovered render differs from pristine render:\n--- want ---\n%s\n--- got ---\n%s", want, text2)
 	}
@@ -103,7 +110,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Round 3: the re-simulated run was re-persisted, so a third fresh
 	// store serves everything from disk.
-	text3, schedStats3, _ := renderWithStore(t, exp, dir)
+	text3, schedStats3, _ := renderWithStore(t, exp, dir, determinismScale)
 	if text3 != want {
 		t.Error("round 3 render differs")
 	}
@@ -112,23 +119,31 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// warmPassRuns counts TestWarmPassBuildsNoKernel's runs in this process.
+var warmPassRuns int
+
 // TestWarmPassBuildsNoKernel: kernels are built inside scheduler jobs,
 // so a pass served entirely from the store builds no program, and a cold
 // pass builds each kernel of a suite at most once however many
-// configurations run over that suite.
+// configurations run over that suite. Kernels are built once per
+// process and scale, so the test runs at a scale no other test in this
+// package uses, fresh on every run (go test -count): its cold pass must
+// still build.
 func TestWarmPassBuildsNoKernel(t *testing.T) {
+	warmPassRuns++
 	const exp = "sweeps"
+	scale := 0.035 + 1e-4*float64(warmPassRuns)
 	dir := t.TempDir()
 	perSuite := uint64(len(workload.Names()))
 
 	before := workload.Builds()
-	want, cold, _ := renderWithStore(t, exp, dir)
+	want, cold, _ := renderWithStore(t, exp, dir, scale)
 	if n := workload.Builds() - before; n == 0 || n > perSuite {
 		t.Errorf("cold %s built %d kernel programs for %d simulations, want 1..%d", exp, n, cold.Misses, perSuite)
 	}
 
 	before = workload.Builds()
-	got, warm, _ := renderWithStore(t, exp, dir)
+	got, warm, _ := renderWithStore(t, exp, dir, scale)
 	if warm.Misses != 0 || warm.DiskHits == 0 {
 		t.Fatalf("warm %s: %d misses, %d disk hits; want every run served from the store", exp, warm.Misses, warm.DiskHits)
 	}

@@ -8,7 +8,7 @@
 // groups 5–8, groups 9–16, REST).
 package oracle
 
-import "sort"
+import "slices"
 
 // NumBuckets is the number of rank buckets in a distribution.
 const NumBuckets = 6
@@ -47,6 +47,7 @@ type Analyzer struct {
 	total   uint64
 	samples uint64
 	scratch map[uint64]int
+	sizes   []int // Sample's group sizes, reused across samples
 }
 
 // NewAnalyzer returns an analyzer grouping values by their high 64−d
@@ -64,19 +65,19 @@ func (a *Analyzer) Sample(values []uint64) {
 		a.scratch = make(map[uint64]int)
 	}
 	groups := a.scratch
-	for k := range groups {
-		delete(groups, k)
-	}
+	clear(groups)
 	for _, v := range values {
 		groups[v>>uint(a.D)]++
 	}
-	sizes := make([]int, 0, len(groups))
+	sizes := a.sizes[:0]
 	for _, n := range groups {
 		sizes = append(sizes, n)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	for i, n := range sizes {
-		a.buckets[bucketOf(i+1)] += uint64(n)
+	a.sizes = sizes
+	// Ascending sort, read largest first: rank i+1 is sizes[len-1-i].
+	slices.Sort(sizes)
+	for i := range sizes {
+		a.buckets[bucketOf(i+1)] += uint64(sizes[len(sizes)-1-i])
 	}
 	a.total += uint64(len(values))
 	a.samples++

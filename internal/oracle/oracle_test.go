@@ -185,3 +185,17 @@ func TestStreamAnalyzerDefaults(t *testing.T) {
 		t.Error("idle coverage should be 0")
 	}
 }
+
+// TestSampleAllocsNothing: Sample reuses its grouping map and sort
+// buffer, so after one warm-up call a sample allocates nothing.
+func TestSampleAllocsNothing(t *testing.T) {
+	a := NewAnalyzer(8)
+	values := make([]uint64, 64)
+	for i := range values {
+		values[i] = uint64(i%5)<<12 | uint64(i)
+	}
+	a.Sample(values)
+	if n := testing.AllocsPerRun(100, func() { a.Sample(values) }); n != 0 {
+		t.Errorf("Sample allocates %v times per call, want 0", n)
+	}
+}

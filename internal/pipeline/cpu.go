@@ -195,7 +195,8 @@ type CPU struct {
 	probeTag   int // tag reserved by the dispatch-readiness probe
 	probeValid bool
 
-	wrong *wrongState // in-flight wrong-path episode (Config.WrongPath)
+	wrong    *wrongState // in-flight wrong-path episode (Config.WrongPath)
+	wrongBuf wrongState  // the one episode c.wrong points at, reused
 
 	commitsInInterval int
 	lastCommitCycle   int64
@@ -469,18 +470,22 @@ func (c *CPU) Run() (Stats, error) {
 }
 
 // RunContext is Run driven in chunkCycles slices. Between slices it
-// checks ctx — a canceled run stops with an error wrapping ctx.Err() —
-// and hands progress (when non-nil) a snapshot; after the last cycle it
-// hands progress the Final snapshot, whose totals equal the returned
-// Stats. Both stay out of Config, which is digested by value into
-// scheduler cache keys (DESIGN.md §12), and neither changes a single
-// statistic. progress runs on the simulating goroutine and must return
-// quickly.
+// checks ctx — a canceled run stops, unfinalized, with an error
+// wrapping ctx.Err() — and hands progress (when non-nil) a snapshot. A
+// run that RunChunk fails is finalized and returns RunChunk's error.
+// After the last cycle it hands progress the Final snapshot, whose
+// totals equal the returned Stats. Both stay out of Config, which is
+// digested by value into scheduler cache keys (DESIGN.md §12), and
+// neither changes a single statistic. progress runs on the simulating
+// goroutine and must return quickly.
 func (c *CPU) RunContext(ctx context.Context, progress func(Progress)) (Stats, error) {
 	var last Progress // the previous report: the interval window's start
 	for {
 		done, err := c.RunChunk(chunkCycles)
 		if err != nil {
+			// The run can never continue: hand its tables back. Model
+			// faults are not reported over the run's own error.
+			c.Finalize()
 			return c.stats, err
 		}
 		if done {
@@ -565,19 +570,23 @@ func (c *CPU) runChunk(budget int64) (bool, error) {
 }
 
 // Finalize flushes end-of-run samplers, surfaces accumulated model
-// faults and, for a run that completed cleanly, hands the machine's
-// fixed-size tables — cache tag arrays, BTB, gshare counters and the
-// instruction-record slab — back for the next simulation's New. Call it
-// after RunChunk reports done without error.
+// faults and, for a run that can never continue — it completed, or
+// RunChunk failed it for good (hardening detection, watchdog, no
+// progress) — hands the machine's fixed-size tables — cache tag arrays,
+// BTB, gshare counters and the instruction-record slab — back for the
+// next simulation's New. Call it once RunChunk reports done; RunContext
+// calls it on both outcomes.
 //
 // Lifetime rule: after Finalize, everything a caller reads stays
 // readable — Stats, the Hierarchy levels' Stats and Config, the
-// predictor counters, Machine (registers and memory) and Model — but
-// the CPU cannot run again: RunChunk and RunContext return an error
-// instead of touching a table another simulation may now own. Finalize
-// is idempotent; later calls return the first call's result. A run
-// that failed, was abandoned, or reports model faults keeps its tables,
-// which become ordinary garbage.
+// predictor counters, Machine (registers and memory), Model,
+// Injections, and a failed run's error with its bundle — but the CPU
+// cannot run again: RunChunk and RunContext return an error instead of
+// touching a table another simulation may now own. Finalize is
+// idempotent; later calls return the first call's result. A run that
+// was abandoned while still resumable (canceled, or finalized before
+// RunChunk reported done) or that reports model faults keeps its
+// tables, which become ordinary garbage.
 func (c *CPU) Finalize() (Stats, error) {
 	if c.finalized {
 		return c.stats, c.finalErr
@@ -587,7 +596,7 @@ func (c *CPU) Finalize() (Stats, error) {
 		c.msampler.Final(c.stats.Cycles)
 	}
 	c.finalErr = c.modelFaults()
-	if c.finalErr == nil && c.complete {
+	if c.finalErr == nil && (c.complete || c.runErr != nil) {
 		c.release()
 	}
 	return c.stats, c.finalErr

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"carf/internal/cache"
+	"carf/internal/harden"
 	"carf/internal/regfile"
 	"carf/internal/vm"
 	"carf/internal/workload"
@@ -103,8 +105,9 @@ func TestFinalizeLifetime(t *testing.T) {
 	assertUnshared(t, New(DefaultConfig(), k.Prog, carfModel()), New(DefaultConfig(), k.Prog, carfModel()))
 }
 
-// TestAbandonedRunKeepsTables: a run finalized before it completed, or
-// one that failed, hands nothing back.
+// TestAbandonedRunKeepsTables: a run finalized while it could still
+// resume, or one whose model reported faults, hands nothing back. (A
+// run that RunChunk failed for good does; see TestFailedRunReleases.)
 func TestAbandonedRunKeepsTables(t *testing.T) {
 	k, err := workload.ByName("histo", 0.05)
 	if err != nil {
@@ -128,6 +131,50 @@ func TestAbandonedRunKeepsTables(t *testing.T) {
 	if faulty.slab == nil {
 		t.Error("a run that reported model faults released its tables")
 	}
+}
+
+// TestFailedRunReleases: a fault-injection run that ends in a hardening
+// error can never continue, so RunContext finalizes it and its tables go
+// back like a clean run's, while its statistics, injections and the
+// error's diagnostic bundle stay readable.
+func TestFailedRunReleases(t *testing.T) {
+	k, err := workload.ByName("hashprobe", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := NewChecked(hardenedConfig(), k.Prog, carfModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.ScheduleFault(harden.Fault{Class: harden.FaultShortBit, Cycle: 2000, Seed: 1})
+	st, runErr := cpu.Run()
+	var div *harden.DivergenceError
+	var inv *harden.InvariantError
+	var bundle *harden.Bundle
+	switch {
+	case errors.As(runErr, &div):
+		bundle = div.Bundle
+	case errors.As(runErr, &inv):
+		bundle = inv.Bundle
+	default:
+		t.Fatalf("run ended with %v, want a hardening detection", runErr)
+	}
+	if cpu.slab != nil {
+		t.Error("a run that failed for good kept its record slab")
+	}
+	if st.Instructions == 0 || !reflect.DeepEqual(cpu.Stats(), st) {
+		t.Errorf("Stats after the failed run = %+v, want %+v", cpu.Stats(), st)
+	}
+	if outs := cpu.Injections(); len(outs) != 1 || !outs[0].Injected {
+		t.Errorf("Injections after the failed run = %+v, want one injected fault", outs)
+	}
+	if bundle == nil || bundle.Cycle == 0 || len(bundle.Notes) == 0 || bundle.Format() == "" {
+		t.Errorf("the error's bundle is not readable: %+v", bundle)
+	}
+	if _, err := cpu.RunChunk(0); err == nil {
+		t.Error("RunChunk after the failed run returned no error")
+	}
+	assertUnshared(t, New(DefaultConfig(), k.Prog, carfModel()), New(DefaultConfig(), k.Prog, carfModel()))
 }
 
 // faultyModel reports one internal fault, as a model that double-freed a

@@ -52,7 +52,8 @@ func (c *CPU) startWrongPath(in *dynInst, pc uint64) bool {
 	// The rename-map checkpoint is taken when the branch itself renames
 	// (older in-flight instructions must update the map first); see
 	// CPU.rename.
-	c.wrong = &wrongState{branch: in, pc: target}
+	c.wrongBuf = wrongState{branch: in, pc: target}
+	c.wrong = &c.wrongBuf
 	return true
 }
 

@@ -230,7 +230,9 @@ func (s *Store) initDisk(dir string) error {
 	os.Remove(probe)
 	// Best-effort human-readable schema marker.
 	os.WriteFile(filepath.Join(dir, "SCHEMA"), []byte(s.schema+"\n"), 0o644) //nolint:errcheck
-	// Sweep temporaries a crashed writer left behind and count blobs.
+	// Sweep temporaries a crashed writer left behind and count blobs. A
+	// temporary younger than the lease timeout may be a live peer's
+	// write between CreateTemp and Rename, so it stays.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -241,6 +243,9 @@ func (s *Store) initDisk(dir string) error {
 		switch {
 		case e.IsDir():
 		case filepath.Ext(name) == ".tmp":
+			if info, err := e.Info(); err != nil || time.Since(info.ModTime()) < s.leaseTTL {
+				continue
+			}
 			os.Remove(filepath.Join(dir, name))
 			s.log.Info("store: removed interrupted write", "file", name)
 		case filepath.Ext(name) == ".blob":
@@ -438,7 +443,8 @@ func encodeBlob(schema string, payload []byte) ([]byte, error) {
 
 // writeBlob writes header+payload to a temporary and renames it into
 // place, so a crash at any point leaves either the old blob or a .tmp
-// that Open sweeps — never a truncated blob under a valid name.
+// that a later Open sweeps once it is older than the lease timeout —
+// never a truncated blob under a valid name.
 func (s *Store) writeBlob(key sched.Key, payload []byte) error {
 	blob, err := encodeBlob(s.schema, payload)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"carf/internal/sched"
 )
@@ -176,9 +177,14 @@ func TestTmpSweepAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	s.Store(key(5), payload{Name: "keep"})
-	// A crashed writer leaves a temporary behind.
+	// A crashed writer leaves a temporary behind, older than any live
+	// peer's write could be.
 	stray := filepath.Join(s.dir, "deadbeef-12345.tmp")
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(stray, old, old); err != nil {
 		t.Fatal(err)
 	}
 	s2 := open(t, dir)
@@ -190,6 +196,36 @@ func TestTmpSweepAtOpen(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskBlobs != 1 {
 		t.Fatalf("DiskBlobs = %d, want 1", st.DiskBlobs)
+	}
+}
+
+// TestOpenKeepsPeerTmp: a second store opened while the first is
+// writing a blob (between CreateTemp and Rename) must leave that
+// temporary alone, so the writer's rename lands and its store stays on
+// disk.
+func TestOpenKeepsPeerTmp(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	f, err := os.CreateTemp(s.dir, "cafef00d-*.tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("in flight"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open(t, dir)
+	if _, err := os.Stat(f.Name()); err != nil {
+		t.Fatalf("a peer's fresh .tmp did not survive Open: %v", err)
+	}
+	if err := os.Rename(f.Name(), filepath.Join(s.dir, "cafef00d.blob")); err != nil {
+		t.Fatalf("the writer's rename failed after a peer's Open: %v", err)
+	}
+	s.Store(key(7), payload{Name: "after peer open"})
+	if st := s.Stats(); st.PutErrors != 0 || st.Degraded || st.Mode != "disk" || st.DiskBlobs != 1 {
+		t.Fatalf("store after a peer's Open: %+v; want one blob on disk, no put error", st)
 	}
 }
 

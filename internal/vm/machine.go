@@ -29,11 +29,12 @@ type Machine struct {
 	nextIdx int
 }
 
-// New creates a machine loaded with prog: memory holds the data segments,
-// PC is at the entry point, and initial registers are seeded.
+// New creates a machine loaded with prog: memory holds the data segments
+// (mapped copy-on-write from the program's image, so a page is copied
+// only when this machine first writes it), PC is at the entry point,
+// and initial registers are seeded.
 func New(prog *Program) *Machine {
-	m := &Machine{Mem: new(Memory), Prog: prog, PC: prog.Entry()}
-	prog.LoadInto(m.Mem)
+	m := &Machine{Mem: prog.memory(), Prog: prog, PC: prog.Entry()}
 	for r, v := range prog.InitRegs {
 		if r != isa.Zero {
 			m.X[r] = v

@@ -15,26 +15,50 @@ const (
 // Memory is a sparse, paged, little-endian 64-bit address space. The zero
 // value is an empty memory ready to use; reads of unmapped addresses
 // return zero without allocating.
+//
+// A machine's memory (see New) starts out mapping its program's
+// initial image copy-on-write: its pages are shared with every other
+// machine running that program, and a shared page is copied into a
+// private one the first time this memory writes it. Reads still cost
+// one map lookup, and the image itself is never written.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	pages map[uint64]frame
 }
 
-func (m *Memory) page(addr uint64, allocate bool) *[pageSize]byte {
+// frame is one mapped page; shared marks a page of a program image that
+// must be copied before it is written.
+type frame struct {
+	p      *[pageSize]byte
+	shared bool
+}
+
+// page returns the page holding addr, nil when it is unmapped.
+func (m *Memory) page(addr uint64) *[pageSize]byte {
+	return m.pages[addr>>pageBits].p
+}
+
+// writable returns the page holding addr, ready to be written: mapped
+// if it was not, and made private if it was shared.
+func (m *Memory) writable(addr uint64) *[pageSize]byte {
 	pn := addr >> pageBits
-	p := m.pages[pn]
-	if p == nil && allocate {
-		if m.pages == nil {
-			m.pages = make(map[uint64]*[pageSize]byte)
-		}
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+	f := m.pages[pn]
+	if f.p != nil && !f.shared {
+		return f.p
 	}
+	p := new([pageSize]byte)
+	if f.p != nil {
+		*p = *f.p
+	}
+	if m.pages == nil {
+		m.pages = make(map[uint64]frame)
+	}
+	m.pages[pn] = frame{p: p}
 	return p
 }
 
 // LoadByte returns the byte at addr.
 func (m *Memory) LoadByte(addr uint64) byte {
-	p := m.page(addr, false)
+	p := m.page(addr)
 	if p == nil {
 		return 0
 	}
@@ -43,14 +67,14 @@ func (m *Memory) LoadByte(addr uint64) byte {
 
 // StoreByte stores b at addr.
 func (m *Memory) StoreByte(addr uint64, b byte) {
-	m.page(addr, true)[addr&pageMask] = b
+	m.writable(addr)[addr&pageMask] = b
 }
 
 // Read returns size bytes starting at addr as a little-endian,
 // zero-extended value. size must be 1, 2, 4, or 8. Accesses may be
 // unaligned and may span pages.
 func (m *Memory) Read(addr uint64, size int) uint64 {
-	if p := m.page(addr, false); p != nil && addr&pageMask+uint64(size) <= pageSize {
+	if p := m.page(addr); p != nil && addr&pageMask+uint64(size) <= pageSize {
 		off := addr & pageMask
 		switch size {
 		case 8:
@@ -74,7 +98,7 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 // must be 1, 2, 4, or 8.
 func (m *Memory) Write(addr uint64, size int, val uint64) {
 	if addr&pageMask+uint64(size) <= pageSize {
-		p := m.page(addr, true)
+		p := m.writable(addr)
 		off := addr & pageMask
 		switch size {
 		case 8:
@@ -99,7 +123,7 @@ func (m *Memory) Write(addr uint64, size int, val uint64) {
 // StoreBytes copies b into memory starting at addr, one page at a time.
 func (m *Memory) StoreBytes(addr uint64, b []byte) {
 	for len(b) > 0 {
-		n := copy(m.page(addr, true)[addr&pageMask:], b)
+		n := copy(m.writable(addr)[addr&pageMask:], b)
 		addr += uint64(n)
 		b = b[n:]
 	}
@@ -114,6 +138,6 @@ func (m *Memory) LoadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// MappedPages returns the number of resident pages (for tests and memory
-// footprint reporting).
+// MappedPages returns the number of mapped pages, shared and private
+// alike, each counted once (for tests and memory footprint reporting).
 func (m *Memory) MappedPages() int { return len(m.pages) }

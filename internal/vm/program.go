@@ -2,21 +2,19 @@ package vm
 
 import (
 	"fmt"
+	"maps"
 
 	"carf/internal/isa"
 )
 
 // Program is an executable R64 image: a list of instructions laid out
-// contiguously from Base, plus initial data segments. Programs are
+// contiguously from Base, plus an initial memory image. Programs are
 // immutable once built; the same Program can back any number of Machines
 // or pipeline simulations.
 type Program struct {
 	Name string
 	Base uint64 // address of the first instruction
 	Code []isa.Inst
-
-	// Data segments copied into memory before execution.
-	Data []Segment
 
 	// InitRegs seeds integer architectural registers before execution
 	// (e.g. the stack pointer). Keys are register numbers.
@@ -38,6 +36,12 @@ type Program struct {
 	// invalidated.
 	dec    []decOp
 	runEnd []int32
+
+	// image is the initial memory image — the data segments laid out in
+	// pages, every frame marked shared — built once in NewProgram. Each
+	// machine's memory starts as a copy of this map, so machines share
+	// the pages until they write them.
+	image map[uint64]frame
 }
 
 // Segment is an initialized span of data memory.
@@ -46,14 +50,14 @@ type Segment struct {
 	Bytes []byte
 }
 
-// NewProgram finalizes a program: it computes instruction addresses and
-// the dense address→index table used by instruction fetch.
+// NewProgram finalizes a program: it computes instruction addresses, the
+// dense address→index table used by instruction fetch, and the initial
+// memory image holding the data segments (which it does not retain).
 func NewProgram(name string, base uint64, code []isa.Inst, data []Segment, initRegs map[isa.Reg]uint64) *Program {
 	p := &Program{
 		Name:     name,
 		Base:     base,
 		Code:     code,
-		Data:     data,
 		InitRegs: initRegs,
 		offsets:  make([]uint64, len(code)),
 	}
@@ -71,6 +75,14 @@ func NewProgram(name string, base uint64, code []isa.Inst, data []Segment, initR
 		p.denseIdx[p.offsets[i]] = int32(i)
 	}
 	p.predecode()
+	var img Memory
+	for _, seg := range data {
+		img.StoreBytes(seg.Addr, seg.Bytes)
+	}
+	for pn, f := range img.pages {
+		img.pages[pn] = frame{p: f.p, shared: true}
+	}
+	p.image = img.pages
 	return p
 }
 
@@ -133,9 +145,8 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// LoadInto copies the program's data segments into mem.
-func (p *Program) LoadInto(mem *Memory) {
-	for _, seg := range p.Data {
-		mem.StoreBytes(seg.Addr, seg.Bytes)
-	}
+// memory returns a fresh address space mapping the program's initial
+// image copy-on-write.
+func (p *Program) memory() *Memory {
+	return &Memory{pages: maps.Clone(p.image)}
 }

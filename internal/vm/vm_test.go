@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -390,6 +392,79 @@ func TestProgramDataSegments(t *testing.T) {
 	}
 	if m.X[2] != 0x0807060504030201 {
 		t.Errorf("x2 = %#x", m.X[2])
+	}
+}
+
+// TestImageCopyOnWrite: machines on one program share its initial image
+// copy-on-write. Two machines run concurrently (meaningful under -race),
+// each storing its own value into two of the image's three pages;
+// neither sees the other's stores, a third machine built afterwards
+// sees only the image, and the image bytes themselves never change.
+func TestImageCopyOnWrite(t *testing.T) {
+	const base = 0x9F00 // the segment spans two pages and part of a third
+	data := make([]byte, 2*pageSize)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	// x1 walks the segment a page at a time, storing x2 at each stop and
+	// loading it back into x3.
+	prog := NewProgram("cow", 0x4000, []isa.Inst{
+		li(1, base+8),
+		li(4, base+8+2*pageSize),
+		{Op: isa.ST, Rs1: 1, Rs2: 2, Imm: 0},
+		{Op: isa.LD, Rd: 3, Rs1: 1, Imm: 0},
+		{Op: isa.ADDI, Rd: 1, Rs1: 1, Imm: pageSize},
+		{Op: isa.BLT, Rs1: 1, Rs2: 4, Imm: -4 * 8},
+		{Op: isa.HALT},
+	}, []Segment{{Addr: base, Bytes: data}}, nil)
+	if err := prog.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	image := map[uint64][pageSize]byte{}
+	for pn, f := range prog.image {
+		image[pn] = *f.p
+	}
+	if len(image) != 3 {
+		t.Fatalf("image maps %d pages, want 3", len(image))
+	}
+
+	vals := []uint64{0x1111_2222_3333_4444, 0x5555_6666_7777_8888}
+	ms := make([]*Machine, len(vals))
+	var wg sync.WaitGroup
+	for i := range ms {
+		ms[i] = New(prog)
+		ms[i].X[2] = vals[i]
+		wg.Add(1)
+		go func(m *Machine) {
+			defer wg.Done()
+			if _, err := m.Run(1000); err != nil || !m.Halted {
+				t.Errorf("run: halted %v, err %v", m.Halted, err)
+			}
+		}(ms[i])
+	}
+	wg.Wait()
+
+	fresh := New(prog)
+	for i, m := range ms {
+		for a := uint64(base + 8); a < base+2*pageSize; a += pageSize {
+			if got := m.Mem.Read(a, 8); got != vals[i] {
+				t.Errorf("machine %d reads %#x at %#x, want its own store %#x", i, got, a, vals[i])
+			}
+		}
+		if m.X[3] != vals[i] {
+			t.Errorf("machine %d loaded %#x, want %#x", i, m.X[3], vals[i])
+		}
+		if got := m.Mem.MappedPages(); got != 3 {
+			t.Errorf("machine %d maps %d pages, want 3 (shared and private once each)", i, got)
+		}
+	}
+	if got := fresh.Mem.LoadBytes(base, len(data)); !bytes.Equal(got, data) {
+		t.Error("a fresh machine does not see the program's initial image")
+	}
+	for pn, f := range prog.image {
+		if !f.shared || *f.p != image[pn] {
+			t.Errorf("image page %#x changed", pn)
+		}
 	}
 }
 

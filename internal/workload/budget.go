@@ -12,10 +12,11 @@ import (
 // distinct scales) and lives for the process.
 var (
 	budgetMu   sync.Mutex
-	budgetMemo = map[budgetKey]uint64{}
+	budgetMemo = map[kernelKey]uint64{}
 )
 
-type budgetKey struct {
+// kernelKey names one kernel at one scale (the budget and Ref memos).
+type kernelKey struct {
 	name  string
 	scale float64
 }
@@ -28,7 +29,7 @@ type budgetKey struct {
 // execute reports budget 0 ("unknown"), never an error: progress
 // reporting is advisory and must not fail a run.
 func Budget(k Kernel, scale float64) uint64 {
-	key := budgetKey{k.Name, scale}
+	key := kernelKey{k.Name, scale}
 	budgetMu.Lock()
 	if n, ok := budgetMemo[key]; ok {
 		budgetMu.Unlock()

@@ -68,9 +68,12 @@ var factories = []kernelFactory{
 // Ref is one kernel of the suite at one scale, not yet built. Name and
 // FP are known up front; the program is built by the first Build call
 // and every later call, from any goroutine, returns the same Kernel.
-// A suite value shared by many runs therefore builds each program at
-// most once, and only if some run actually needs it: runs served from
-// a cache never call Build.
+// The process keeps one canonical Ref per (kernel, scale) — IntSuite,
+// FPSuite, AllKernels, Lookup and ByName all hand out that Ref — for the
+// refKeep most recently used scales' worth of kernels (see refMemo), so
+// a study, which runs at one scale, builds each program at most once,
+// and only if some run actually needs it: runs served from a cache
+// never call Build.
 type Ref struct {
 	Name string
 	FP   bool // member of the floating-point suite
@@ -106,8 +109,55 @@ func (f *kernelFactory) build(scale float64) (k Kernel, err error) {
 	return f.make(scale), nil
 }
 
+// refMemo holds the canonical Refs of the most recently handed out
+// (kernel, scale) pairs: at most refKeep full suites' worth, the least
+// recently handed out evicted first. A built suite holds about 0.56 MiB
+// at scale 0.05 and 1.1 MiB at 1.0, so a long-lived process fed many
+// scales (a daemon's clients choose theirs) keeps a few MiB live beyond
+// the Refs its jobs still hold. An evicted Ref stays valid for whoever
+// holds it; the next lookup of its pair makes, and builds, a new one.
+const refKeep = 4
+
+var (
+	refMu   sync.Mutex
+	refMemo = map[kernelKey]refEntry{}
+	refTick uint64 // counts hand-outs; orders entries by last use
+)
+
+type refEntry struct {
+	r    *Ref
+	used uint64 // refTick at the entry's last hand-out
+}
+
 func (f *kernelFactory) ref(scale float64) *Ref {
-	return &Ref{Name: f.name, FP: f.fp, f: f, scale: scale}
+	key := kernelKey{f.name, scale}
+	refMu.Lock()
+	defer refMu.Unlock()
+	refTick++
+	e, ok := refMemo[key]
+	if !ok {
+		if len(refMemo) >= refKeep*len(factories) {
+			evictLeastRecentRef()
+		}
+		e.r = &Ref{Name: f.name, FP: f.fp, f: f, scale: scale}
+	}
+	e.used = refTick
+	refMemo[key] = e
+	return e.r
+}
+
+// evictLeastRecentRef drops the memo entry handed out longest ago. It
+// scans the whole memo, which is small and evicts only when a new pair
+// arrives with the memo full. Callers hold refMu.
+func evictLeastRecentRef() {
+	var oldest kernelKey
+	oldestUse := ^uint64(0)
+	for k, e := range refMemo {
+		if e.used < oldestUse {
+			oldest, oldestUse = k, e.used
+		}
+	}
+	delete(refMemo, oldest)
 }
 
 // IntSuite returns the integer kernels at the given scale (1.0 is the
@@ -141,7 +191,8 @@ func Names() []string {
 	return names
 }
 
-// Lookup returns the named kernel at the given scale, unbuilt.
+// Lookup returns the named kernel at the given scale, unbuilt (built
+// already if an earlier caller built its canonical Ref).
 func Lookup(name string, scale float64) (*Ref, error) {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		return nil, fmt.Errorf("workload: scale %v must be a positive finite number", scale)

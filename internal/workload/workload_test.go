@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"carf/internal/isa"
 	"carf/internal/vm"
@@ -102,10 +104,15 @@ func TestSuites(t *testing.T) {
 	}
 }
 
-// TestRefBuildsOnce: a Ref builds its program on first use only, and
-// concurrent callers all receive that one program.
+// TestRefBuildsOnce: a Ref builds its program on first use only,
+// concurrent callers all receive that one program, and every way of
+// naming the kernel at that scale resolves to the same canonical Ref.
+// The scale is one no other test in this package uses, fresh on every
+// run (go test -count), so the process has not built it yet.
 func TestRefBuildsOnce(t *testing.T) {
-	r, err := Lookup("crc64", 0.05)
+	refBuildsRuns++
+	scale := 0.07 + 1e-4*float64(refBuildsRuns)
+	r, err := Lookup("crc64", scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +131,95 @@ func TestRefBuildsOnce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := Builds() - before; n != 1 {
-		t.Errorf("%d builds for one ref, want 1", n)
-	}
 	for _, p := range progs {
 		if p == nil || p != progs[0] {
 			t.Fatal("concurrent Build calls returned different programs")
 		}
+	}
+
+	again, err := Lookup("crc64", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != r {
+		t.Error("a second Lookup returned a different Ref")
+	}
+	var inSuite *Ref
+	for _, s := range IntSuite(scale) {
+		if s.Name == "crc64" {
+			inSuite = s
+		}
+	}
+	if inSuite != r {
+		t.Error("IntSuite returned a different Ref than Lookup")
+	}
+	k, err := ByName("crc64", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.Prog != progs[0] {
+		t.Error("ByName returned a different program than the Ref's")
+	}
+	if n := Builds() - before; n != 1 {
+		t.Errorf("%d builds for one kernel at one scale, want 1", n)
+	}
+}
+
+// refBuildsRuns counts TestRefBuildsOnce's runs in this process.
+var refBuildsRuns int
+
+// TestRefMemoBounded: a process fed many distinct scales keeps at most
+// refKeep suites' worth of canonical Refs, and an evicted Ref that no
+// caller holds is freed with its program, so the live heap does not
+// grow with the number of scales seen.
+func TestRefMemoBounded(t *testing.T) {
+	limit := refKeep * len(factories)
+	build := func(i int) (weak.Pointer[Ref], Kernel) {
+		r, err := Lookup("crc64", 0.003+1e-6*float64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := r.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(r), k
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	first, k := build(0)
+	imageBytes := int64(vm.New(k.Prog).Mem.MappedPages()) * 4096
+	if imageBytes == 0 {
+		t.Fatal("crc64 maps no data pages; the heap bound below would not bite")
+	}
+	for i := 1; i < limit; i++ {
+		build(i)
+	}
+	base := liveHeap()
+	const rounds = 3
+	for i := limit; i < (1+rounds)*limit; i++ {
+		build(i)
+	}
+	grown := liveHeap() - base
+
+	refMu.Lock()
+	n := len(refMemo)
+	refMu.Unlock()
+	if n > limit {
+		t.Errorf("memo holds %d Refs after %d distinct scales, want at most %d", n, (1+rounds)*limit, limit)
+	}
+	if first.Value() != nil {
+		t.Error("the least recently used Ref is still live after the memo evicted it")
+	}
+	// Retaining every build would keep rounds*limit more images live.
+	if kept := int64(rounds*limit) * imageBytes; grown > kept/4 {
+		t.Errorf("live heap grew %d bytes over %d new scales; retaining them would cost %d", grown, rounds*limit, kept)
 	}
 }
 
@@ -147,9 +236,23 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestDeterministicBuilds builds one kernel twice through its factory
+// (ByName would return the one memoized build both times).
 func TestDeterministicBuilds(t *testing.T) {
-	a, _ := ByName("hashprobe", 0.1)
-	b, _ := ByName("hashprobe", 0.1)
+	var f *kernelFactory
+	for i := range factories {
+		if factories[i].name == "hashprobe" {
+			f = &factories[i]
+		}
+	}
+	a, errA := f.build(0.1)
+	b, errB := f.build(0.1)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if a.Prog == b.Prog {
+		t.Fatal("the factory returned one program twice")
+	}
 	if a.Expected != b.Expected {
 		t.Error("same kernel built twice differs")
 	}
