@@ -8,7 +8,15 @@
 // memoized, so the full study reuses most of its work. Output streams
 // in experiment order regardless of completion order, and the rendered
 // results are byte-identical at any -jobs value — and with telemetry on
-// or off.
+// or off. The one shared pool is what keeps every CPU busy; a study
+// needs no more than one process.
+//
+// With -store, completed runs persist as blobs in a directory, so a
+// rerun (after a crash, say) serves every finished run from disk. Any
+// number of processes may share one store directory at once:
+// per-simulation leases make sure no persisted run is simulated twice
+// across them, and a process that loses a lease waits for the winner's
+// blob instead.
 //
 // With -telemetry the study serves its live observability plane over
 // HTTP while it runs: /metrics (Prometheus), /runs (live run table),
@@ -25,6 +33,7 @@
 //	carfstudy -exp fig5,table2     # selected experiments
 //	carfstudy -jobs 4              # run up to 4 experiments concurrently
 //	carfstudy -scale 1.0           # full-size workloads (slower)
+//	carfstudy -store DIR           # persist runs; reuse them across invocations
 //	carfstudy -telemetry 127.0.0.1:9090
 //	carfstudy -progress            # live per-simulation progress on stderr
 //	carfstudy -trace-out study-trace.json
@@ -37,15 +46,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -53,7 +59,6 @@ import (
 
 	"carf"
 	"carf/internal/experiments"
-	"carf/internal/fleet"
 	"carf/internal/sched"
 	"carf/internal/store"
 	"carf/internal/telemetry"
@@ -99,12 +104,11 @@ func progressLogger(logger *slog.Logger, exp string) func(carf.Progress) {
 }
 
 // runExperiment runs one experiment under an experiment span on hub
-// (nil-safe) and logs "<what> started" and "<what> finished" lines,
-// tagged with tags before the experiment name. With progress, live
-// frames are logged through progressLogger.
-func runExperiment(ctx context.Context, logger *slog.Logger, hub *telemetry.Hub, name string, scale float64, progress bool, what string, tags ...any) result {
+// (nil-safe) and logs "experiment started" and "experiment finished"
+// lines. With progress, live frames are logged through progressLogger.
+func runExperiment(ctx context.Context, logger *slog.Logger, hub *telemetry.Hub, name string, scale float64, progress bool) result {
 	sp := hub.ExperimentStart(name)
-	logger.Info(what+" started", append(tags[:len(tags):len(tags)], "exp", name)...)
+	logger.Info("experiment started", "exp", name)
 	t0 := time.Now()
 	opt := carf.ExperimentOptions{Ctx: ctx, Scale: scale}
 	if progress {
@@ -114,11 +118,11 @@ func runExperiment(ctx context.Context, logger *slog.Logger, hub *telemetry.Hub,
 	elapsed := time.Since(t0)
 	hub.ExperimentEnd(name, sp, elapsed, err)
 	if err == nil {
-		logger.Info(what+" finished", append(tags[:len(tags):len(tags)], "exp", name,
+		logger.Info("experiment finished", "exp", name,
 			"elapsed", elapsed.Round(time.Millisecond),
 			"runs", rep.Sched.Runs, "simulated", rep.Sched.Misses,
 			"cached", rep.Sched.Hits, "disk", rep.Sched.DiskHits,
-			"peer", rep.Sched.PeerHits, "joined", rep.Sched.Joins)...)
+			"peer", rep.Sched.PeerHits, "joined", rep.Sched.Joins)
 	}
 	return result{rep: rep, err: err, elapsed: elapsed}
 }
@@ -128,18 +132,12 @@ func main() {
 		exps     = flag.String("exp", "all", "comma-separated experiment ids, or \"all\"")
 		scale    = flag.Float64("scale", 0.25, "workload scale factor")
 		jobs     = flag.Int("jobs", 1, "experiments to run concurrently (simulation parallelism is bounded by the shared scheduler pool)")
-		workers  = flag.Int("workers", 1, "worker processes to shard the study across (requires -store; experiments are claimed through the store directory, simulations deduplicated across processes by leases)")
 		out      = flag.String("out", "", "write results to this file instead of stdout")
 		telAddr  = flag.String("telemetry", "", "serve live telemetry (/metrics, /runs, /events, /healthz) on this host:port while the study runs")
 		progress = flag.Bool("progress", false, "log live simulation progress and suite-level ETA to stderr (rendered output is unaffected)")
 		traceOut = flag.String("trace-out", "", "write the orchestration timeline (Perfetto-loadable Chrome trace) to this file")
 		storeDir = flag.String("store", "", "persistent result store directory: completed runs are written as checksummed blobs and reused across invocations")
 		list     = flag.Bool("list", false, "list experiments, then exit")
-
-		// Internal worker-mode flags, set by the parent when it re-execs
-		// this binary as a fleet worker. Not for direct use.
-		fleetDir   = flag.String("fleet-dir", "", "internal: run as a fleet worker against this shard directory")
-		fleetIndex = flag.Int("fleet-index", 0, "internal: this fleet worker's index")
 	)
 	flag.Parse()
 	logger := telemetry.NewLogger(os.Stderr, slog.LevelInfo)
@@ -163,13 +161,6 @@ func main() {
 	}
 	if *jobs < 1 {
 		*jobs = 1
-	}
-	if *workers < 1 {
-		*workers = 1
-	}
-	if *workers > 1 && *storeDir == "" {
-		logger.Error("-workers needs -store: worker processes coordinate through the store directory (claims + leases)")
-		os.Exit(2)
 	}
 
 	var st *store.Store
@@ -215,12 +206,6 @@ func main() {
 		}
 	}
 
-	if *fleetDir != "" {
-		// Fleet worker mode (internal): claim experiments from the shard,
-		// run them, record results; render nothing — the parent merges.
-		os.Exit(runFleetWorker(ctx, logger, *fleetDir, *fleetIndex, names, *scale, *progress, st))
-	}
-
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -237,94 +222,70 @@ func main() {
 	exitCode := 0
 	reports := make([]result, len(names))
 	completed := 0
-	totals := carf.SchedulerStats{}
-	totalsLabel := fmt.Sprintf("jobs %d", *jobs)
-	var storeAgg store.Stats // fleet: per-process store counters summed into the parent's view
 
-	if *workers > 1 {
-		// Multi-process sweep: shard the experiment list across -workers
-		// re-executions of this binary over the shared store, then merge
-		// in suite order so output matches the serial path.
-		var fo fleetOutcome
-		fo, completed = runFleetParent(ctx, logger, w, hub, names, reports, *workers, *jobs, *scale, *storeDir, *progress)
-		exitCode = fo.exitCode
-		totals = fo.totals
-		storeAgg = fo.storeAgg
-		totalsLabel = fmt.Sprintf("workers %d", *workers)
-	} else {
-		// Launch up to -jobs experiments at once; each delivers into its own
-		// single-slot channel so the printer below can stream results in
-		// experiment order while later experiments keep running. Simulation
-		// concurrency inside them stays bounded by the global scheduler pool.
-		sem := make(chan struct{}, *jobs)
-		done := make([]chan result, len(names))
-		for i, name := range names {
-			done[i] = make(chan result, 1)
-			go func(name string, ch chan<- result) {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				ch <- runExperiment(ctx, logger, hub, name, *scale, *progress, "experiment")
-			}(name, done[i])
-		}
+	// Launch up to -jobs experiments at once; each delivers into its own
+	// single-slot channel so the printer below can stream results in
+	// experiment order while later experiments keep running. Simulation
+	// concurrency inside them stays bounded by the global scheduler pool.
+	sem := make(chan struct{}, *jobs)
+	done := make([]chan result, len(names))
+	for i, name := range names {
+		done[i] = make(chan result, 1)
+		go func(name string, ch chan<- result) {
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			ch <- runExperiment(ctx, logger, hub, name, *scale, *progress)
+		}(name, done[i])
+	}
 
-		// Stream results in experiment order. On failure — including a
-		// signal-driven cancellation — stop printing but fall through to the
-		// flush/close path below, so partial output and the trace survive.
-		for i, name := range names {
-			r := <-done[i]
-			if r.err != nil {
-				if errors.Is(r.err, context.Canceled) || ctx.Err() != nil {
-					logger.Error("study interrupted, flushing partial output", "exp", name)
-				} else {
-					logger.Error("experiment failed", "exp", name, "err", r.err)
-				}
-				exitCode = 1
-				break
+	// Stream results in experiment order. On failure — including a
+	// signal-driven cancellation — stop printing but fall through to the
+	// flush/close path below, so partial output and the trace survive.
+	for i, name := range names {
+		r := <-done[i]
+		if r.err != nil {
+			if errors.Is(r.err, context.Canceled) || ctx.Err() != nil {
+				logger.Error("study interrupted, flushing partial output", "exp", name)
+			} else {
+				logger.Error("experiment failed", "exp", name, "err", r.err)
 			}
-			reports[i] = r
-			completed++
-			fmt.Fprintf(w, "== %s: %s (%.1fs)\n\n%s\n", name, carf.DescribeExperiment(name),
-				r.elapsed.Seconds(), r.rep.Text)
-			if *progress {
-				if remaining := len(names) - completed; remaining > 0 {
-					avg := time.Since(start) / time.Duration(completed)
-					logger.Info("study progress",
-						"completed", completed, "total", len(names),
-						"pct", fmt.Sprintf("%.0f%%", 100*float64(completed)/float64(len(names))),
-						"eta", (avg * time.Duration(remaining)).Round(time.Second))
-				}
+			exitCode = 1
+			break
+		}
+		reports[i] = r
+		completed++
+		fmt.Fprintf(w, "== %s: %s (%.1fs)\n\n%s\n", name, carf.DescribeExperiment(name),
+			r.elapsed.Seconds(), r.rep.Text)
+		if *progress {
+			if remaining := len(names) - completed; remaining > 0 {
+				avg := time.Since(start) / time.Duration(completed)
+				logger.Info("study progress",
+					"completed", completed, "total", len(names),
+					"pct", fmt.Sprintf("%.0f%%", 100*float64(completed)/float64(len(names))),
+					"eta", (avg * time.Duration(remaining)).Round(time.Second))
 			}
 		}
-		totals = carf.GlobalSchedulerStats()
 	}
 
 	if exitCode == 0 {
-		fmt.Fprintf(w, "total: %d experiments in %.1fs (%s; %d simulations: %d run, %d cached, %d disk, %d peer, %d joined)\n",
-			len(names), time.Since(start).Seconds(), totalsLabel, totals.Runs, totals.Misses, totals.Hits, totals.DiskHits, totals.PeerHits, totals.Joins)
+		totals := carf.GlobalSchedulerStats()
+		fmt.Fprintf(w, "total: %d experiments in %.1fs (jobs %d; %d simulations: %d run, %d cached, %d disk, %d peer, %d joined)\n",
+			len(names), time.Since(start).Seconds(), *jobs, totals.Runs, totals.Misses, totals.Hits, totals.DiskHits, totals.PeerHits, totals.Joins)
 		if st != nil {
-			// Store condition next to the scheduler totals, so a
-			// multi-process run is diagnosable from the terminal alone.
-			ss := st.Stats()
-			if *workers > 1 && ss.Dir != "" {
-				// The workers wrote the blobs, not this process; count
-				// what is actually on disk instead of the parent's (zero)
-				// increments.
-				if m, err := filepath.Glob(filepath.Join(ss.Dir, "*.blob")); err == nil {
-					ss.DiskBlobs = len(m)
-				}
-			}
-			ss.DiskHits += storeAgg.DiskHits
-			ss.Quarantined += storeAgg.Quarantined
-			ss.LeasesAcquired += storeAgg.LeasesAcquired
-			ss.LeaseLosses += storeAgg.LeaseLosses
-			ss.LeaseTakeovers += storeAgg.LeaseTakeovers
-			fmt.Fprintf(w, "%s\n", storeLine(ss))
+			// Store condition next to the scheduler totals, so a run that
+			// shares its store with other processes is diagnosable from
+			// the terminal alone.
+			fmt.Fprintf(w, "%s\n", storeLine(st.Stats()))
+		}
+		nameWidth := 0
+		for _, name := range names {
+			nameWidth = max(nameWidth, len(name))
 		}
 		fmt.Fprintf(w, "\nper-experiment scheduler activity:\n")
 		for i, name := range names {
 			s := reports[i].rep.Sched
-			fmt.Fprintf(w, "  %-9s %4d runs: %4d simulated, %4d cached, %4d disk, %4d peer, %4d joined  (queue %.2fs, sim %.2fs)\n",
-				name, s.Runs, s.Misses, s.Hits, s.DiskHits, s.PeerHits, s.Joins, s.QueueWaitSeconds, s.SimWallSeconds)
+			fmt.Fprintf(w, "  %-*s %4d runs: %4d simulated, %4d cached, %4d disk, %4d peer, %4d joined  (queue %.2fs, sim %.2fs)\n",
+				nameWidth, name, s.Runs, s.Misses, s.Hits, s.DiskHits, s.PeerHits, s.Joins, s.QueueWaitSeconds, s.SimWallSeconds)
 		}
 	} else if completed > 0 {
 		fmt.Fprintf(w, "(interrupted after %d of %d experiments)\n", completed, len(names))
@@ -373,173 +334,4 @@ func storeLine(ss store.Stats) string {
 		line += "; DEGRADED: " + ss.Reason
 	}
 	return line
-}
-
-// runFleetWorker is the worker-mode main: claim experiments from the
-// shard in suite order, run each through the in-process scheduler
-// (which shares the store — and its cross-process leases — with every
-// sibling worker), and record results for the parent's merge. Renders
-// nothing to stdout.
-func runFleetWorker(ctx context.Context, logger *slog.Logger, shardDir string, index int, names []string, scale float64, progress bool, st *store.Store) int {
-	if st == nil {
-		logger.Error("fleet worker requires -store", "worker", index)
-		return 2
-	}
-	sh := fleet.OpenShard(shardDir)
-	t0 := time.Now()
-	ran, workErr := sh.Work(ctx, names, func(name string) (fleet.Result, error) {
-		r := runExperiment(ctx, logger, nil, name, scale, progress, "fleet experiment", "worker", index)
-		if r.err != nil {
-			return fleet.Result{}, r.err
-		}
-		sb, merr := json.Marshal(r.rep.Sched)
-		if merr != nil {
-			return fleet.Result{}, merr
-		}
-		return fleet.Result{Text: r.rep.Text, ElapsedSeconds: r.elapsed.Seconds(), Sched: sb}, nil
-	})
-
-	sb, _ := json.Marshal(carf.GlobalSchedulerStats())
-	stb, _ := json.Marshal(st.Stats())
-	sum := fleet.Summary{
-		Worker:      index,
-		PID:         os.Getpid(),
-		Experiments: ran,
-		WallSeconds: time.Since(t0).Seconds(),
-		Sched:       sb,
-		Store:       stb,
-	}
-	if err := sh.WriteSummary(sum); err != nil {
-		logger.Error("fleet worker summary write failed", "worker", index, "err", err)
-		return 1
-	}
-	if workErr != nil && !errors.Is(workErr, context.Canceled) {
-		logger.Error("fleet worker stopped early", "worker", index, "err", workErr)
-		return 1
-	}
-	return 0
-}
-
-// fleetOutcome is what the multi-process path feeds the shared trailer.
-type fleetOutcome struct {
-	totals   carf.SchedulerStats // combined across all workers + the parent
-	storeAgg store.Stats         // summed per-process store counters (workers only)
-	exitCode int
-}
-
-// runFleetParent shards names across worker processes, waits for them,
-// sweeps any experiment left without a result (worker crashed after
-// claiming, or none reached it) in-process, and prints merged blocks in
-// suite order — byte-identical rendering with the serial path.
-func runFleetParent(ctx context.Context, logger *slog.Logger, w io.Writer, hub *telemetry.Hub, names []string, reports []result, workers, jobs int, scale float64, storeDir string, progress bool) (fleetOutcome, int) {
-	fo := fleetOutcome{}
-	sh, err := fleet.NewShard(storeDir)
-	if err != nil {
-		logger.Error("fleet shard create failed", "err", err)
-		fo.exitCode = 1
-		return fo, 0
-	}
-	logger.Info("fleet sweep starting", "workers", workers, "experiments", len(names), "shard", sh.Dir)
-
-	args := []string{
-		"-fleet-dir", sh.Dir,
-		"-exp", strings.Join(names, ","),
-		"-scale", fmt.Sprintf("%g", scale),
-		"-jobs", fmt.Sprint(jobs),
-		"-store", storeDir,
-	}
-	if progress {
-		args = append(args, "-progress")
-	}
-	spawnErrs := fleet.Spawn(ctx, workers, args, "-fleet-index", nil, os.Stderr)
-	for i, serr := range spawnErrs {
-		if serr != nil {
-			// Not fatal: whatever the worker left unfinished is swept below.
-			logger.Error("fleet worker exited abnormally", "worker", i, "err", serr)
-		}
-	}
-
-	completed := 0
-	for i, name := range names {
-		if err := ctx.Err(); err != nil {
-			logger.Error("study interrupted, flushing partial output", "exp", name)
-			fo.exitCode = 1
-			break
-		}
-		fr, ok, lerr := sh.Load(name)
-		if lerr != nil {
-			logger.Error("experiment failed", "exp", name, "err", lerr)
-			fo.exitCode = 1
-			break
-		}
-		var r result
-		if ok {
-			var ss carf.SchedulerStats
-			if err := json.Unmarshal(fr.Sched, &ss); err != nil {
-				logger.Error("fleet result counters unreadable", "exp", name, "err", err)
-			}
-			r = result{
-				rep:     carf.ExperimentReport{Name: name, Text: fr.Text, Sched: ss},
-				elapsed: time.Duration(fr.ElapsedSeconds * float64(time.Second)),
-			}
-		} else {
-			// Crash recovery at the experiment level: no worker recorded a
-			// result, so the parent runs it here. Simulation-level recovery
-			// (a crashed worker's lease) already happened below, via
-			// stale-lease takeover.
-			logger.Warn("fleet: experiment has no recorded result; sweeping it in-process", "exp", name)
-			r = runExperiment(ctx, logger, hub, name, scale, progress, "experiment")
-			if r.err != nil {
-				if errors.Is(r.err, context.Canceled) || ctx.Err() != nil {
-					logger.Error("study interrupted, flushing partial output", "exp", name)
-				} else {
-					logger.Error("experiment failed", "exp", name, "err", r.err)
-				}
-				fo.exitCode = 1
-				break
-			}
-		}
-		reports[i] = r
-		completed++
-		fmt.Fprintf(w, "== %s: %s (%.1fs)\n\n%s\n", name, carf.DescribeExperiment(name),
-			r.elapsed.Seconds(), r.rep.Text)
-	}
-
-	// Combined accounting: every worker's process totals plus the
-	// parent's own (sweep work). The combined "simulated" count is the
-	// at-most-once invariant made visible — with leases working it
-	// equals a serial cold run's count.
-	fo.totals = carf.GlobalSchedulerStats()
-	sums, _ := sh.Summaries()
-	for _, s := range sums {
-		var ws carf.SchedulerStats
-		if json.Unmarshal(s.Sched, &ws) == nil {
-			fo.totals.Runs += ws.Runs
-			fo.totals.Misses += ws.Misses
-			fo.totals.Hits += ws.Hits
-			fo.totals.DiskHits += ws.DiskHits
-			fo.totals.PeerHits += ws.PeerHits
-			fo.totals.Joins += ws.Joins
-			fo.totals.Canceled += ws.Canceled
-			fo.totals.Errors += ws.Errors
-			fo.totals.QueueWaitSeconds += ws.QueueWaitSeconds
-			fo.totals.SimWallSeconds += ws.SimWallSeconds
-			fo.totals.LeaseWaitSeconds += ws.LeaseWaitSeconds
-		}
-		var wst store.Stats
-		if s.Store != nil && json.Unmarshal(s.Store, &wst) == nil {
-			fo.storeAgg.DiskHits += wst.DiskHits
-			fo.storeAgg.Quarantined += wst.Quarantined
-			fo.storeAgg.LeasesAcquired += wst.LeasesAcquired
-			fo.storeAgg.LeaseLosses += wst.LeaseLosses
-			fo.storeAgg.LeaseTakeovers += wst.LeaseTakeovers
-		}
-	}
-	logger.Info("fleet sweep merged", "workers", workers, "experiments", completed,
-		"simulated", fo.totals.Misses, "disk", fo.totals.DiskHits, "peer", fo.totals.PeerHits,
-		"lease_takeovers", fo.storeAgg.LeaseTakeovers)
-	if fo.exitCode == 0 {
-		sh.Cleanup()
-	}
-	return fo, completed
 }

@@ -106,3 +106,54 @@ func TestLeaseTakeoverAfterWorkerKill(t *testing.T) {
 		t.Errorf("lease files left after recovery: %v", m)
 	}
 }
+
+// TestSharedStoreSimulatesEachRunOnce is the cross-process singleflight
+// gate: two store handles on one directory, each under its own
+// scheduler, stand in for two processes sharing a store. Running table2
+// through both at once, each must render what a serial scheduler
+// renders, and between them they must simulate exactly the runs the
+// serial scheduler simulates: every run one side simulates, the other
+// reads from disk or waits out its lease for.
+func TestSharedStoreSimulatesEachRunOnce(t *testing.T) {
+	const exp = "table2"
+	serial := sched.New(1)
+	want := render(t, exp, Options{Scale: determinismScale, Sched: serial})
+
+	dir := t.TempDir()
+	var peers [2]*sched.Scheduler
+	for i := range peers {
+		st, err := store.Open(store.Options{Dir: dir, Schema: StoreSchema, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		peers[i] = sched.New(1)
+		peers[i].SetTier(st)
+		peers[i].SetPeerPollInterval(5 * time.Millisecond)
+	}
+	var got [2]string
+	err := sched.ForEach(len(peers), func(i int) error {
+		r, err := Run(exp, Options{Scale: determinismScale, Sched: peers[i]})
+		if err != nil {
+			return err
+		}
+		got[i] = r.Render()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range peers {
+		if got[i] != want {
+			t.Errorf("peer %d render differs from serial:\n--- want ---\n%s\n--- got ---\n%s", i, want, got[i])
+		}
+	}
+
+	a, b := peers[0].Stats(), peers[1].Stats()
+	if misses, serialMisses := a.Misses+b.Misses, serial.Stats().Misses; misses != serialMisses {
+		t.Errorf("peers simulated %d+%d runs, want %d in total (serial); a=%+v b=%+v", a.Misses, b.Misses, serialMisses, a, b)
+	}
+	if a.PeerHits+a.DiskHits+b.PeerHits+b.DiskHits == 0 {
+		t.Errorf("peers shared nothing through the store; a=%+v b=%+v", a, b)
+	}
+}

@@ -374,7 +374,7 @@ func (s *Scheduler) SetLocker(l Locker) {
 // DefaultPeerPollInterval is how often a run that lost the
 // cross-process lease re-probes the tier for the winner's result. Short
 // enough that a peer hit adds little latency over the peer's own
-// simulation wall; long enough that a fleet of waiters does not hammer
+// simulation wall; long enough that many waiters do not hammer
 // the shared directory.
 const DefaultPeerPollInterval = 25 * time.Millisecond
 
