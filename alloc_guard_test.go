@@ -16,6 +16,7 @@ import (
 	"carf/internal/core"
 	"carf/internal/harden"
 	"carf/internal/pipeline"
+	"carf/internal/profile"
 	"carf/internal/regfile"
 	"carf/internal/workload"
 )
@@ -66,8 +67,7 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 		}},
 		{"profiled", func() uint64 {
 			cpu := pipeline.New(pipeline.DefaultConfig(), k.Prog, regfile.Baseline())
-			cpu.InstallProfiler()
-			st, err := cpu.Run()
+			st, err := cpu.RunContext(context.Background(), pipeline.Observe{Profile: new(profile.Profiler)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 			defer cancel()
 			frames := 0
 			cpu := pipeline.New(pipeline.DefaultConfig(), k.Prog, regfile.Baseline())
-			st, err := cpu.RunContext(ctx, func(pipeline.Progress) { frames++ })
+			st, err := cpu.RunContext(ctx, pipeline.Observe{Frame: func(pipeline.Progress) { frames++ }})
 			if err != nil {
 				t.Fatal(err)
 			}

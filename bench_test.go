@@ -7,6 +7,7 @@ package carf
 // Full-size runs are produced by cmd/carfstudy.
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"carf/internal/experiments"
 	"carf/internal/harden"
 	"carf/internal/pipeline"
+	"carf/internal/profile"
 	"carf/internal/regfile"
 	"carf/internal/vm"
 	"carf/internal/workload"
@@ -250,10 +252,11 @@ func BenchmarkProfiledThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cpu := pipeline.New(pipeline.DefaultConfig(), k.Prog, regfile.Baseline())
+			var obs pipeline.Observe
 			if profiled {
-				cpu.InstallProfiler()
+				obs.Profile = new(profile.Profiler)
 			}
-			st, err := cpu.Run()
+			st, err := cpu.RunContext(context.Background(), obs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -80,7 +80,10 @@ type Config struct {
 	// MetricsInterval samples every registered metric series (pipeline
 	// throughput and occupancies, sub-file occupancy, cache miss rates,
 	// predictor accuracy, ...) each time this many cycles elapse,
-	// collecting them into Result.Series. 0 disables sampling.
+	// collecting them into Result.Series, plus a closing sample at the
+	// run's last cycle. It is also the progress frame length: with
+	// metrics on, RunCtxProgress frames arrive every MetricsInterval
+	// cycles instead of every 4096. 0 disables sampling.
 	MetricsInterval uint64
 
 	// TraceEvents retains up to this many committed-instruction pipeline
@@ -250,9 +253,10 @@ type Progress struct {
 	Final bool
 }
 
-// RunCtxProgress is RunCtx with a live progress callback, invoked
-// periodically from the simulation loop and once more (Final) when the
-// run completes. The target instruction budget comes from a fast
+// RunCtxProgress is RunCtx with a live progress callback, invoked from
+// the simulation loop every 4096 cycles (every Config.MetricsInterval
+// cycles when metrics are on) and once more (Final) when the run
+// completes. The target instruction budget comes from a fast
 // functional pre-run of the kernel (memoized per kernel and scale), so
 // Pct and EtaSeconds are populated from the first frame. on runs on the
 // simulating goroutine and must return quickly; a nil on makes the call
@@ -301,27 +305,26 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 	if err != nil {
 		return Result{}, err
 	}
-	var sampler *metrics.Sampler
+	var obs pipeline.Observe
 	if cfg.MetricsInterval > 0 {
-		sampler = cpu.InstallMetrics(metrics.NewRegistry(), cfg.MetricsInterval)
+		obs.Every = cfg.MetricsInterval
+		obs.Series = new(metrics.TimeSeries)
 	}
 	var trace *pipeline.TraceBuffer
 	if cfg.TraceEvents != 0 {
 		trace = &pipeline.TraceBuffer{Cap: max(cfg.TraceEvents, 0)}
-		cpu.SetTracer(trace)
+		obs.Trace = trace
 	}
-	var prof *profile.Profiler
 	if cfg.Profile {
-		prof = cpu.InstallProfiler()
+		obs.Profile = new(profile.Profiler)
 	}
-	var progress func(pipeline.Progress)
 	if on != nil {
 		target := workload.Budget(k, cfg.Scale)
 		if cfg.MaxInstructions > 0 && (target == 0 || cfg.MaxInstructions < target) {
 			target = cfg.MaxInstructions
 		}
 		start := time.Now()
-		progress = func(pp pipeline.Progress) {
+		obs.Frame = func(pp pipeline.Progress) {
 			p := Progress{
 				Label:        kernel,
 				Cycles:       pp.Cycles,
@@ -343,7 +346,7 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 			on(p)
 		}
 	}
-	st, err := cpu.RunContext(ctx, progress)
+	st, err := cpu.RunContext(ctx, obs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -378,11 +381,8 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 		RegFileAccessTime: rep.WorstTime,
 		RecoveryStalls:    st.RecoveryStallCycles,
 		Trace:             trace,
-		Profile:           prof,
-	}
-	if sampler != nil {
-		series := sampler.Series()
-		res.Series = &series
+		Series:            obs.Series,
+		Profile:           obs.Profile,
 	}
 	if f, ok := model.(*core.File); ok {
 		cs := f.Stats()

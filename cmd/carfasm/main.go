@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,12 +77,13 @@ func main() {
 		cfg := pipeline.DefaultConfig()
 		cfg.MaxInstructions = *maxInsts
 		cpu := pipeline.New(cfg, prog, model)
+		var obs pipeline.Observe
 		var buf *pipeline.TraceBuffer
 		if *traceN > 0 {
 			buf = &pipeline.TraceBuffer{Cap: *traceN}
-			cpu.SetTracer(buf)
+			obs.Trace = buf
 		}
-		st, err := cpu.Run()
+		st, err := cpu.RunContext(context.Background(), obs)
 		if err != nil {
 			fatal(err)
 		}

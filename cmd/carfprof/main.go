@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -39,17 +40,26 @@ func main() {
 	)
 	flag.Parse()
 
+	if *period <= 0 {
+		fatal(fmt.Errorf("-period must be > 0"))
+	}
+	if *metricsOut != "" && *interval == 0 {
+		fatal(fmt.Errorf("-interval must be > 0 when -metrics-out is set"))
+	}
 	prog, err := loadProgram(*kernel, *scale, flag.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "carfprof:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("profiling %s (%d static instructions)\n\n", prog.Name, len(prog.Code))
 
 	if err := profileRun(prog, *period, *metricsOut, *interval, *topN); err != nil {
-		fmt.Fprintln(os.Stderr, "carfprof:", err)
-		os.Exit(1)
+		fatal(err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "carfprof:", err)
+	os.Exit(1)
 }
 
 func loadProgram(kernel string, scale float64, args []string) (*vm.Program, error) {
@@ -124,8 +134,7 @@ func profileRun(prog *vm.Program, period int, metricsOut string, interval uint64
 	sims := []*oracle.Analyzer{oracle.NewAnalyzer(8), oracle.NewAnalyzer(12), oracle.NewAnalyzer(16)}
 	fan := oracle.Fanout{exact, sims[0], sims[1], sims[2]}
 	cpu := pipeline.New(pipeline.DefaultConfig(), prog, regfile.Baseline())
-	cpu.SetSampler(fan, period)
-	if _, err := cpu.Run(); err != nil {
+	if _, err := cpu.RunContext(context.Background(), pipeline.Observe{Live: fan, LivePeriod: period}); err != nil {
 		return err
 	}
 
@@ -158,30 +167,28 @@ func profileRun(prog *vm.Program, period int, metricsOut string, interval uint64
 	// attribution profiler watching.
 	model := core.New(core.DefaultParams())
 	cpu2 := pipeline.New(pipeline.DefaultConfig(), prog, model)
-	var sampler *metrics.Sampler
+	var obs pipeline.Observe
 	var metricsFormat metrics.Format
 	if metricsOut != "" {
 		var err error
 		if metricsFormat, err = metrics.FormatForPath(metricsOut); err != nil {
 			return err
 		}
-		sampler = cpu2.InstallMetrics(metrics.NewRegistry(), interval)
+		obs.Every, obs.Series = interval, new(metrics.TimeSeries)
 	}
-	var prof *profile.Profiler
 	if topN > 0 {
-		prof = cpu2.InstallProfiler()
+		obs.Profile = new(profile.Profiler)
 	}
-	st2, err := cpu2.Run()
+	st2, err := cpu2.RunContext(context.Background(), obs)
 	if err != nil {
 		return err
 	}
-	if sampler != nil {
-		ts := sampler.Series()
+	if ts := obs.Series; ts != nil {
 		f, err := os.Create(metricsOut)
 		if err != nil {
 			return err
 		}
-		if err := metrics.Write(f, ts, metricsFormat); err != nil {
+		if err := metrics.Write(f, *ts, metricsFormat); err != nil {
 			f.Close()
 			return err
 		}
@@ -221,7 +228,7 @@ func profileRun(prog *vm.Program, period int, metricsOut string, interval uint64
 
 	// Merged static+dynamic attribution: where the cycles went, and
 	// which static instructions the dynamic events cluster on.
-	if prof != nil {
+	if prof := obs.Profile; prof != nil {
 		if err := prof.Stack.CheckIdentity(); err != nil {
 			return err
 		}

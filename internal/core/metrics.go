@@ -9,8 +9,8 @@ import (
 // on reg: per-sub-file occupancy gauges, (64−d)-similarity hit/miss
 // counters with an interval hit rate, Short-file install/reclamation
 // and Long-file allocation counters, overflow-stall (Recovery State)
-// counters, and per-type read/write traffic. The pipeline calls it from
-// InstallMetrics when this model is attached.
+// counters, and per-type read/write traffic. The pipeline calls it when
+// a run observes its metric series (pipeline.Observe.Series).
 func (f *File) RegisterMetrics(reg *metrics.Registry) {
 	st := &f.stats
 	u := func(p *uint64) func() float64 {

@@ -70,8 +70,8 @@ func CPIStackStudy(opt Options) (Result, error) {
 				return nil, err
 			}
 			cpu := pipeline.New(cfg, k.Prog, org.spec.new())
-			prof := cpu.InstallProfiler()
-			if _, err := cpu.RunContext(opt.Ctx, nil); err != nil {
+			prof := new(profile.Profiler)
+			if _, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Profile: prof}); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", name, org.label, err)
 			}
 			if err := prof.Stack.CheckIdentity(); err != nil {

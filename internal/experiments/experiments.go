@@ -247,21 +247,18 @@ func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config,
 	}
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
-	if sampler != nil {
-		cpu.SetSampler(sampler, oracleSamplePeriod)
-	}
-	var progress func(pipeline.Progress)
+	obs := pipeline.Observe{Live: sampler, LivePeriod: oracleSamplePeriod}
 	if report != nil {
 		// The instruction budget for ETA math comes from a (memoized)
 		// functional pre-run, a cost paid only when someone watches.
 		target := workload.Budget(k, opt.Scale)
-		progress = func(pp pipeline.Progress) {
+		obs.Frame = func(pp pipeline.Progress) {
 			p := toSchedProgress(pp)
 			p.Target = target
 			report(p)
 		}
 	}
-	st, err := cpu.RunContext(opt.Ctx, progress)
+	st, err := cpu.RunContext(opt.Ctx, obs)
 	if err != nil {
 		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
 	}

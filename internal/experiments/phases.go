@@ -18,12 +18,12 @@ import (
 const phasesInterval = 1000
 
 // Phases runs the integer suite on the content-aware organization with
-// the interval metric sampler attached and reports phase variance —
-// the spread of interval IPC and of Short/Long sub-file occupancy over
-// time — instead of the end-of-run means the paper's exhibits use. A
-// kernel whose interval IPC swings widely has distinct phases that a
-// mean conceals; high Short-occupancy variance marks phases where the
-// d-bit similarity test changes its hit rate.
+// its metric series observed every phasesInterval cycles and reports
+// phase variance — the spread of interval IPC and of Short/Long
+// sub-file occupancy over time — instead of the end-of-run means the
+// paper's exhibits use. A kernel whose interval IPC swings widely has
+// distinct phases that a mean conceals; high Short-occupancy variance
+// marks phases where the d-bit similarity test changes its hit rate.
 func Phases(opt Options) (Result, error) {
 	kernels := workload.IntSuite(opt.Scale)
 	type out struct {
@@ -46,12 +46,12 @@ func Phases(opt Options) (Result, error) {
 				return nil, err
 			}
 			cpu := pipeline.New(cfg, k.Prog, spec.new())
-			sampler := cpu.InstallMetrics(metrics.NewRegistry(), phasesInterval)
-			st, err := cpu.RunContext(opt.Ctx, nil)
+			var series metrics.TimeSeries
+			st, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Every: phasesInterval, Series: &series})
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}
-			return out{kernel: k.Name, series: sampler.Series(), ipc: st.IPC()}, nil
+			return out{kernel: k.Name, series: series, ipc: st.IPC()}, nil
 		})
 		opt.Tally.Record(prov, err)
 		if err != nil {

@@ -20,13 +20,9 @@ func formatValue(v float64) string {
 
 // WriteJSONL exports the time series as JSON lines: one object per
 // sample with a leading "cycle" field and one field per series, in
-// registry order. A bounded sampler that evicted samples announces the
-// loss in a leading {"evicted":N} line so truncation is never silent.
+// registry order.
 func WriteJSONL(w io.Writer, ts TimeSeries) error {
 	bw := bufio.NewWriter(w)
-	if ts.Evicted > 0 {
-		fmt.Fprintf(bw, "{\"evicted\":%d}\n", ts.Evicted)
-	}
 	names := make([]string, len(ts.Names))
 	for i, n := range ts.Names {
 		names[i] = strconv.Quote(n)
@@ -48,14 +44,9 @@ func WriteJSONL(w io.Writer, ts TimeSeries) error {
 }
 
 // WriteCSV exports the time series as CSV: a header row ("cycle" plus
-// the series names) followed by one row per sample. A bounded sampler
-// that evicted samples announces the loss in a leading comment row so
-// truncation is never silent.
+// the series names) followed by one row per sample.
 func WriteCSV(w io.Writer, ts TimeSeries) error {
 	bw := bufio.NewWriter(w)
-	if ts.Evicted > 0 {
-		fmt.Fprintf(bw, "# evicted=%d oldest samples dropped by the bounded sampler\n", ts.Evicted)
-	}
 	bw.WriteString("cycle")
 	for _, n := range ts.Names {
 		bw.WriteByte(',')

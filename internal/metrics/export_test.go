@@ -10,33 +10,37 @@ import (
 )
 
 // goldenSeries builds a deterministic two-and-a-half-interval series
-// exercising every instrument kind.
+// exercising every instrument kind the simulator registers.
 func goldenSeries() TimeSeries {
 	reg := NewRegistry()
-	ops := reg.Counter("ops")
-	occ := reg.Gauge("occupancy")
+	var ops, occ float64
+	reg.GaugeFunc("ops", func() float64 { return ops })
+	reg.GaugeFunc("occupancy", func() float64 { return occ })
 	var num, den float64
 	reg.RatioRate("hit.rate", func() float64 { return num }, func() float64 { return den })
 	h := reg.Histogram("width", []float64{1, 2, 4})
 
-	s := NewSampler(reg, 10)
+	ts := TimeSeries{Names: reg.Names()}
+	take := func(cycle uint64) {
+		ts.Samples = append(ts.Samples, Sample{Cycle: cycle, Values: reg.Snapshot(nil)})
+	}
 
-	ops.Add(5)
-	occ.Set(3.5)
+	ops += 5
+	occ = 3.5
 	num, den = 2, 4
 	h.Observe(1)
 	h.Observe(2)
 	h.Observe(3)
-	s.Tick(10)
+	take(10)
 
-	ops.Add(7)
-	occ.Set(1.25)
+	ops += 7
+	occ = 1.25
 	num, den = 5, 8
 	h.Observe(8)
-	s.Tick(20)
+	take(20)
 
-	s.Final(25)
-	return s.Series()
+	take(25)
+	return ts
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -86,60 +90,6 @@ func TestWriteCSVGolden(t *testing.T) {
 		if got := len(strings.Split(l, ",")); got != cols {
 			t.Fatalf("ragged csv row %q: %d columns, header has %d", l, got, cols)
 		}
-	}
-}
-
-// TestEvictedSurfacedInExports drives a real bounded sampler ring past
-// its cap and checks both writers announce the eviction count instead
-// of silently exporting a truncated series — and that an unbounded
-// sampler's output stays free of the extra row (the goldens above pin
-// the exact bytes for that case).
-func TestEvictedSurfacedInExports(t *testing.T) {
-	reg := NewRegistry()
-	ops := reg.Counter("ops")
-	s := NewSampler(reg, 10)
-	s.SetCap(2)
-	for c := uint64(10); c <= 50; c += 10 {
-		ops.Add(1)
-		s.Tick(c)
-	}
-	ts := s.Series()
-	if ts.Evicted != 3 {
-		t.Fatalf("Evicted = %d, want 3 (5 samples, cap 2)", ts.Evicted)
-	}
-
-	var jb bytes.Buffer
-	if err := WriteJSONL(&jb, ts); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(jb.String()), "\n")
-	if lines[0] != `{"evicted":3}` {
-		t.Errorf("jsonl does not lead with the eviction record: %q", lines[0])
-	}
-	if len(lines) != 3 { // eviction record + 2 retained samples
-		t.Errorf("jsonl lines = %d, want 3", len(lines))
-	}
-
-	var cb bytes.Buffer
-	if err := WriteCSV(&cb, ts); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(cb.String(), "# evicted=3") {
-		t.Errorf("csv does not lead with the eviction comment: %q", cb.String())
-	}
-
-	// Zero evictions: no extra row in either format.
-	ts.Evicted = 0
-	jb.Reset()
-	cb.Reset()
-	if err := WriteJSONL(&jb, ts); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCSV(&cb, ts); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(jb.String(), "evicted") || strings.Contains(cb.String(), "#") {
-		t.Error("eviction row emitted for an unevicted series")
 	}
 }
 

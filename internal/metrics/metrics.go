@@ -1,13 +1,13 @@
 // Package metrics is the simulator's unified observability layer: a
-// registry of named counters, gauges, and fixed-bucket histograms with a
-// zero-allocation hot path, an interval sampler that snapshots every
-// registered series into a time-series ring, and machine-readable
-// exporters (JSON lines, CSV, Chrome trace format).
+// registry of named gauge funcs, ratio rates, and fixed-bucket
+// histograms with a zero-allocation hot path, the time series its
+// snapshots fill, and machine-readable exporters (JSON lines, CSV,
+// Prometheus text, Chrome trace format).
 //
 // Components register instruments once at construction time and update
 // them with plain field arithmetic during simulation; all aggregation,
 // derivation (interval rates, ratios), and allocation happens at
-// snapshot time, every sampling interval.
+// snapshot time, once per sampling interval.
 package metrics
 
 import (
@@ -16,35 +16,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Counter is a monotonically increasing count. The zero value is ready
-// to use; Inc/Add are single-field increments with no allocation.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the cumulative count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous value that can move in both directions.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations <= Bounds[i]; one implicit overflow bucket counts the
@@ -165,9 +136,7 @@ func (h *SyncHistogram) intervalMean() float64 {
 type kind uint8
 
 const (
-	kindCounter kind = iota
-	kindGauge
-	kindGaugeFunc
+	kindGaugeFunc kind = iota
 	kindHistogram
 	kindSyncHistogram
 	kindRatioRate
@@ -178,11 +147,9 @@ type instrument struct {
 	name string
 	kind kind
 
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
-	shist   *SyncHistogram
+	fn    func() float64
+	hist  *Histogram
+	shist *SyncHistogram
 
 	// RatioRate state: interval delta(num)/delta(den).
 	num, den         func() float64
@@ -203,27 +170,14 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*instrument)}
 }
 
+// add registers in. A duplicate name panics: instrument sets are static
+// configuration.
 func (r *Registry) add(in *instrument) {
 	if _, dup := r.byName[in.name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate instrument %q", in.name))
 	}
 	r.instruments = append(r.instruments, in)
 	r.byName[in.name] = in
-}
-
-// Counter registers and returns a counter. Registering a duplicate name
-// panics (instrument sets are static configuration).
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.add(&instrument{name: name, kind: kindCounter, counter: c})
-	return c
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.add(&instrument{name: name, kind: kindGauge, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
@@ -290,17 +244,14 @@ func (r *Registry) Len() int { return len(r.instruments) }
 
 // Snapshot appends one value per instrument (registration order) to out
 // and returns it. It advances interval state (rates, histogram means),
-// so exactly one caller — normally a Sampler — should drive it.
+// so exactly one caller — normally the pipeline's RunContext, once per
+// frame — should drive it.
 // Non-finite values are sanitized to 0 so every export format stays
 // valid.
 func (r *Registry) Snapshot(out []float64) []float64 {
 	for _, in := range r.instruments {
 		var v float64
 		switch in.kind {
-		case kindCounter:
-			v = float64(in.counter.v)
-		case kindGauge:
-			v = in.gauge.v
 		case kindGaugeFunc:
 			v = in.fn()
 		case kindHistogram:
@@ -364,21 +315,15 @@ type Reading struct {
 
 // Read returns one cumulative Reading per instrument in registration
 // order. It never advances interval state, so it may be called freely
-// alongside a Sampler. It is as concurrency-safe as the instruments
+// alongside Snapshot. It is as concurrency-safe as the instruments
 // themselves: self-synchronizing gauge funcs and SyncHistograms may be
-// read live, plain counters/gauges/histograms only once their owner is
-// quiescent.
+// read live, other gauge funcs and plain histograms only once their
+// owner is quiescent.
 func (r *Registry) Read() []Reading {
 	out := make([]Reading, 0, len(r.instruments))
 	for _, in := range r.instruments {
 		rd := Reading{Name: in.name}
 		switch in.kind {
-		case kindCounter:
-			rd.Kind = ReadCounter
-			rd.Value = float64(in.counter.v)
-		case kindGauge:
-			rd.Kind = ReadGauge
-			rd.Value = in.gauge.v
 		case kindGaugeFunc:
 			rd.Kind = ReadGauge
 			rd.Value = in.fn()

@@ -6,20 +6,25 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeSnapshot(t *testing.T) {
+// TestGaugeFuncSnapshot: a gauge func reads its component's own field
+// at snapshot time, for cumulative counts and moving values alike.
+func TestGaugeFuncSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c")
-	g := reg.Gauge("g")
-	c.Add(3)
-	c.Inc()
-	g.Set(2.5)
-	g.Add(-1)
+	var c uint64
+	var g float64
+	reg.GaugeFunc("c", func() float64 { return float64(c) })
+	reg.GaugeFunc("g", func() float64 { return g })
+	c += 3
+	c++
+	g = 2.5
+	g += -1
 	vals := reg.Snapshot(nil)
 	if len(vals) != 2 || vals[0] != 4 || vals[1] != 1.5 {
 		t.Fatalf("snapshot = %v, want [4 1.5]", vals)
 	}
-	if c.Value() != 4 {
-		t.Errorf("counter = %d, want 4", c.Value())
+	c++
+	if vals := reg.Snapshot(nil); vals[0] != 5 {
+		t.Errorf("second snapshot = %v, want the cumulative 5", vals[0])
 	}
 }
 
@@ -30,8 +35,8 @@ func TestDuplicateNamePanics(t *testing.T) {
 		}
 	}()
 	reg := NewRegistry()
-	reg.Counter("x")
-	reg.Gauge("x")
+	reg.GaugeFunc("x", func() float64 { return 0 })
+	reg.Histogram("x", []float64{1})
 }
 
 func TestGaugeFuncSanitizesNonFinite(t *testing.T) {
@@ -93,59 +98,6 @@ func TestRatioRate(t *testing.T) {
 	// Denominator stalled: rate is 0, not NaN.
 	if vals := reg.Snapshot(nil); vals[0] != 0 {
 		t.Fatalf("stalled rate = %v, want 0", vals[0])
-	}
-}
-
-func TestSamplerIntervalAndFinal(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c")
-	s := NewSampler(reg, 10)
-	for cycle := uint64(0); cycle <= 35; cycle++ {
-		c.Inc()
-		s.Tick(cycle)
-	}
-	s.Final(35)
-	s.Final(35) // idempotent at the same cycle
-	ts := s.Series()
-	cycles := make([]uint64, len(ts.Samples))
-	for i, sm := range ts.Samples {
-		cycles[i] = sm.Cycle
-	}
-	want := []uint64{10, 20, 30, 35}
-	if len(cycles) != len(want) {
-		t.Fatalf("sample cycles = %v, want %v", cycles, want)
-	}
-	for i := range want {
-		if cycles[i] != want[i] {
-			t.Fatalf("sample cycles = %v, want %v", cycles, want)
-		}
-	}
-	last, ok := ts.Last()
-	if !ok || last.Values[0] != 36 {
-		t.Fatalf("final sample = %v, want counter 36", last)
-	}
-}
-
-func TestSamplerRingEviction(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c")
-	s := NewSampler(reg, 1)
-	s.SetCap(3)
-	for cycle := uint64(1); cycle <= 7; cycle++ {
-		c.Inc()
-		s.Tick(cycle)
-	}
-	ts := s.Series()
-	if ts.Evicted != 4 {
-		t.Errorf("evicted = %d, want 4", ts.Evicted)
-	}
-	if len(ts.Samples) != 3 {
-		t.Fatalf("retained = %d, want 3", len(ts.Samples))
-	}
-	for i, wantCycle := range []uint64{5, 6, 7} {
-		if ts.Samples[i].Cycle != wantCycle {
-			t.Fatalf("ring order: got cycles %v", ts.Samples)
-		}
 	}
 }
 
@@ -244,15 +196,14 @@ func TestSyncHistogramConcurrentObserve(t *testing.T) {
 
 func TestRegistryRead(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("commits")
-	g := r.Gauge("occupancy")
+	var occ float64
+	r.GaugeFunc("occupancy", func() float64 { return occ })
 	r.GaugeFunc("fn", func() float64 { return 7 })
 	h := r.Histogram("lat", []float64{1, 10})
 	var num, den float64
 	r.RatioRate("ipc", func() float64 { return num }, func() float64 { return den })
 
-	c.Add(3)
-	g.Set(2.5)
+	occ = 2.5
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(100)
@@ -268,7 +219,6 @@ func TestRegistryRead(t *testing.T) {
 		kind  ReadingKind
 		value float64
 	}{
-		"commits":   {ReadCounter, 3},
 		"occupancy": {ReadGauge, 2.5},
 		"fn":        {ReadGauge, 7},
 		"ipc":       {ReadGauge, 3},
@@ -302,42 +252,5 @@ func TestRegistryRead(t *testing.T) {
 		if again[i].Name == "lat" && again[i].Count != 4 {
 			t.Errorf("second read count = %d", again[i].Count)
 		}
-	}
-}
-
-func TestSamplerLatest(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c")
-	s := NewSampler(reg, 10)
-	if _, ok := s.Latest(); ok {
-		t.Fatal("Latest reported a sample before any was taken")
-	}
-	for cycle := uint64(0); cycle <= 25; cycle++ {
-		c.Inc()
-		s.Tick(cycle)
-	}
-	sm, ok := s.Latest()
-	if !ok || sm.Cycle != 20 {
-		t.Fatalf("latest = %+v ok=%v, want the cycle-20 sample", sm, ok)
-	}
-	s.Final(25)
-	sm, ok = s.Latest()
-	if !ok || sm.Cycle != 25 {
-		t.Fatalf("latest after Final = %+v ok=%v, want cycle 25", sm, ok)
-	}
-
-	// With a bounded ring that has wrapped, Latest must still be the
-	// newest sample, not the oldest slot.
-	reg2 := NewRegistry()
-	c2 := reg2.Counter("c")
-	s2 := NewSampler(reg2, 10)
-	s2.SetCap(2)
-	for cycle := uint64(0); cycle <= 75; cycle++ {
-		c2.Inc()
-		s2.Tick(cycle)
-	}
-	sm, ok = s2.Latest()
-	if !ok || sm.Cycle != 70 {
-		t.Fatalf("latest after wrap = %+v ok=%v, want the cycle-70 sample", sm, ok)
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -20,8 +21,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 	cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
 	buf := &TraceBuffer{Cap: 200}
-	cpu.SetTracer(buf)
-	if _, err := cpu.Run(); err != nil {
+	if _, err := cpu.RunContext(context.Background(), Observe{Trace: buf}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -81,13 +80,6 @@ type dynInst struct {
 // value (the content-aware file); used for the Table 4 distribution.
 type Classifier interface {
 	Classify(v uint64) regfile.ValueType
-}
-
-// LiveSampler receives periodic snapshots of the live integer register
-// values (the Figure 1/2 oracle). The slice is reused between calls;
-// implementations must not retain it.
-type LiveSampler interface {
-	Sample(values []uint64)
 }
 
 // CPU is one simulated hardware context bound to a program and an
@@ -216,12 +208,11 @@ type CPU struct {
 	tagCluster []uint8
 	steerNext  uint8
 
-	sampler      LiveSampler
-	samplePeriod int64
-	tracer       Tracer
+	// obs is the current RunContext's observer (the zero Observe when
+	// nothing watches).
+	obs Observe
 
-	// Metrics instrumentation (InstallMetrics; all nil when disabled).
-	msampler     *metrics.Sampler
+	// Metrics instrumentation (Observe.Series; all nil when disabled).
 	mFetchWidth  *metrics.Histogram
 	mIssueWidth  *metrics.Histogram
 	mCommitWidth *metrics.Histogram
@@ -233,7 +224,7 @@ type CPU struct {
 	// (possibly shared) integer file.
 	longOwned int
 
-	// mreg is the metrics registry installed by InstallMetrics (nil when
+	// mreg is the metrics registry Observe.Series installed (nil when
 	// metrics are off); hardening failures snapshot it into the bundle.
 	mreg *metrics.Registry
 
@@ -241,8 +232,8 @@ type CPU struct {
 	// the fast path).
 	hard *hardenState
 
-	// pp is the attribution state (nil unless InstallProfiler was
-	// called — the fast path).
+	// pp is the attribution state (nil unless Observe.Profile was set —
+	// the fast path).
 	pp *profState
 
 	// Run lifecycle (see Finalize). slab holds the records seeding pool;
@@ -422,12 +413,6 @@ func newCPU(cfg Config, prog *vm.Program, model regfile.Model, hier *cache.Hiera
 	return c
 }
 
-// SetSampler installs a live-value sampler invoked every period cycles.
-func (c *CPU) SetSampler(s LiveSampler, period int) {
-	c.sampler = s
-	c.samplePeriod = int64(period)
-}
-
 // Model returns the integer register file model in use.
 func (c *CPU) Model() regfile.Model { return c.model }
 
@@ -451,59 +436,6 @@ func (c *CPU) freeFP(tag int) {
 	c.fpLive[tag] = false
 	c.fpDone[tag], c.fpWB[tag] = never, never
 	c.fpFree = append(c.fpFree, tag)
-}
-
-// chunkCycles is RunContext's slice length. Cancellation and progress
-// are checked between slices, never inside the cycle loop: every 4096
-// cycles keeps both off the hot path (sub-microsecond granularity is
-// pointless for multi-second sims) without perturbing any statistic.
-const chunkCycles = 4096
-
-// Run simulates until the program's HALT commits (or the instruction
-// budget is exhausted) and returns the statistics. With hardening
-// enabled, the first lockstep divergence or invariant violation ends
-// the run with its structured error, and the watchdog converts a
-// zero-commit hang into a harden.DeadlockError; without it, a blunt
-// idle limit still bounds a hung machine.
-func (c *CPU) Run() (Stats, error) {
-	return c.RunContext(context.Background(), nil)
-}
-
-// RunContext is Run driven in chunkCycles slices. Between slices it
-// checks ctx — a canceled run stops, unfinalized, with an error
-// wrapping ctx.Err() — and hands progress (when non-nil) a snapshot. A
-// run that RunChunk fails is finalized and returns RunChunk's error.
-// After the last cycle it hands progress the Final snapshot, whose
-// totals equal the returned Stats. Both stay out of Config, which is
-// digested by value into scheduler cache keys (DESIGN.md §12), and
-// neither changes a single statistic. progress runs on the simulating
-// goroutine and must return quickly.
-func (c *CPU) RunContext(ctx context.Context, progress func(Progress)) (Stats, error) {
-	var last Progress // the previous report: the interval window's start
-	for {
-		done, err := c.RunChunk(chunkCycles)
-		if err != nil {
-			// The run can never continue: hand its tables back. Model
-			// faults are not reported over the run's own error.
-			c.Finalize()
-			return c.stats, err
-		}
-		if done {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return c.stats, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
-		}
-		if progress != nil {
-			last = c.progressSince(last, false)
-			progress(last)
-		}
-	}
-	st, err := c.Finalize()
-	if progress != nil {
-		progress(c.progressSince(last, true))
-	}
-	return st, err
 }
 
 // errFinalized is RunChunk's answer once Finalize has run.
@@ -569,8 +501,7 @@ func (c *CPU) runChunk(budget int64) (bool, error) {
 	return true, nil
 }
 
-// Finalize flushes end-of-run samplers, surfaces accumulated model
-// faults and, for a run that can never continue — it completed, or
+// Finalize surfaces accumulated model faults and, for a run that can never continue — it completed, or
 // RunChunk failed it for good (hardening detection, watchdog, no
 // progress) — hands the machine's fixed-size tables — cache tag arrays,
 // BTB, gshare counters and the instruction-record slab — back for the
@@ -592,9 +523,6 @@ func (c *CPU) Finalize() (Stats, error) {
 		return c.stats, c.finalErr
 	}
 	c.finalized = true
-	if c.msampler != nil {
-		c.msampler.Final(c.stats.Cycles)
-	}
 	c.finalErr = c.modelFaults()
 	if c.finalErr == nil && (c.complete || c.runErr != nil) {
 		c.release()
@@ -658,7 +586,7 @@ func (c *CPU) cycle() {
 		c.mCommitWidth.Observe(float64(c.stats.Instructions - instr0))
 		c.mFetchWidth.Observe(float64(c.seq - seq0))
 	}
-	if c.sampler != nil && c.samplePeriod > 0 && c.now%c.samplePeriod == 0 {
+	if c.obs.Live != nil && c.now%int64(c.obs.LivePeriod) == 0 {
 		c.sampleLive()
 	}
 	if c.liveLong != nil && c.now%128 == 0 {
@@ -677,9 +605,6 @@ func (c *CPU) cycle() {
 	}
 	c.now++
 	c.stats.Cycles++
-	if c.msampler != nil {
-		c.msampler.Tick(c.stats.Cycles)
-	}
 }
 
 type liveLongSampler interface{ SampleLiveLong() }
@@ -695,7 +620,7 @@ func (c *CPU) sampleLive() {
 		}
 	}
 	c.liveScratch = values[:0]
-	c.sampler.Sample(values)
+	c.obs.Live.Sample(values)
 }
 
 // ---------- Commit ----------
@@ -721,8 +646,8 @@ func (c *CPU) commit() {
 				return
 			}
 		}
-		if c.tracer != nil {
-			c.tracer.Trace(TraceEvent{
+		if c.obs.Trace != nil {
+			c.obs.Trace.Trace(TraceEvent{
 				Seq: in.seq, PC: in.pc, Inst: in.inst,
 				Fetch: in.fetchC, Rename: in.renameC, Issue: in.issueC,
 				ExecDone: in.execDone, WBDone: in.wbDone, Commit: c.now,

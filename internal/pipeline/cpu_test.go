@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"carf/internal/core"
@@ -195,8 +196,8 @@ func TestSampler(t *testing.T) {
 	}
 	cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
 	s := &countingSampler{}
-	cpu.SetSampler(s, 64)
-	if _, err := cpu.Run(); err != nil {
+	st, err := cpu.RunContext(context.Background(), Observe{Live: s, LivePeriod: 64})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if s.samples == 0 {
@@ -204,6 +205,16 @@ func TestSampler(t *testing.T) {
 	}
 	if s.values/s.samples < isa.NumRegs/2 {
 		t.Errorf("average live values %d implausibly low", s.values/s.samples)
+	}
+	if want := st.Cycles / 64; uint64(s.samples) < want || uint64(s.samples) > want+1 {
+		t.Errorf("%d samples over %d cycles at period 64", s.samples, st.Cycles)
+	}
+
+	// A live sampler without a period is a caller error, not a run that
+	// silently samples nothing.
+	cpu = New(DefaultConfig(), k.Prog, regfile.Baseline())
+	if _, err := cpu.RunContext(context.Background(), Observe{Live: s}); err == nil {
+		t.Error("RunContext accepted Observe.Live with LivePeriod 0")
 	}
 }
 

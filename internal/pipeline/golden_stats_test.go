@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -144,8 +145,8 @@ func runGolden(t *testing.T) []goldenRecord {
 		t.Fatal(err)
 	}
 	pcpu := New(DefaultConfig(), k.Prog, models["carf"]())
-	prof := pcpu.InstallProfiler()
-	if _, err := pcpu.Run(); err != nil {
+	prof := new(profile.Profiler)
+	if _, err := pcpu.RunContext(context.Background(), Observe{Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
 	if err := prof.Stack.CheckIdentity(); err != nil {

@@ -334,7 +334,7 @@ func (c *CPU) buildBundle() *harden.Bundle {
 			b.Commits = c.hard.ring.Snapshot()
 		}
 	}
-	if tb, ok := c.tracer.(*TraceBuffer); ok && len(tb.Events) > 0 {
+	if tb, ok := c.obs.Trace.(*TraceBuffer); ok && len(tb.Events) > 0 {
 		tail := tb.Events
 		if len(tail) > 8 {
 			tail = tail[len(tail)-8:]

@@ -21,15 +21,12 @@ func widthBounds(n int) []float64 {
 	return out
 }
 
-// InstallMetrics registers this core's observable series on reg —
+// registerMetrics registers this core's observable series on reg —
 // pipeline throughput, stage-width histograms, queue occupancies, stall
 // and control-flow counters, plus the register file model's, cache
-// hierarchy's, and predictors' own series — and attaches an interval
-// sampler driven by the simulated clock (interval 0 uses
-// metrics.DefaultInterval). Run takes a closing sample when the
-// simulation ends, so the final sample always matches the end-of-run
-// Stats totals. Call it once, before Run.
-func (c *CPU) InstallMetrics(reg *metrics.Registry, interval uint64) *metrics.Sampler {
+// hierarchy's, and predictors' own series — for Observe.Series, which
+// RunContext samples once per frame.
+func (c *CPU) registerMetrics(reg *metrics.Registry) {
 	st := &c.stats
 	u := func(p *uint64) func() float64 {
 		return func() float64 { return float64(*p) }
@@ -78,6 +75,4 @@ func (c *CPU) InstallMetrics(reg *metrics.Registry, interval uint64) *metrics.Sa
 	c.btb.RegisterMetrics(reg)
 
 	c.mreg = reg
-	c.msampler = metrics.NewSampler(reg, interval)
-	return c.msampler
 }

@@ -1,0 +1,206 @@
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"carf/internal/metrics"
+	"carf/internal/profile"
+)
+
+// Observe is everything that watches one run, handed to RunContext.
+// Every field is optional; the zero Observe watches nothing. It is an
+// argument rather than a Config field because Config is digested by
+// value into scheduler cache keys (DESIGN.md §12), and no observer
+// changes a single statistic.
+type Observe struct {
+	// Every is the frame length in cycles (0 = defaultEvery). RunContext
+	// simulates in slices of Every cycles; between slices it checks its
+	// context, records a Series sample and hands Frame a Progress.
+	Every uint64
+
+	// Frame receives a Progress at every slice boundary and a Final one
+	// after the last cycle, whose totals equal the returned Stats. It
+	// runs on the simulating goroutine and must return quickly.
+	Frame func(Progress)
+
+	// Series, when non-nil, receives the core's registered metric series
+	// (pipeline, register file, caches, predictors): one sample per
+	// frame, at every multiple of Every, plus a closing sample at the
+	// run's last cycle unless that cycle was already sampled.
+	Series *metrics.TimeSeries
+
+	// Trace receives one event per committed instruction, in commit
+	// order.
+	Trace Tracer
+
+	// Profile, when non-nil, is reset and filled with this core's CPI
+	// stack and per-PC attribution (see profState).
+	Profile *profile.Profiler
+
+	// Live receives the live integer register values every LivePeriod
+	// cycles (the Figure 1/2 oracle). It fires inside the cycle loop,
+	// independently of Every.
+	Live       LiveSampler
+	LivePeriod int
+}
+
+// LiveSampler receives periodic snapshots of the live integer register
+// values (the Figure 1/2 oracle). The slice is reused between calls;
+// implementations must not retain it.
+type LiveSampler interface {
+	Sample(values []uint64)
+}
+
+// defaultEvery is the frame length of an Observe without Every.
+// Cancellation and frames are checked between slices, never inside the
+// cycle loop: every 4096 cycles keeps both off the hot path
+// (sub-microsecond granularity is pointless for multi-second sims)
+// without perturbing any statistic.
+const defaultEvery = 4096
+
+// Progress is one live snapshot of an executing simulation, handed to
+// Observe.Frame: cumulative totals, the delta since the previous report
+// (the "interval window"), the structural queue occupancies at the
+// report cycle, and the register file write mix. Reports are advisory —
+// producing them never changes a single statistic, so a run's results
+// are bit-identical with the callback on or off.
+type Progress struct {
+	Cycles       uint64
+	Instructions uint64
+
+	// Interval window: deltas since the previous report (or since cycle
+	// zero for the first). IntervalIPC is the window's throughput —
+	// phase behaviour that the cumulative IPC smooths away.
+	IntervalCycles       uint64
+	IntervalInstructions uint64
+	IntervalIPC          float64
+
+	// Structure occupancies at the report cycle.
+	ROB   int
+	IntIQ int
+	FPIQ  int
+	LSQ   int
+
+	// Writes is the cumulative per-array register file write traffic in
+	// Model.Files() order: the whole file for conventional organizations
+	// (index 0), and the Simple/Short/Long sub-files for the
+	// content-aware one — the live write-class mix.
+	Writes [3]uint64
+
+	// Final marks the closing report RunContext emits after the last
+	// cycle; its totals equal the returned Stats.
+	Final bool
+}
+
+// Run simulates until the program's HALT commits (or the instruction
+// budget is exhausted) and returns the statistics. With hardening
+// enabled, the first lockstep divergence or invariant violation ends
+// the run with its structured error, and the watchdog converts a
+// zero-commit hang into a harden.DeadlockError; without it, a blunt
+// idle limit still bounds a hung machine.
+func (c *CPU) Run() (Stats, error) {
+	return c.RunContext(context.Background(), Observe{})
+}
+
+// RunContext is Run driven in slices of obs.Every cycles, watched by
+// obs. Between slices it records a Series sample, checks ctx — a
+// canceled run stops, unfinalized, with an error wrapping ctx.Err() —
+// and hands Frame a snapshot. A run that RunChunk fails is finalized
+// and returns RunChunk's error. A canceled run resumes with another
+// RunContext call given the same obs.
+func (c *CPU) RunContext(ctx context.Context, obs Observe) (Stats, error) {
+	if obs.Live != nil && obs.LivePeriod <= 0 {
+		return c.stats, errors.New("pipeline: Observe.Live needs a positive LivePeriod")
+	}
+	c.install(obs)
+	every := int64(obs.Every)
+	if every == 0 {
+		every = defaultEvery
+	}
+	var last Progress // the previous report: the interval window's start
+	for {
+		done, err := c.RunChunk(every)
+		if err != nil {
+			// The run can never continue: hand its tables back. Model
+			// faults are not reported over the run's own error.
+			c.sample(obs.Series, true)
+			c.Finalize()
+			return c.stats, err
+		}
+		if done {
+			break
+		}
+		c.sample(obs.Series, false)
+		if err := ctx.Err(); err != nil {
+			return c.stats, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
+		}
+		if obs.Frame != nil {
+			last = c.progressSince(last, false)
+			obs.Frame(last)
+		}
+	}
+	c.sample(obs.Series, true)
+	st, err := c.Finalize()
+	if obs.Frame != nil {
+		obs.Frame(c.progressSince(last, true))
+	}
+	return st, err
+}
+
+// install attaches obs to the core. The metrics registry and the
+// profiler hooks are installed once: a resumed run keeps the first
+// call's.
+func (c *CPU) install(obs Observe) {
+	c.obs = obs
+	if obs.Series != nil && c.mreg == nil {
+		c.registerMetrics(metrics.NewRegistry())
+		obs.Series.Names = c.mreg.Names()
+	}
+	if obs.Profile != nil && c.pp == nil {
+		c.installProfiler(obs.Profile)
+	}
+}
+
+// sample appends one registry snapshot at the current cycle to ts (nil:
+// metrics off). The closing sample is skipped when its cycle was
+// already sampled at a slice boundary.
+func (c *CPU) sample(ts *metrics.TimeSeries, final bool) {
+	if ts == nil {
+		return
+	}
+	if n := len(ts.Samples); final && n > 0 && ts.Samples[n-1].Cycle == c.stats.Cycles {
+		return
+	}
+	ts.Samples = append(ts.Samples, metrics.Sample{
+		Cycle:  c.stats.Cycles,
+		Values: c.mreg.Snapshot(make([]float64, 0, c.mreg.Len())),
+	})
+}
+
+// progressSince snapshots the machine, measuring the interval window
+// from prev (the zero Progress for the first report).
+func (c *CPU) progressSince(prev Progress, final bool) Progress {
+	p := Progress{
+		Cycles:       c.stats.Cycles,
+		Instructions: c.stats.Instructions,
+		ROB:          c.rob.Len(),
+		IntIQ:        len(c.intIQ),
+		FPIQ:         len(c.fpIQ),
+		LSQ:          c.lsq.Len(),
+		Final:        final,
+	}
+	p.IntervalCycles = p.Cycles - prev.Cycles
+	p.IntervalInstructions = p.Instructions - prev.Instructions
+	if p.IntervalCycles > 0 {
+		p.IntervalIPC = float64(p.IntervalInstructions) / float64(p.IntervalCycles)
+	}
+	for i, f := range c.model.Files() {
+		if i >= len(p.Writes) {
+			break
+		}
+		p.Writes[i] = f.Writes
+	}
+	return p
+}

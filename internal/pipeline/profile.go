@@ -5,7 +5,7 @@ import (
 	"carf/internal/regfile"
 )
 
-// profState is the per-CPU attribution state (InstallProfiler; nil when
+// profState is the per-CPU attribution state (Observe.Profile; nil when
 // profiling is off — the fast path pays one nil check per cycle).
 //
 // The stages run each cycle leave small breadcrumbs here (why rename
@@ -37,14 +37,13 @@ type profState struct {
 	writePC uint64
 }
 
-// InstallProfiler attaches CPI-stack and per-PC attribution to this
-// core and returns the profiler the run will fill. It hooks the cache
-// hierarchy's miss observer, the gshare mispredict observer, and (when
-// the model supports it) the register file's write reporter. Call it
-// once, before Run; with it never called the simulation path is
-// unchanged apart from one nil check per cycle.
-func (c *CPU) InstallProfiler() *profile.Profiler {
-	p := &profile.Profiler{
+// installProfiler resets p to an empty CPI stack and per-PC profile
+// sized to this core and attaches it: it hooks the cache hierarchy's
+// miss observer, the gshare mispredict observer, and (when the model
+// supports it) the register file's write reporter. Without it the
+// simulation path is unchanged apart from one nil check per cycle.
+func (c *CPU) installProfiler(p *profile.Profiler) {
+	*p = profile.Profiler{
 		Stack: profile.NewCPIStack(c.cfg.CommitWidth),
 		PCs:   profile.NewPCProfile(c.mach.Prog),
 	}
@@ -69,7 +68,6 @@ func (c *CPU) InstallProfiler() *profile.Profiler {
 			p.PCs.OnWrite(pp.writePC, typ, spilled)
 		})
 	}
-	return p
 }
 
 // profCycle closes out one counted cycle: the commit-slot deficit is

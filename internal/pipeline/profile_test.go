@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"carf/internal/core"
@@ -18,8 +19,8 @@ func runProfiled(t *testing.T, name string, model regfile.Model, cfg Config) (St
 		t.Fatal(err)
 	}
 	cpu := New(cfg, k.Prog, model)
-	prof := cpu.InstallProfiler()
-	st, err := cpu.Run()
+	prof := new(profile.Profiler)
+	st, err := cpu.RunContext(context.Background(), Observe{Profile: prof})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", name, model.Name(), err)
 	}
@@ -94,8 +95,8 @@ func TestProfilerDataMissAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
-	prof := cpu.InstallProfiler()
-	if _, err := cpu.Run(); err != nil {
+	prof := new(profile.Profiler)
+	if _, err := cpu.RunContext(context.Background(), Observe{Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
 	tot := prof.PCs.Totals()
@@ -119,8 +120,8 @@ func TestProfilerWriteAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu := New(DefaultConfig(), k.Prog, model)
-	prof := cpu.InstallProfiler()
-	if _, err := cpu.Run(); err != nil {
+	prof := new(profile.Profiler)
+	if _, err := cpu.RunContext(context.Background(), Observe{Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
 	tot := prof.PCs.Totals()
@@ -173,8 +174,7 @@ func TestProfilerOffUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiled := New(DefaultConfig(), k.Prog, carfModel())
-	profiled.InstallProfiler()
-	stProf, err := profiled.Run()
+	stProf, err := profiled.RunContext(context.Background(), Observe{Profile: new(profile.Profiler)})
 	if err != nil {
 		t.Fatal(err)
 	}

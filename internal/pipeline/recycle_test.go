@@ -82,7 +82,7 @@ func TestFinalizeLifetime(t *testing.T) {
 	if _, err := cpu.RunChunk(0); err == nil {
 		t.Error("RunChunk after Finalize returned no error")
 	}
-	if _, err := cpu.RunContext(context.Background(), nil); err == nil {
+	if _, err := cpu.RunContext(context.Background(), Observe{}); err == nil {
 		t.Error("RunContext after Finalize returned no error")
 	}
 

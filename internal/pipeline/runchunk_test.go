@@ -65,7 +65,7 @@ func TestRunChunkMatchesRun(t *testing.T) {
 
 // TestRunContextCancel pins the driver's cancellation contract: a
 // canceled context stops the run at the next chunk boundary, a
-// multiple of chunkCycles, with an error wrapping the context's.
+// multiple of defaultEvery, with an error wrapping the context's.
 func TestRunContextCancel(t *testing.T) {
 	k, err := workload.ByName("qsort", 0.2)
 	if err != nil {
@@ -92,12 +92,12 @@ func TestRunContextCancel(t *testing.T) {
 		defer cancel()
 		frames := 0
 		cpu := New(DefaultConfig(), k.Prog, core.New(core.DefaultParams()))
-		st, err := cpu.RunContext(ctx, func(Progress) {
+		st, err := cpu.RunContext(ctx, Observe{Frame: func(Progress) {
 			if frames++; frames == 3 {
 				cancel()
 			}
-		})
-		check(t, st, err, 4*chunkCycles)
+		}})
+		check(t, st, err, 4*defaultEvery)
 		if frames != 3 {
 			t.Errorf("%d progress frames, want 3 (none after the cancel, no Final)", frames)
 		}
@@ -107,7 +107,7 @@ func TestRunContextCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
-		st, err := cpu.RunContext(ctx, nil)
-		check(t, st, err, chunkCycles)
+		st, err := cpu.RunContext(ctx, Observe{})
+		check(t, st, err, defaultEvery)
 	})
 }

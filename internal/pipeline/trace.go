@@ -30,9 +30,6 @@ type Tracer interface {
 	Trace(TraceEvent)
 }
 
-// SetTracer installs a commit-order pipeline tracer.
-func (c *CPU) SetTracer(t Tracer) { c.tracer = t }
-
 // TraceBuffer is a Tracer that retains up to Cap events (0 = unbounded).
 // Events arriving after the buffer is full are counted in Dropped, never
 // lost silently.

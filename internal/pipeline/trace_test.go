@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,8 +26,7 @@ func TestTraceInvariants(t *testing.T) {
 			}
 			cpu := New(DefaultConfig(), k.Prog, model)
 			buf := &TraceBuffer{}
-			cpu.SetTracer(buf)
-			if _, err := cpu.Run(); err != nil {
+			if _, err := cpu.RunContext(context.Background(), Observe{Trace: buf}); err != nil {
 				t.Fatal(err)
 			}
 			if len(buf.Events) == 0 {
@@ -72,8 +72,7 @@ func TestTraceBufferCap(t *testing.T) {
 	}
 	cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
 	buf := &TraceBuffer{Cap: 10}
-	cpu.SetTracer(buf)
-	st, err := cpu.Run()
+	st, err := cpu.RunContext(context.Background(), Observe{Trace: buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +95,7 @@ func TestTraceBufferUnboundedNeverDrops(t *testing.T) {
 	}
 	cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
 	buf := &TraceBuffer{}
-	cpu.SetTracer(buf)
-	st, err := cpu.Run()
+	st, err := cpu.RunContext(context.Background(), Observe{Trace: buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +115,7 @@ func TestFormatTrace(t *testing.T) {
 	}
 	cpu := New(DefaultConfig(), k.Prog, regfile.Baseline())
 	buf := &TraceBuffer{Cap: 5}
-	cpu.SetTracer(buf)
-	if _, err := cpu.Run(); err != nil {
+	if _, err := cpu.RunContext(context.Background(), Observe{Trace: buf}); err != nil {
 		t.Fatal(err)
 	}
 	out := FormatTrace(buf.Events)

@@ -16,15 +16,14 @@ import (
 //	go test ./internal/telemetry -run TestPrometheusGolden -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden Prometheus exposition")
 
-// goldenRegistry builds one instrument of every kind with fixed values,
-// so the golden file pins the exposition format end to end: type lines,
-// name sanitization, cumulative le buckets, +Inf, _sum/_count.
-func goldenRegistry() *metrics.Registry {
+// goldenReadings builds one reading of every kind with fixed values, so
+// the golden file pins the exposition format end to end: type lines,
+// name sanitization, cumulative le buckets, +Inf, _sum/_count. The
+// counter and the plain gauge are built as Readings directly, the way
+// the store, the scheduler and the daemon export theirs; the rest come
+// from one instrument of every registry kind.
+func goldenReadings() []metrics.Reading {
 	r := metrics.NewRegistry()
-	c := r.Counter("pipeline.commits")
-	c.Add(12345)
-	g := r.Gauge("rob.occupancy")
-	g.Set(42.5)
 	r.GaugeFunc("sched.hit_rate", func() float64 { return 0.625 })
 	h := r.Histogram("sched.queue-wait_seconds", []float64{0.001, 0.01, 0.1, 1})
 	for _, v := range []float64{0.0005, 0.002, 0.003, 0.05, 0.5, 30} {
@@ -35,12 +34,15 @@ func goldenRegistry() *metrics.Registry {
 	sh.Observe(1)
 	var num, den float64 = 30, 40
 	r.RatioRate("pipeline.ipc", func() float64 { return num }, func() float64 { return den })
-	return r
+	return append([]metrics.Reading{
+		{Name: "pipeline.commits", Kind: metrics.ReadCounter, Value: 12345},
+		{Name: "rob.occupancy", Kind: metrics.ReadGauge, Value: 42.5},
+	}, r.Read()...)
 }
 
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, "carf", goldenRegistry().Read()); err != nil {
+	if err := WritePrometheus(&buf, "carf", goldenReadings()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "metrics.prom.golden")
@@ -63,7 +65,7 @@ func TestPrometheusGolden(t *testing.T) {
 
 func TestPrometheusExpositionShape(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, "carf", goldenRegistry().Read()); err != nil {
+	if err := WritePrometheus(&buf, "carf", goldenReadings()); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
