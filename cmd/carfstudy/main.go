@@ -327,8 +327,8 @@ func main() {
 // memory-only operation is visible from the terminal.
 func storeLine(ss store.Stats) string {
 	line := fmt.Sprintf("store: %s; %d blobs, %d disk hits, %d quarantined", ss.Mode, ss.DiskBlobs, ss.DiskHits, ss.Quarantined)
-	if ss.LeasesAcquired > 0 || ss.LeaseLosses > 0 || ss.LeaseTakeovers > 0 {
-		line += fmt.Sprintf(", leases %d won / %d lost / %d taken over", ss.LeasesAcquired, ss.LeaseLosses, ss.LeaseTakeovers)
+	if ss.LeasesAcquired > 0 || ss.LeaseLosses > 0 {
+		line += fmt.Sprintf(", leases %d won / %d lost", ss.LeasesAcquired, ss.LeaseLosses)
 	}
 	if ss.Degraded {
 		line += "; DEGRADED: " + ss.Reason

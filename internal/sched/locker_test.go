@@ -54,20 +54,31 @@ func newLockingTier(denials int) *lockingTier {
 	return &lockingTier{fakeTier: newFakeTier(), fakeLocker: &fakeLocker{denials: denials}}
 }
 
+// peerTier is a locking tier whose every lease a live peer holds until
+// the key's blob lands: the peer stores its result, then releases.
+type peerTier struct{ *fakeTier }
+
+func (pt peerTier) TryLock(key Key) (func(), bool) {
+	pt.fakeTier.mu.Lock()
+	defer pt.fakeTier.mu.Unlock()
+	_, landed := pt.fakeTier.m[key]
+	return func() {}, landed
+}
+
 func TestSetTierAutoDetectsLockerAndPeerHit(t *testing.T) {
 	// The tier implements Locker, so SetTier alone must wire the
-	// cross-process path: with the lease denied (live peer), the blob
-	// landing in the tier must be served as a PeerHit without simulating.
-	lt := newLockingTier(1 << 30) // never grant
+	// cross-process path: with the lease denied (live peer), the lease
+	// coming free after the peer's blob landed must be served as a
+	// PeerHit without simulating.
+	pt := peerTier{newFakeTier()}
 	key := KeyOf("peer-owned")
 
 	s := New(2)
-	s.SetTier(lt)
-	s.SetPeerPollInterval(time.Millisecond)
+	s.SetTier(pt)
 
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		lt.fakeTier.Store(key, "peer-result") // the peer finishes: blob lands
+		pt.fakeTier.Store(key, "peer-result") // the peer finishes: blob lands
 	}()
 	v, prov, err := s.Do(key, "", true, func() (any, error) {
 		t.Error("simulated despite a live peer's lease")
@@ -90,13 +101,12 @@ func TestSetTierAutoDetectsLockerAndPeerHit(t *testing.T) {
 }
 
 func TestLockerTakeoverBecomesMissWithLeaseWait(t *testing.T) {
-	// The holder dies: TryLock denies a few times (fresh lease), then
-	// grants (stale takeover). No blob ever lands, so this process must
-	// simulate — an ordinary miss that carries the pre-takeover wait.
+	// The holder dies: TryLock denies a few times (live holder), then
+	// grants (its lock died with it). No blob ever lands, so this process
+	// must simulate — an ordinary miss that carries the wait.
 	lt := newLockingTier(3)
 	s := New(2)
 	s.SetTier(lt)
-	s.SetPeerPollInterval(time.Millisecond)
 
 	ran := 0
 	v, prov, err := s.Do(KeyOf("orphaned"), "", true, func() (any, error) {
@@ -204,7 +214,6 @@ func TestLockerCancelWhileWaitingOnPeer(t *testing.T) {
 	lt := newLockingTier(1 << 30) // never grant, no blob ever lands
 	s := New(2)
 	s.SetTier(lt)
-	s.SetPeerPollInterval(time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	key := KeyOf("abandoned")

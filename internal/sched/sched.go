@@ -91,9 +91,10 @@ type Provenance struct {
 
 	// LeaseWait is the time spent waiting on another process's
 	// cross-process lease for this key: the full wait for PeerHit
-	// outcomes (the peer's result landed), or the wait before a stale
-	// lease was taken over for misses that had to contend. Zero when no
-	// Locker is attached or the lease was free.
+	// outcomes (the peer's result landed), or the wait until the lease
+	// came free for misses that had to contend (the holder died or
+	// stored nothing). Zero when no Locker is attached or the lease was
+	// free.
 	LeaseWait time.Duration
 }
 
@@ -214,15 +215,16 @@ type Tier interface {
 
 // Locker coordinates cross-process singleflight over a shared persistent
 // tier: before simulating a memory-and-disk miss, the scheduler claims
-// the key's cross-process lease; losers poll the tier for the winner's
-// result (Outcome PeerHit) instead of duplicating the simulation.
+// the key's cross-process lease; losers retry it until it comes free
+// and then serve the winner's result (Outcome PeerHit) instead of
+// duplicating the simulation.
 //
 // TryLock must be non-blocking apart from local filesystem operations:
 // ok=true hands the caller the exclusive right to simulate key (release
 // MUST then be called exactly once, after the result has been offered to
 // the tier); ok=false means another live process holds the lease right
-// now. Staleness is the implementation's concern — TryLock takes over a
-// crashed peer's lease internally and then reports ok=true. An
+// now. A crashed holder's lease must come free on its own (the store's
+// is a kernel file lock, dropped when the holder dies). An
 // implementation that cannot coordinate (no shared directory, degraded
 // disk) must return a no-op release and ok=true: uncoordinated
 // duplicate simulation is always safe, only wasteful, because tier blob
@@ -272,11 +274,6 @@ type Scheduler struct {
 	// progress frames per run, in nanoseconds (SetProgressInterval).
 	progressEvery atomic.Int64
 
-	// peerPoll is the interval, in nanoseconds, at which a run that lost
-	// the cross-process lease re-probes the tier for the winner's result
-	// (SetPeerPollInterval).
-	peerPoll atomic.Int64
-
 	reg       *metrics.Registry
 	queueHist *metrics.SyncHistogram // per-miss queue wait, seconds
 	simHist   *metrics.SyncHistogram // per-miss simulation wall, seconds
@@ -307,7 +304,6 @@ func New(workers int) *Scheduler {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.progressEvery.Store(int64(DefaultProgressInterval))
-	s.peerPoll.Store(int64(DefaultPeerPollInterval))
 	s.reg = metrics.NewRegistry()
 	snap := func(f func(Stats) float64) func() float64 {
 		return func() float64 { return f(s.Stats()) }
@@ -371,21 +367,11 @@ func (s *Scheduler) SetLocker(l Locker) {
 	s.mu.Unlock()
 }
 
-// DefaultPeerPollInterval is how often a run that lost the
-// cross-process lease re-probes the tier for the winner's result. Short
-// enough that a peer hit adds little latency over the peer's own
-// simulation wall; long enough that many waiters do not hammer
-// the shared directory.
-const DefaultPeerPollInterval = 25 * time.Millisecond
-
-// SetPeerPollInterval tunes the lease-wait re-probe period (d <= 0
-// restores the default). Tests shorten it.
-func (s *Scheduler) SetPeerPollInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultPeerPollInterval
-	}
-	s.peerPoll.Store(int64(d))
-}
+// peerPollInterval is how often a run that lost the cross-process
+// lease retries it. Short enough that a peer hit adds little latency
+// over the peer's own simulation wall; long enough that many waiters
+// do not hammer the shared directory.
+const peerPollInterval = 25 * time.Millisecond
 
 // SetCacheCap bounds the in-memory memo cache to n completed runs,
 // evicting least-recently-used entries beyond it (they remain
@@ -636,23 +622,21 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 
 	// Cross-process singleflight: claim the key's lease before taking a
 	// worker slot. Losing means a live peer process is simulating this
-	// key right now — wait for its blob to land in the shared tier (the
-	// cross-process analogue of joining an in-flight run) instead of
-	// duplicating the work. A peer that crashes mid-simulation stops
-	// heartbeating; TryLock takes its stale lease over internally and
-	// this call proceeds as an ordinary miss.
+	// key right now — retry until its lease comes free (the cross-process
+	// analogue of joining an in-flight run) instead of duplicating the
+	// work. Holders release only after storing their result, so the
+	// double-check below then serves the peer's blob; a holder that died
+	// or stored nothing leaves this call an ordinary miss.
 	var release func() // non-nil once the lease is held
 	var leaseWait time.Duration
 	if cacheable && locker != nil {
 		leaseStart := time.Now()
-		poll := time.Duration(s.peerPoll.Load())
 		for {
 			if r, ok := locker.TryLock(key); ok {
 				leaseWait = time.Since(leaseStart)
 				// Double-check: a peer may have stored its blob and
-				// released its lease between the probe above (or the
-				// last poll) and this claim. Serve that blob rather than
-				// simulate the key a second time.
+				// released its lease since the probe above. Serve that
+				// blob rather than simulate the key a second time.
 				if tier != nil {
 					if v, ok := tier.Load(key); ok {
 						r()
@@ -680,18 +664,8 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 					obs.RunFinished(id, p, err)
 				}
 				return nil, p, err
-			case <-time.After(poll):
+			case <-time.After(peerPollInterval):
 			}
-			if tier != nil {
-				if v, ok := tier.Load(key); ok {
-					// The peer finished and its blob verified: serve it.
-					return s.served(id, obs, key, e, v, Provenance{Outcome: PeerHit, Key: key, LeaseWait: time.Since(leaseStart)})
-				}
-			}
-			// No blob yet: either the peer is still simulating (its lease
-			// is fresh — TryLock keeps failing) or it died or errored
-			// (lease gone or stale — TryLock succeeds and this process
-			// simulates).
 		}
 	}
 

@@ -388,6 +388,21 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]any{"error": fmt.Sprintf(format, args...)})
 }
 
+// config is the simulator configuration the request runs with: an
+// experiment fixes its own organizations and takes only the scale.
+func (r SubmitRequest) config() carf.Config {
+	if r.Kernel == "" {
+		return carf.Config{Scale: r.Scale}
+	}
+	return carf.Config{
+		Organization: carf.Organization(r.Organization),
+		DPlusN:       r.DPlusN,
+		ShortRegs:    r.ShortRegs,
+		LongRegs:     r.LongRegs,
+		Scale:        r.Scale,
+	}
+}
+
 // validate rejects a submission the simulator would reject, before it
 // costs a queue slot.
 func (r SubmitRequest) validate() (kind string, err error) {
@@ -398,19 +413,12 @@ func (r SubmitRequest) validate() (kind string, err error) {
 		if carf.DescribeExperiment(r.Experiment) == "" {
 			return "", fmt.Errorf("unknown experiment %q (known: %v)", r.Experiment, carf.Experiments())
 		}
-		if err := (carf.Config{Scale: r.Scale}).Validate(); err != nil {
+		if err := r.config().Validate(); err != nil {
 			return "", err
 		}
 		return "experiment", nil
 	case r.Kernel != "":
-		cfg := carf.Config{
-			Organization: carf.Organization(r.Organization),
-			DPlusN:       r.DPlusN,
-			ShortRegs:    r.ShortRegs,
-			LongRegs:     r.LongRegs,
-			Scale:        r.Scale,
-		}
-		if err := cfg.Validate(); err != nil {
+		if err := r.config().Validate(); err != nil {
 			return "", err
 		}
 		known := false
@@ -613,13 +621,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) (string, sched.Stats, error
 		}
 		return r.Render(), tally.Stats(), nil
 	case "kernel":
-		cfg := carf.Config{
-			Organization: carf.Organization(j.Spec.Organization),
-			DPlusN:       j.Spec.DPlusN,
-			ShortRegs:    j.Spec.ShortRegs,
-			LongRegs:     j.Spec.LongRegs,
-			Scale:        j.Spec.Scale,
-		}
+		cfg := j.Spec.config()
 		// The run goes through the scheduler so it is pooled, deduped
 		// against identical submissions, memoized, and persisted. No
 		// instrumentation is enabled, so the cached carf.Result is pure

@@ -1,222 +1,86 @@
 // Cross-process singleflight leases.
 //
 // N processes sharing one store directory must not duplicate a
-// simulation. Blob writes are already atomic (temp + rename), so
-// duplication is a waste, never a corruption — but at sweep scale the
-// waste is the whole bill. The lease protocol makes simulation
-// at-most-once per key per store directory among live processes:
+// simulation. Duplication wastes work but never corrupts (blob writes
+// are atomic), so a store that cannot coordinate (memory-only, or the
+// platform or filesystem refuses the lock) grants every claim.
 //
-//   - Before simulating a memo miss, a process claims
-//     leases/<key>.lease with O_CREAT|O_EXCL — the atomic "exactly one
-//     winner" primitive every POSIX filesystem provides. The file
-//     carries pid/host/token for post-mortems; liveness is its mtime.
-//   - While the winner simulates, a heartbeat goroutine rewrites the
-//     file through the held descriptor every LeaseTimeout/4, keeping
-//     the mtime fresh.
-//   - A process that loses the claim checks the holder's mtime. Fresh
-//     (< LeaseTimeout old) means a live peer is simulating: report the
-//     loss and let the scheduler poll for the peer's blob. Stale means
-//     the holder crashed or hung: take the lease over by *renaming* it
-//     to a unique name — rename is atomic, so exactly one contender
-//     wins the takeover even if many notice staleness at once — and
-//     retry the O_EXCL claim.
-//   - Release deletes the lease only if it still carries this process's
-//     token. A holder that stalled past the timeout and was taken over
-//     must not delete its successor's lease.
-//
-// The scheduler (sched.Locker) calls TryLock before simulating and the
-// returned release after offering the result to the tier, so a waiter
-// that sees the lease disappear either finds the blob (peer hit) or
-// wins the next claim and simulates itself (the holder errored, or the
-// value was not persistable). A memory-only store cannot coordinate
-// and says so by granting every claim with a no-op release —
-// uncoordinated duplicate simulation is safe, just not free.
+// A lease is an exclusive flock on leases/<key>.lease, which the kernel
+// frees when its holder exits, however it exits. Release unlinks the
+// path while still holding the lock. A peer that opened the path just
+// before the unlink can lock the dead inode afterwards, so a claim
+// checks that the path still names the inode it locked, else retries.
+// The scheduler releases only after offering the result to the tier,
+// so a free lease means the blob has landed or the holder is gone.
 package store
 
 import (
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"carf/internal/sched"
 )
 
-// DefaultLeaseTimeout is how long a lease may go unrefreshed before
-// peers may take it over (Options.LeaseTimeout = 0). Heartbeats run at
-// a quarter of this, so a live holder is ~4 beats away from ever
-// looking stale; a crashed holder delays its key by at most this long.
-const DefaultLeaseTimeout = 10 * time.Second
+// lockLease's failures: a peer holds the lock, or a holder's release
+// unlinked the path between our open and our lock.
+var (
+	errLeaseHeld = errors.New("lease held by a peer")
+	errLeaseGone = errors.New("lease file unlinked")
+)
 
-// leaseSeq disambiguates tokens within one process.
-var leaseSeq atomic.Uint64
-
-// leaseBody is the JSON content of a lease file — diagnostic identity
-// for humans reading a stuck store directory. Liveness is the file's
-// mtime, not any field here.
-type leaseBody struct {
-	PID     int    `json:"pid"`
-	Host    string `json:"host"`
-	Token   string `json:"token"`
-	Created string `json:"created"`
-	Beats   uint64 `json:"beats"`
-}
-
-// TryLock implements sched.Locker: claim the cross-process lease for
-// key, without blocking on a live holder. ok=true grants the exclusive
-// right to simulate; the caller must call release exactly once, after
-// offering the result to the tier. ok=false means a live peer process
-// holds the lease right now. Stale leases (holder crashed or hung past
-// the timeout) are taken over internally and count in Stats.
+// TryLock implements sched.Locker: claim key's cross-process lease
+// without blocking. ok=false means a live peer holds it; ok=true grants
+// the right to simulate until release, which is safe to call twice.
 func (s *Store) TryLock(key sched.Key) (release func(), ok bool) {
 	s.mu.Lock()
-	dir := s.dir
 	ldir := s.leaseDir
 	s.mu.Unlock()
-	if dir == "" || ldir == "" {
-		// Memory-only (by choice or degradation): nothing to coordinate
-		// through. Grant the claim — duplicate simulation is safe.
+	if ldir == "" { // memory-only, by choice or degradation
 		return func() {}, true
 	}
 	path := filepath.Join(ldir, hex.EncodeToString(key[:])+".lease")
 
-	// A takeover loops back here: between our rename and our re-claim a
-	// third process may claim first, so bound the retries.
+	// Each retry follows a holder's release racing our claim.
+	var err error
 	for attempt := 0; attempt < 8; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		var f *os.File
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644); err == nil {
+			err = lockLease(f, path)
+		}
 		if err == nil {
-			rel, werr := s.holdLease(f, path)
-			if werr != nil {
-				// Could not stamp the lease (disk trouble): drop the claim
-				// and proceed uncoordinated rather than wedging the run.
-				f.Close()
-				os.Remove(path)
-				s.log.Warn("store: lease write failed; proceeding without cross-process coordination",
-					"lease", filepath.Base(path), "err", werr)
-				return func() {}, true
-			}
 			s.count(func(st *Stats) { st.LeasesAcquired++ })
-			return rel, true
+			return sync.OnceFunc(func() { os.Remove(path); f.Close() }), true
 		}
-		if !os.IsExist(err) {
-			// The leases directory is gone or unwritable. Same posture as
-			// every other disk fault on this path: log once per call and
-			// run uncoordinated.
-			s.log.Warn("store: lease claim failed; proceeding without cross-process coordination",
-				"lease", filepath.Base(path), "err", err)
-			return func() {}, true
-		}
-
-		fi, serr := os.Stat(path)
-		if serr != nil {
-			// The holder released between our claim and our stat: retry.
-			continue
-		}
-		if age := time.Since(fi.ModTime()); age < s.leaseTTL {
-			// A live peer is simulating this key.
+		f.Close() // nil-safe: the open itself may have failed
+		if err == errLeaseHeld {
 			s.count(func(st *Stats) { st.LeaseLosses++ })
 			return nil, false
 		}
-		// Stale: the holder stopped heartbeating (crashed, hung, or was
-		// SIGKILLed). Rename-to-unique is the atomic takeover: exactly
-		// one of N contenders succeeds, and a successor's fresh lease
-		// (created after the holder released) is never deleted by a slow
-		// contender holding an old observation.
-		grave := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), leaseSeq.Add(1))
-		if rerr := os.Rename(path, grave); rerr == nil {
-			os.Remove(grave)
-			s.count(func(st *Stats) { st.LeaseTakeovers++ })
-			s.log.Warn("store: took over stale lease (holder stopped heartbeating)",
-				"lease", filepath.Base(path), "age", time.Since(fi.ModTime()).Round(time.Millisecond))
+		if err != errLeaseGone {
+			break
 		}
-		// Rename failure means another contender took it over first;
-		// either way the next iteration re-attempts the claim.
 	}
-	// Pathological churn (claims and releases faster than we can
-	// follow). Give up on coordination for this one run.
-	s.log.Warn("store: lease claim contended past retry budget; proceeding without coordination",
-		"lease", filepath.Base(path))
+	// The leases directory is gone or unwritable, the lock is refused, or
+	// claims and releases churned past the retry budget. Same posture as
+	// every other disk fault on this path: log and run uncoordinated.
+	s.log.Warn("store: lease claim failed; proceeding without cross-process coordination",
+		"lease", filepath.Base(path), "err", err)
 	return func() {}, true
 }
 
-// holdLease stamps the freshly created lease file and starts its
-// heartbeat, returning the release function.
-func (s *Store) holdLease(f *os.File, path string) (func(), error) {
-	host, _ := os.Hostname()
-	body := leaseBody{
-		PID:     os.Getpid(),
-		Host:    host,
-		Token:   fmt.Sprintf("%d-%s-%d-%d", os.Getpid(), host, leaseSeq.Add(1), time.Now().UnixNano()),
-		Created: time.Now().UTC().Format(time.RFC3339Nano),
-	}
-	if err := writeLeaseBody(f, body); err != nil {
-		return nil, err
-	}
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	interval := s.leaseTTL / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				body.Beats++
-				// Rewrite through the held descriptor: refreshes mtime even
-				// under clock weirdness, and keeps working (harmlessly, on
-				// an unlinked inode) if the path was renamed from under us.
-				if err := writeLeaseBody(f, body); err != nil {
-					s.log.Warn("store: lease heartbeat failed — peers may take this lease over",
-						"lease", filepath.Base(path), "err", err)
-					return
-				}
-			}
-		}
-	}()
-
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			close(stop)
-			<-done
-			f.Close()
-			// Delete only our own lease: if we stalled past the timeout a
-			// peer has taken it over, and the file now at this path is its
-			// (or a successor's) lease, not ours.
-			if cur, err := os.ReadFile(path); err == nil {
-				var got leaseBody
-				if json.Unmarshal(cur, &got) == nil && got.Token == body.Token {
-					os.Remove(path)
-				}
-			}
-		})
-	}
-	return release, nil
-}
-
-// writeLeaseBody replaces the file's content with the JSON body and
-// syncs, refreshing the mtime peers use as the liveness signal.
-func writeLeaseBody(f *os.File, body leaseBody) error {
-	b, err := json.Marshal(body)
-	if err != nil {
+// lockLease locks f, a descriptor opened on path, and checks that path
+// still names the locked inode: errLeaseGone when it does not.
+func lockLease(f *os.File, path string) error {
+	if err := lockFile(f.Fd()); err != nil {
 		return err
 	}
-	if err := f.Truncate(0); err != nil {
-		return err
+	locked, ferr := f.Stat()
+	cur, perr := os.Stat(path)
+	if ferr != nil || perr != nil || !os.SameFile(locked, cur) {
+		return errLeaseGone
 	}
-	if _, err := f.WriteAt(append(b, '\n'), 0); err != nil {
-		return err
-	}
-	return f.Sync()
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // leaseFiles globs the store directory's lease files.
@@ -34,8 +33,8 @@ func TestLeaseAcquireAndRelease(t *testing.T) {
 	if got := leaseFiles(t, dir); len(got) != 0 {
 		t.Fatalf("lease files after release = %v, want none", got)
 	}
-	if st := s.Stats(); st.LeasesAcquired != 1 || st.LeaseLosses != 0 || st.LeaseTakeovers != 0 {
-		t.Errorf("stats = %+v, want 1 acquired, 0 losses, 0 takeovers", st)
+	if st := s.Stats(); st.LeasesAcquired != 1 || st.LeaseLosses != 0 {
+		t.Errorf("stats = %+v, want 1 acquired, 0 losses", st)
 	}
 }
 
@@ -53,7 +52,7 @@ func TestLeaseLossWhileHeld(t *testing.T) {
 	defer release()
 
 	if _, ok := peer.TryLock(key(2)); ok {
-		t.Fatal("peer TryLock granted while a live holder heartbeats")
+		t.Fatal("peer TryLock granted while a live holder holds the lock")
 	}
 	if st := peer.Stats(); st.LeaseLosses != 1 {
 		t.Errorf("peer stats = %+v, want 1 lease loss", st)
@@ -66,14 +65,14 @@ func TestLeaseLossWhileHeld(t *testing.T) {
 	}
 }
 
-func TestStaleLeaseTakeover(t *testing.T) {
+func TestLeftoverLeaseFileIsFree(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, func(o *Options) { o.LeaseTimeout = 50 * time.Millisecond })
+	s := open(t, dir)
 	defer s.Close()
 
-	// Learn the key's lease path by claiming it once, then plant a
-	// "crashed holder" file there: a lease body whose mtime sits long
-	// past the timeout — a dead process heartbeats no more.
+	// Learn the key's lease path, then leave a file there unlocked, as a
+	// holder killed before its release does: the kernel dropped its lock,
+	// so the next claim must win at once.
 	release, ok := s.TryLock(key(4))
 	if !ok {
 		t.Fatal("setup TryLock denied")
@@ -82,85 +81,58 @@ func TestStaleLeaseTakeover(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("lease files = %v, want exactly 1", files)
 	}
-	path := files[0]
 	release()
-
-	if err := os.WriteFile(path, []byte(`{"pid":1,"token":"gone"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(path, old, old); err != nil {
+	if err := os.WriteFile(files[0], nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	release, ok = s.TryLock(key(4))
 	if !ok {
-		t.Fatal("TryLock over a stale lease denied, want takeover + grant")
+		t.Fatal("TryLock over a dead holder's leftover file denied")
 	}
-	defer release()
-	if st := s.Stats(); st.LeaseTakeovers != 1 || st.LeasesAcquired != 2 {
-		t.Errorf("stats = %+v, want 1 takeover, 2 acquired", st)
-	}
-}
-
-func TestHeartbeatKeepsLeaseFresh(t *testing.T) {
-	dir := t.TempDir()
-	holder := open(t, dir, func(o *Options) { o.LeaseTimeout = 40 * time.Millisecond })
-	defer holder.Close()
-	peer := open(t, dir, func(o *Options) { o.LeaseTimeout = 40 * time.Millisecond })
-	defer peer.Close()
-
-	release, ok := holder.TryLock(key(5))
-	if !ok {
-		t.Fatal("holder TryLock denied")
-	}
-	defer release()
-
-	// Hold well past the timeout: heartbeats (every timeout/4) must keep
-	// the lease looking live, so the peer keeps losing rather than
-	// taking over.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if _, ok := peer.TryLock(key(5)); ok {
-			t.Fatal("peer took over a lease whose holder was heartbeating")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st := peer.Stats(); st.LeaseTakeovers != 0 {
-		t.Errorf("peer stats = %+v, want 0 takeovers", st)
+	release()
+	if got := leaseFiles(t, dir); len(got) != 0 {
+		t.Errorf("lease files after release = %v, want none", got)
 	}
 }
 
-func TestReleaseAfterTakeoverSparesSuccessor(t *testing.T) {
+func TestLeaseClaimRechecksInode(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, func(o *Options) { o.LeaseTimeout = 50 * time.Millisecond })
-	defer s.Close()
+	a, b, c := open(t, dir), open(t, dir), open(t, dir)
+	defer a.Close()
+	defer b.Close()
+	defer c.Close()
 
-	oldRelease, ok := s.TryLock(key(6))
+	releaseA, ok := a.TryLock(key(5))
 	if !ok {
-		t.Fatal("first TryLock denied")
+		t.Fatal("A: TryLock denied")
 	}
-	// Simulate the holder stalling: age the lease past the timeout so a
-	// contender takes it over and installs its own lease.
-	lp := leaseFiles(t, dir)
-	if len(lp) != 1 {
-		t.Fatalf("lease files = %v", lp)
+	files := leaseFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("lease files = %v, want exactly 1", files)
 	}
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(lp[0], old, old); err != nil {
+	path := files[0]
+	// B opens the path while A still holds it, and is descheduled before
+	// taking the lock.
+	fb, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	newRelease, ok := s.TryLock(key(6))
+	defer fb.Close()
+	releaseA() // unlinks the inode B holds open
+	releaseC, ok := c.TryLock(key(5))
 	if !ok {
-		t.Fatal("takeover TryLock denied")
+		t.Fatal("C: TryLock after A's release denied")
 	}
-	defer newRelease()
+	defer releaseC()
 
-	// The stalled holder's release must not delete the successor's lease
-	// (token mismatch).
-	oldRelease()
-	if got := leaseFiles(t, dir); len(got) != 1 {
-		t.Fatalf("lease files after stalled holder's release = %v, want the successor's lease intact", got)
+	// B's flock on the dead inode succeeds, but C holds the live lease:
+	// B must see that the path moved on rather than win a second lease.
+	if err := lockLease(fb, path); err != errLeaseGone {
+		t.Fatalf("B: lockLease on the unlinked inode = %v, want errLeaseGone", err)
+	}
+	if _, ok := b.TryLock(key(5)); ok {
+		t.Fatal("B: TryLock granted while C holds the lease")
 	}
 }
 
@@ -191,7 +163,6 @@ func TestLeaseReadingsExported(t *testing.T) {
 	want := map[string]float64{
 		"store.leases_acquired_total": 1,
 		"store.lease_losses_total":    0,
-		"store.lease_takeovers_total": 0,
 	}
 	for _, r := range s.Readings() {
 		if v, exists := want[r.Name]; exists {

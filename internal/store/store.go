@@ -102,18 +102,15 @@ type Options struct {
 	// Logger receives degradation and quarantine reports (default
 	// slog.Default()).
 	Logger *slog.Logger
-
-	// LeaseTimeout is how long a cross-process lease may go without a
-	// heartbeat before another process may take it over (see TryLock).
-	// 0 takes DefaultLeaseTimeout. Lower it only in tests: a takeover of
-	// a *live* holder duplicates work (never corrupts — blob writes stay
-	// atomic and results are deterministic).
-	LeaseTimeout time.Duration
 }
 
 // DefaultMemEntries is the in-memory tier bound when Options.MemEntries
 // is zero.
 const DefaultMemEntries = 256
+
+// tmpSweepAge is how old a blob temporary must be before Open deletes
+// it as a crashed writer's leftover.
+const tmpSweepAge = 10 * time.Second
 
 // Stats is a snapshot of the store's counters and condition, shaped for
 // /healthz and logs.
@@ -134,9 +131,8 @@ type Stats struct {
 	Quarantined uint64 `json:"quarantined"` // corrupt blobs moved aside
 	Evictions   uint64 `json:"evictions"`   // memory-tier LRU evictions
 
-	LeasesAcquired uint64 `json:"leases_acquired,omitempty"` // cross-process leases won (incl. takeovers)
+	LeasesAcquired uint64 `json:"leases_acquired,omitempty"` // cross-process leases won
 	LeaseLosses    uint64 `json:"lease_losses,omitempty"`    // TryLock calls that found a live peer's lease
-	LeaseTakeovers uint64 `json:"lease_takeovers,omitempty"` // stale leases (crashed holder) taken over
 }
 
 // Store is the tiered result store. All methods are safe for concurrent
@@ -149,7 +145,6 @@ type Store struct {
 	codec    Codec
 	log      *slog.Logger
 	memCap   int
-	leaseTTL time.Duration
 
 	mu     sync.Mutex
 	mem    map[sched.Key]any
@@ -180,19 +175,14 @@ func Open(o Options) (*Store, error) {
 	case memCap < 0:
 		memCap = 0 // memory tier disabled
 	}
-	ttl := o.LeaseTimeout
-	if ttl <= 0 {
-		ttl = DefaultLeaseTimeout
-	}
 	s := &Store{
-		schema:   o.Schema,
-		codec:    o.Codec,
-		log:      o.Logger,
-		memCap:   memCap,
-		leaseTTL: ttl,
-		mem:      make(map[sched.Key]any),
-		lru:      list.New(),
-		lruPos:   make(map[sched.Key]*list.Element),
+		schema: o.Schema,
+		codec:  o.Codec,
+		log:    o.Logger,
+		memCap: memCap,
+		mem:    make(map[sched.Key]any),
+		lru:    list.New(),
+		lruPos: make(map[sched.Key]*list.Element),
 	}
 	s.st.Mode = "memory-only"
 	if o.Dir == "" {
@@ -231,8 +221,8 @@ func (s *Store) initDisk(dir string) error {
 	// Best-effort human-readable schema marker.
 	os.WriteFile(filepath.Join(dir, "SCHEMA"), []byte(s.schema+"\n"), 0o644) //nolint:errcheck
 	// Sweep temporaries a crashed writer left behind and count blobs. A
-	// temporary younger than the lease timeout may be a live peer's
-	// write between CreateTemp and Rename, so it stays.
+	// temporary younger than tmpSweepAge may be a live peer's write
+	// between CreateTemp and Rename, so it stays.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -243,7 +233,7 @@ func (s *Store) initDisk(dir string) error {
 		switch {
 		case e.IsDir():
 		case filepath.Ext(name) == ".tmp":
-			if info, err := e.Info(); err != nil || time.Since(info.ModTime()) < s.leaseTTL {
+			if info, err := e.Info(); err != nil || time.Since(info.ModTime()) < tmpSweepAge {
 				continue
 			}
 			os.Remove(filepath.Join(dir, name))
@@ -260,6 +250,7 @@ func (s *Store) initDisk(dir string) error {
 // may hold s.mu or not (Open calls it before the store is shared).
 func (s *Store) degradeLocked(reason string) {
 	s.dir = ""
+	s.leaseDir = ""
 	s.st.Mode = "memory-only"
 	s.st.Degraded = true
 	s.st.Reason = reason
@@ -540,7 +531,6 @@ func (s *Store) Readings() []metrics.Reading {
 		{Name: "store.evictions_total", Kind: metrics.ReadCounter, Value: float64(st.Evictions)},
 		{Name: "store.leases_acquired_total", Kind: metrics.ReadCounter, Value: float64(st.LeasesAcquired)},
 		{Name: "store.lease_losses_total", Kind: metrics.ReadCounter, Value: float64(st.LeaseLosses)},
-		{Name: "store.lease_takeovers_total", Kind: metrics.ReadCounter, Value: float64(st.LeaseTakeovers)},
 	}
 }
 
