@@ -223,44 +223,21 @@ func Run(kernel string, cfg Config) (Result, error) {
 }
 
 // Progress is one live snapshot of a running simulation, delivered to
-// the callback of RunCtxProgress (and ExperimentOptions.OnProgress).
-// Progress is purely observational: a run's Result is bit-identical
-// with or without a progress callback installed.
-type Progress struct {
-	// Label identifies the run ("sim/qsort/baseline" style for
-	// experiments, the kernel name for single runs).
-	Label string
-
-	Cycles       uint64
-	Instructions uint64
-
-	// Target is the run's known dynamic-instruction budget (0 when
-	// unknown); Pct is Instructions/Target in [0,1], or -1 when the
-	// target is unknown.
-	Target uint64
-	Pct    float64
-
-	// IntervalIPC is the throughput of the window since the previous
-	// report — live phase behaviour the cumulative IPC smooths away.
-	IntervalIPC float64
-
-	// InstsPerSec is the wall-clock retirement rate; EtaSeconds the
-	// remaining-work estimate from it (0 when unknowable).
-	InstsPerSec float64
-	EtaSeconds  float64
-
-	// Final marks the closing report: totals equal the run's Result.
-	Final bool
-}
+// the callback of RunCtxProgress (and ExperimentOptions.OnProgress):
+// the scheduler's progress value, so library callers, the telemetry
+// plane and carfserve all see the same fields. Progress is purely
+// observational: a run's Result is bit-identical with or without a
+// progress callback installed.
+type Progress = sched.Progress
 
 // RunCtxProgress is RunCtx with a live progress callback, invoked from
 // the simulation loop every 4096 cycles (every Config.MetricsInterval
 // cycles when metrics are on) and once more (Final) when the run
 // completes. The target instruction budget comes from a fast
 // functional pre-run of the kernel (memoized per kernel and scale), so
-// Pct and EtaSeconds are populated from the first frame. on runs on the
-// simulating goroutine and must return quickly; a nil on makes the call
-// identical to RunCtx.
+// Pct and ETASeconds are populated from the first frame; Label is the
+// kernel name. on runs on the simulating goroutine and must return
+// quickly; a nil on makes the call identical to RunCtx.
 func RunCtxProgress(ctx context.Context, kernel string, cfg Config, on func(Progress)) (Result, error) {
 	return runCtx(ctx, kernel, cfg, on)
 }
@@ -325,24 +302,8 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 		}
 		start := time.Now()
 		obs.Frame = func(pp pipeline.Progress) {
-			p := Progress{
-				Label:        kernel,
-				Cycles:       pp.Cycles,
-				Instructions: pp.Instructions,
-				Target:       target,
-				Pct:          -1,
-				IntervalIPC:  pp.IntervalIPC,
-				Final:        pp.Final,
-			}
-			if target > 0 {
-				p.Pct = math.Min(float64(pp.Instructions)/float64(target), 1)
-			}
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				p.InstsPerSec = float64(pp.Instructions) / elapsed
-				if target > pp.Instructions && p.InstsPerSec > 0 {
-					p.EtaSeconds = float64(target-pp.Instructions) / p.InstsPerSec
-				}
-			}
+			p := experiments.ToSchedProgress(pp, target)
+			p.Stamp(kernel, time.Since(start))
 			on(p)
 		}
 	}
@@ -456,44 +417,13 @@ type ExperimentReport struct {
 // were served from the memo cache, or joined an identical in-flight
 // run. The counts are exact even when experiments run concurrently.
 func RunExperimentReport(name string, opt ExperimentOptions) (ExperimentReport, error) {
-	eopt := experiments.Options{Ctx: opt.Ctx, Scale: opt.Scale, Parallel: opt.Parallel}
-	if opt.OnProgress != nil {
-		on := opt.OnProgress
-		eopt.OnProgress = func(label string, p sched.Progress) {
-			on(Progress{
-				Label:        label,
-				Cycles:       p.Cycles,
-				Instructions: p.Insts,
-				Target:       p.Target,
-				Pct:          p.Pct(),
-				IntervalIPC:  p.IntervalIPC,
-				InstsPerSec:  p.InstsPerSec,
-				EtaSeconds:   p.ETASeconds,
-				Final:        p.Final,
-			})
-		}
-	}
-	r, err := experiments.Run(name, eopt)
+	r, err := experiments.Run(name, experiments.Options{
+		Ctx: opt.Ctx, Scale: opt.Scale, Parallel: opt.Parallel, OnProgress: opt.OnProgress,
+	})
 	if err != nil {
 		return ExperimentReport{}, err
 	}
-	return ExperimentReport{
-		Name: name,
-		Text: r.Render(),
-		Sched: SchedulerStats{
-			Runs:             r.Sched.Runs,
-			Misses:           r.Sched.Misses,
-			Hits:             r.Sched.Hits,
-			DiskHits:         r.Sched.DiskHits,
-			Joins:            r.Sched.Joins,
-			PeerHits:         r.Sched.PeerHits,
-			Canceled:         r.Sched.Canceled,
-			Errors:           r.Sched.Errors,
-			QueueWaitSeconds: r.Sched.QueueWait.Seconds(),
-			SimWallSeconds:   r.Sched.SimWall.Seconds(),
-			LeaseWaitSeconds: r.Sched.LeaseWait.Seconds(),
-		},
-	}, nil
+	return ExperimentReport{Name: name, Text: r.Render(), Sched: schedulerStats(r.Sched)}, nil
 }
 
 // SchedulerStats snapshots the process-global simulation scheduler: how
@@ -519,8 +449,10 @@ type SchedulerStats struct {
 
 // GlobalSchedulerStats reports the process-global scheduler's cumulative
 // counters (all RunExperiment work in this process so far).
-func GlobalSchedulerStats() SchedulerStats {
-	st := sched.Global().Stats()
+func GlobalSchedulerStats() SchedulerStats { return schedulerStats(sched.Global().Stats()) }
+
+// schedulerStats converts the scheduler's counters to the public shape.
+func schedulerStats(st sched.Stats) SchedulerStats {
 	return SchedulerStats{
 		Workers:          st.Workers,
 		CacheEntries:     st.CacheEntries,

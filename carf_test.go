@@ -1,6 +1,7 @@
 package carf
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,34 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	if _, err := RunExperiment("nosuch", ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment should error")
+	}
+}
+
+// TestRunCtxProgressFrames: library progress frames are the scheduler's
+// stamped value, carrying the kernel label, completion, the simulator's
+// write mix, and a Final frame whose totals equal the Result.
+func TestRunCtxProgressFrames(t *testing.T) {
+	var frames []Progress
+	res, err := RunCtxProgress(context.Background(), "crc64", Config{Scale: 0.04},
+		func(p Progress) { frames = append(frames, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 2 {
+		t.Fatalf("%d frames, want at least one progress frame and the final one", len(frames))
+	}
+	for i, p := range frames {
+		if p.Label != "crc64" || p.Target == 0 || p.Pct < 0 || p.Pct > 1 {
+			t.Errorf("frame %d: label %q target %d pct %v", i, p.Label, p.Target, p.Pct)
+		}
+	}
+	if p := frames[0]; p.IntervalCycles == 0 || p.Writes == [3]uint64{} {
+		t.Errorf("first frame has no interval window or write mix: %+v", p)
+	}
+	last := frames[len(frames)-1]
+	if !last.Final || last.Pct != 1 || last.Insts != res.Instructions || last.Cycles != res.Cycles {
+		t.Errorf("final frame %+v, want Final at pct 1 with the Result's %d insts / %d cycles",
+			last, res.Instructions, res.Cycles)
 	}
 }
 

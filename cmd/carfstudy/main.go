@@ -89,15 +89,15 @@ func progressLogger(logger *slog.Logger, exp string) func(carf.Progress) {
 		}
 		last = time.Now()
 		mu.Unlock()
-		attrs := []any{"exp", exp, "run", p.Label, "insts", p.Instructions}
+		attrs := []any{"exp", exp, "run", p.Label, "insts", p.Insts}
 		if p.Pct >= 0 {
 			attrs = append(attrs, "pct", fmt.Sprintf("%.0f%%", p.Pct*100))
 		}
 		if p.IntervalIPC > 0 {
 			attrs = append(attrs, "interval_ipc", fmt.Sprintf("%.3f", p.IntervalIPC))
 		}
-		if p.EtaSeconds > 0 {
-			attrs = append(attrs, "eta", (time.Duration(p.EtaSeconds * float64(time.Second))).Round(100*time.Millisecond))
+		if p.ETASeconds > 0 {
+			attrs = append(attrs, "eta", (time.Duration(p.ETASeconds * float64(time.Second))).Round(100*time.Millisecond))
 		}
 		logger.Info("simulation progress", attrs...)
 	}

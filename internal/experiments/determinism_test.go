@@ -153,9 +153,9 @@ func TestProgressObservationDeterminism(t *testing.T) {
 	var mu sync.Mutex
 	frames := map[string][]sched.Progress{}
 	got := render(t, name, Options{Scale: determinismScale, Sched: s,
-		OnProgress: func(label string, p sched.Progress) {
+		OnProgress: func(p sched.Progress) {
 			mu.Lock()
-			frames[label] = append(frames[label], p)
+			frames[p.Label] = append(frames[p.Label], p)
 			mu.Unlock()
 		}})
 	if got != want {
@@ -188,7 +188,7 @@ func TestProgressObservationDeterminism(t *testing.T) {
 	// frames — and the rendered output still matches.
 	var warmFrames int
 	warm := render(t, name, Options{Scale: determinismScale, Sched: s,
-		OnProgress: func(string, sched.Progress) { mu.Lock(); warmFrames++; mu.Unlock() }})
+		OnProgress: func(sched.Progress) { mu.Lock(); warmFrames++; mu.Unlock() }})
 	if warm != want {
 		t.Errorf("warm observed run differs from unobserved run")
 	}

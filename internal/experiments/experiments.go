@@ -66,12 +66,12 @@ type Options struct {
 	Batch int
 	// OnProgress, when non-nil, receives live progress frames from every
 	// simulation this experiment actually executes (cache hits and joins
-	// produce none — they do no work). label identifies the run the same
-	// way the telemetry run table does. The callback must be safe for
-	// concurrent use: parallel simulations report concurrently. Progress
-	// is strictly observational — it never participates in run keys and
-	// never changes rendered output.
-	OnProgress func(label string, p sched.Progress)
+	// produce none — they do no work), stamped by the scheduler: Label
+	// names the run the same way the telemetry run table does. The
+	// callback must be safe for concurrent use: parallel simulations
+	// report concurrently. Progress is strictly observational — it never
+	// participates in run keys and never changes rendered output.
+	OnProgress func(sched.Progress)
 }
 
 func (o Options) withDefaults() Options {
@@ -252,11 +252,7 @@ func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config,
 		// The instruction budget for ETA math comes from a (memoized)
 		// functional pre-run, a cost paid only when someone watches.
 		target := workload.Budget(k, opt.Scale)
-		obs.Frame = func(pp pipeline.Progress) {
-			p := toSchedProgress(pp)
-			p.Target = target
-			report(p)
-		}
+		obs.Frame = func(pp pipeline.Progress) { report(ToSchedProgress(pp, target)) }
 	}
 	st, err := cpu.RunContext(opt.Ctx, obs)
 	if err != nil {
@@ -279,9 +275,11 @@ func runOne(k *workload.Ref, spec modelSpec, opt Options) (runOut, error) {
 	return runOneCfg(k, spec, pipeline.DefaultConfig(), opt)
 }
 
-// toSchedProgress converts the simulator's progress snapshot to the
-// scheduler's frame shape (the scheduler stamps the wall-clock fields).
-func toSchedProgress(p pipeline.Progress) sched.Progress {
+// ToSchedProgress converts the simulator's progress snapshot, with the
+// run's known instruction budget (0 = unknown), to the one progress
+// value above the simulator; Progress.Stamp fills the rest. It is the
+// only such conversion: carf's RunCtxProgress uses it too.
+func ToSchedProgress(p pipeline.Progress, target uint64) sched.Progress {
 	return sched.Progress{
 		Cycles:         p.Cycles,
 		Insts:          p.Instructions,
@@ -294,6 +292,7 @@ func toSchedProgress(p pipeline.Progress) sched.Progress {
 		LSQ:            p.LSQ,
 		Writes:         p.Writes,
 		Final:          p.Final,
+		Target:         target,
 	}
 }
 
@@ -309,13 +308,8 @@ func runLabel(kind, kernel, specID string) string {
 // scheduler: concurrency is bounded by the shared worker pool and the
 // result is memoized by (kernel, scale, model spec, config).
 func runOneCfg(k *workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options) (runOut, error) {
-	label := runLabel("sim", k.Name, spec.id)
-	var onProgress sched.ProgressFunc
-	if opt.OnProgress != nil {
-		onProgress = func(p sched.Progress) { opt.OnProgress(label, p) }
-	}
 	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
-		label, true, onProgress,
+		runLabel("sim", k.Name, spec.id), true, opt.OnProgress,
 		func(report sched.ProgressFunc) (any, error) {
 			return simulate(opt, k, spec, cfg, nil, report)
 		})

@@ -4,13 +4,16 @@ import (
 	"time"
 )
 
-// Progress is one live snapshot of an executing run, produced by the
-// run's own body (the simulator's progress hook) and enriched by the
-// scheduler before fan-out: the body fills the simulation-domain fields
-// (cycles, instructions, interval window, occupancies, write mix), the
-// scheduler's reporter stamps Target, the wall-clock fields, and the
-// ETA. Frames for one run are monotonic in Cycles and Insts.
+// Progress is one live snapshot of an executing run: the only
+// progress value above the simulator. The run's body fills the
+// simulation-domain fields (cycles, instructions, interval window,
+// occupancies, write mix) and Target; Stamp fills Label, Pct and the
+// wall-clock fields. Frames for one run are monotonic in Cycles and
+// Insts.
 type Progress struct {
+	// Label names the run the way the telemetry run table does.
+	Label string `json:"label,omitempty"`
+
 	// Simulation-domain fields (set by the run's body).
 	Cycles uint64 `json:"cycles"`
 	Insts  uint64 `json:"insts"`
@@ -37,22 +40,33 @@ type Progress struct {
 	// sees the run reach its end state.
 	Final bool `json:"final,omitempty"`
 
-	// Target is stamped by the body; the rest by the scheduler.
+	// Target is stamped by the body; the rest by Stamp.
 	Target         uint64  `json:"target,omitempty"`          // known instruction budget (0 = unknown)
+	Pct            float64 `json:"pct"`                       // Insts/Target in [0,1]; -1 when the target is unknown
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"` // wall time since the sim started
 	InstsPerSec    float64 `json:"insts_per_sec,omitempty"`   // retirement rate over the whole run
 	ETASeconds     float64 `json:"eta_seconds,omitempty"`     // (target-insts)/rate; 0 when unknowable
 }
 
-// Pct returns completion in [0,1], or -1 when the target is unknown.
-func (p Progress) Pct() float64 {
-	if p.Target == 0 {
-		return -1
+// Stamp fills the watcher-facing fields: the run's label, completion
+// against Target, and, from the wall time since the simulation
+// started, the elapsed time, the retirement rate and the ETA. It
+// overwrites every field it owns, so a frame stamped twice carries the
+// second stamp only.
+func (p *Progress) Stamp(label string, elapsed time.Duration) {
+	p.Label = label
+	p.Pct = -1
+	if p.Target > 0 {
+		p.Pct = min(float64(p.Insts)/float64(p.Target), 1)
 	}
-	if p.Insts >= p.Target {
-		return 1
+	p.ElapsedSeconds = elapsed.Seconds()
+	p.InstsPerSec, p.ETASeconds = 0, 0
+	if p.ElapsedSeconds > 0 {
+		p.InstsPerSec = float64(p.Insts) / p.ElapsedSeconds
 	}
-	return float64(p.Insts) / float64(p.Target)
+	if p.Target > p.Insts && p.InstsPerSec > 0 {
+		p.ETASeconds = float64(p.Target-p.Insts) / p.InstsPerSec
+	}
 }
 
 // ProgressFunc receives progress frames. The scheduler hands one to a
@@ -82,7 +96,7 @@ func (s *Scheduler) SetProgressInterval(d time.Duration) {
 // body. It is called from the simulating goroutine only (the leader),
 // so its throttle state needs no lock; the observer and onProgress
 // callbacks must themselves be safe for concurrent use across runs.
-func (s *Scheduler) reporter(id uint64, obs Observer, on ProgressFunc, simStart time.Time) ProgressFunc {
+func (s *Scheduler) reporter(id uint64, label string, obs Observer, on ProgressFunc, simStart time.Time) ProgressFunc {
 	var last time.Time
 	return func(p Progress) {
 		now := time.Now()
@@ -92,13 +106,7 @@ func (s *Scheduler) reporter(id uint64, obs Observer, on ProgressFunc, simStart 
 			}
 		}
 		last = now
-		p.ElapsedSeconds = now.Sub(simStart).Seconds()
-		if p.ElapsedSeconds > 0 {
-			p.InstsPerSec = float64(p.Insts) / p.ElapsedSeconds
-		}
-		if p.Target > p.Insts && p.InstsPerSec > 0 {
-			p.ETASeconds = float64(p.Target-p.Insts) / p.InstsPerSec
-		}
+		p.Stamp(label, now.Sub(simStart))
 		if obs != nil {
 			obs.RunProgressed(id, p)
 		}

@@ -79,7 +79,7 @@ func TestDoProgressStamping(t *testing.T) {
 	if diff := mid.ETASeconds - wantETA; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("mid frame ETA %v, want (target-insts)/rate = %v", mid.ETASeconds, wantETA)
 	}
-	if p := mid.Pct(); p <= 0 || p >= 1 {
+	if p := mid.Pct; p <= 0 || p >= 1 {
 		t.Errorf("mid frame pct %v, want within (0,1)", p)
 	}
 	final := got[2]
@@ -89,8 +89,8 @@ func TestDoProgressStamping(t *testing.T) {
 	if final.ETASeconds != 0 {
 		t.Errorf("final frame ETA %v, want 0 (nothing remains)", final.ETASeconds)
 	}
-	if final.Pct() != 1 {
-		t.Errorf("final frame pct %v, want 1", final.Pct())
+	if final.Pct != 1 {
+		t.Errorf("final frame pct %v, want 1", final.Pct)
 	}
 }
 
@@ -145,6 +145,11 @@ func TestDoProgressObserverReceives(t *testing.T) {
 			ids++
 			frames += len(ps)
 			lastFinal = ps[len(ps)-1].Final
+			for _, p := range ps {
+				if p.Label != "lbl" || p.Pct != -1 {
+					t.Errorf("frame label %q pct %v, want the run's label and -1 (no target)", p.Label, p.Pct)
+				}
+			}
 		}
 		return
 	}

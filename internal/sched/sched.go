@@ -520,12 +520,13 @@ func (s *Scheduler) DoCtx(ctx context.Context, key Key, label string, cacheable 
 
 // DoProgress is DoCtx for runs that can report live progress. fn
 // receives a report function to call with in-flight Progress snapshots;
-// the scheduler stamps each forwarded frame with the wall-clock rate
-// and an ETA derived from the frame's Target (the run's known
-// dynamic-instruction budget, stamped by the body; 0 = unknown, frames
-// then carry no ETA), throttles non-final frames to one per
-// SetProgressInterval, and fans the result out to the
-// attached Observer (RunProgressed) and to onProgress. Both are
+// the scheduler throttles non-final frames to one per
+// SetProgressInterval, stamps each forwarded frame (Progress.Stamp)
+// with label, the completion, the wall-clock rate and an ETA derived
+// from the frame's Target (the run's known dynamic-instruction budget,
+// stamped by the body; 0 = unknown, frames then carry Pct -1 and no
+// ETA), and fans the result out to the attached Observer
+// (RunProgressed) and to onProgress. Both are
 // optional; when neither is attached fn receives a nil report and the
 // call is exactly DoCtx — callers guard their hook installation on
 // report != nil, so a silent run pays nothing.
@@ -718,7 +719,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	simStart := time.Now()
 	var report ProgressFunc
 	if obs != nil || onProgress != nil {
-		report = s.reporter(id, obs, onProgress, simStart)
+		report = s.reporter(id, label, obs, onProgress, simStart)
 	}
 	e.val, e.err = fn(report)
 	simWall := time.Since(simStart)

@@ -171,8 +171,11 @@ type Job struct {
 
 	// Progress is the most recent live progress snapshot while the job's
 	// simulations execute (absent before the first frame, and for jobs
-	// served entirely from caches — they do no simulation work).
-	Progress *JobProgress `json:"progress,omitempty"`
+	// served entirely from caches — they do no simulation work). For
+	// experiment jobs, which run many simulations, possibly in parallel,
+	// its Label names the simulation that produced it, and Pct is that
+	// simulation's completion, not the whole experiment's.
+	Progress *sched.Progress `json:"progress,omitempty"`
 
 	result string             // rendered output, available when done
 	cancel context.CancelFunc // cancels this job's context
@@ -571,7 +574,7 @@ func (d *Daemon) finish(j *Job, text string, st sched.Stats, err error) {
 	// entirely without simulating never produced progress frames; their
 	// single done frame says why, so a watcher sees provenance, not
 	// silence.
-	frame := JobStreamFrame{Type: "done", ID: j.ID, Status: j.Status, Err: j.Error}
+	frame := telemetry.Frame{Type: "done", TMs: d.hub.NowMs(), Job: j.ID, Status: j.Status, Err: j.Error}
 	if st.Misses == 0 && st.Runs > 0 {
 		switch {
 		case st.DiskHits > 0:
@@ -588,16 +591,15 @@ func (d *Daemon) finish(j *Job, text string, st sched.Stats, err error) {
 }
 
 // jobProgress records a job's latest progress snapshot and publishes a
-// stream frame. Called from simulating goroutines (already throttled by
-// the scheduler's reporter).
-func (d *Daemon) jobProgress(j *Job, label string, p sched.Progress) {
-	jp := toJobProgress(label, p)
+// stream frame. Called from simulating goroutines (already throttled and
+// stamped by the scheduler's reporter).
+func (d *Daemon) jobProgress(j *Job, p sched.Progress) {
 	d.mu.Lock()
 	if j.Finished == nil {
-		j.Progress = jp
+		j.Progress = &p
 	}
 	d.mu.Unlock()
-	j.stream.Publish(JobStreamFrame{Type: "progress", ID: j.ID, Progress: jp})
+	j.stream.Publish(telemetry.Frame{Type: "progress", TMs: d.hub.NowMs(), Job: j.ID, Progress: &p})
 }
 
 // runJob is the real execution body: experiments through the
@@ -608,13 +610,11 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) (string, sched.Stats, error
 	switch j.Kind {
 	case "experiment":
 		r, err := experiments.Run(j.Spec.Experiment, experiments.Options{
-			Ctx:   ctx,
-			Scale: j.Spec.Scale,
-			Sched: d.sch,
-			Tally: tally,
-			OnProgress: func(label string, p sched.Progress) {
-				d.jobProgress(j, label, p)
-			},
+			Ctx:        ctx,
+			Scale:      j.Spec.Scale,
+			Sched:      d.sch,
+			Tally:      tally,
+			OnProgress: func(p sched.Progress) { d.jobProgress(j, p) },
 		})
 		if err != nil {
 			return "", tally.Stats(), err
@@ -625,27 +625,13 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) (string, sched.Stats, error
 		// The run goes through the scheduler so it is pooled, deduped
 		// against identical submissions, memoized, and persisted. No
 		// instrumentation is enabled, so the cached carf.Result is pure
-		// data.
+		// data. carf stamps the kernel's own target on every frame; the
+		// scheduler's report restamps the label, rate and ETA.
 		key := sched.KeyOf("serve-kernel", j.Spec.Kernel, cfg)
-		label := "serve/" + j.Spec.Kernel
-		v, prov, err := d.sch.DoProgress(ctx, key, label, true,
-			func(p sched.Progress) { d.jobProgress(j, label, p) },
+		v, prov, err := d.sch.DoProgress(ctx, key, "serve/"+j.Spec.Kernel, true,
+			func(p sched.Progress) { d.jobProgress(j, p) },
 			func(report sched.ProgressFunc) (any, error) {
-				var on func(carf.Progress)
-				if report != nil {
-					// carf computes the kernel's own target; forward it
-					// for the scheduler's ETA.
-					on = func(cp carf.Progress) {
-						report(sched.Progress{
-							Cycles:      cp.Cycles,
-							Insts:       cp.Instructions,
-							Target:      cp.Target,
-							IntervalIPC: cp.IntervalIPC,
-							Final:       cp.Final,
-						})
-					}
-				}
-				r, err := carf.RunCtxProgress(ctx, j.Spec.Kernel, cfg, on)
+				r, err := carf.RunCtxProgress(ctx, j.Spec.Kernel, cfg, report)
 				if err != nil {
 					return nil, err
 				}
@@ -667,7 +653,8 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) (string, sched.Stats, error
 }
 
 // snapshot copies a job for JSON responses (the live object keeps
-// changing under d.mu).
+// changing under d.mu). The copy shares Progress: jobProgress replaces
+// that pointer and never writes through it.
 func (d *Daemon) snapshot(id string) (Job, string, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -675,26 +662,14 @@ func (d *Daemon) snapshot(id string) (Job, string, bool) {
 	if !ok {
 		return Job{}, "", false
 	}
-	return copyJob(j), j.result, true
-}
-
-// copyJob snapshots a job for JSON encoding outside d.mu; Progress is
-// deep-copied because jobProgress replaces it concurrently. Callers
-// hold d.mu.
-func copyJob(j *Job) Job {
-	cp := *j
-	if j.Progress != nil {
-		p := *j.Progress
-		cp.Progress = &p
-	}
-	return cp
+	return *j, j.result, true
 }
 
 func (d *Daemon) list(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	out := make([]Job, 0, len(d.order))
 	for _, id := range d.order {
-		out = append(out, copyJob(d.jobs[id]))
+		out = append(out, *d.jobs[id])
 	}
 	d.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"runs": out})
@@ -707,6 +682,20 @@ func (d *Daemon) status(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j)
+}
+
+// stream serves GET /api/v1/runs/{id}/stream: the job's
+// telemetry.Stream — recent progress frames replayed, then followed
+// live until the terminal done frame.
+func (d *Daemon) stream(w http.ResponseWriter, r *http.Request) {
+	d.mu.Lock()
+	j, ok := d.jobs[r.PathValue("id")]
+	d.mu.Unlock()
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
+		return
+	}
+	j.stream.ServeHTTP(w, r)
 }
 
 func (d *Daemon) result(w http.ResponseWriter, r *http.Request) {

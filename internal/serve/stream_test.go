@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,11 +12,12 @@ import (
 
 	"carf/internal/sched"
 	"carf/internal/store"
+	"carf/internal/telemetry"
 )
 
 // readJobFrames decodes data: lines from a job's SSE stream until it
 // ends.
-func readJobFrames(t *testing.T, ts *httptest.Server, id string) []JobStreamFrame {
+func readJobFrames(t *testing.T, ts *httptest.Server, id string) []telemetry.Frame {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/api/v1/runs/" + id + "/stream")
 	if err != nil {
@@ -29,7 +31,7 @@ func readJobFrames(t *testing.T, ts *httptest.Server, id string) []JobStreamFram
 		t.Fatalf("stream content type = %q", ct)
 	}
 	br := bufio.NewReader(resp.Body)
-	var out []JobStreamFrame
+	var out []telemetry.Frame
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {
@@ -39,7 +41,7 @@ func readJobFrames(t *testing.T, ts *httptest.Server, id string) []JobStreamFram
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var f JobStreamFrame
+		var f telemetry.Frame
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &f); err != nil {
 			t.Fatalf("bad frame %q: %v", line, err)
 		}
@@ -82,12 +84,45 @@ func TestJobStreamProgressThenDone(t *testing.T) {
 			t.Fatalf("frame %d not monotonic: %d after %d", i, f.Progress.Insts, prevInsts)
 		}
 		prevInsts = f.Progress.Insts
-		if f.Progress.Target == 0 || f.Progress.Pct < 0 {
-			t.Errorf("frame %d missing target/pct: %+v", i, f.Progress)
+		if f.Job != acc["id"] || f.Progress.Target == 0 || f.Progress.Pct < 0 {
+			t.Errorf("frame %d missing job/target/pct: %+v", i, f)
 		}
 	}
 	if fin := frames[len(frames)-2].Progress; !fin.Final || fin.Pct != 1 {
 		t.Errorf("last progress frame = %+v, want Final at pct 1", fin)
+	}
+
+	// A non-final progress frame carries the simulator's interval window
+	// and write mix, on the job stream and on the run's own stream.
+	rr, err := ts.Client().Get(ts.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := decode[telemetry.RunsDocument](t, rr)
+	if len(runs.Completed) != 1 {
+		t.Fatalf("/runs lists %d completed runs, want 1", len(runs.Completed))
+	}
+	for path, raw := range map[string][][]byte{
+		"job stream": sseData(t, ts, "/api/v1/runs/"+acc["id"]+"/stream"),
+		"run stream": sseData(t, ts, fmt.Sprintf("/runs/%d/stream", runs.Completed[0].ID)),
+	} {
+		var f struct {
+			Progress struct {
+				IntervalCycles uint64    `json:"interval_cycles"`
+				Writes         [3]uint64 `json:"writes"`
+				Final          bool      `json:"final"`
+			} `json:"progress"`
+		}
+		if len(raw) == 0 {
+			t.Fatalf("%s is empty", path)
+		}
+		if err := json.Unmarshal(raw[0], &f); err != nil {
+			t.Fatal(err)
+		}
+		p := f.Progress
+		if p.Final || p.IntervalCycles == 0 || p.Writes[0]+p.Writes[1]+p.Writes[2] == 0 {
+			t.Errorf("%s first frame %s: want a non-final frame with interval_cycles > 0 and a write mix", path, raw[0])
+		}
 	}
 
 	// The job-status document carries the newest snapshot too.
@@ -110,7 +145,7 @@ func TestJobStreamDiskHitNote(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"kernel":"crc64","scale":0.04}`
 
-	runOnce := func() (string, []JobStreamFrame) {
+	runOnce := func() (string, []telemetry.Frame) {
 		st, err := store.Open(store.Options{Dir: dir, Schema: "serve-stream-test/v1", Logger: testLogger()})
 		if err != nil {
 			t.Fatal(err)

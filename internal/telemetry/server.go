@@ -181,7 +181,7 @@ type SchedSummary struct {
 func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 	inflight, completed, total := sv.hub.Runs()
 	resp := RunsDocument{
-		NowMs:          sv.hub.nowMs(),
+		NowMs:          sv.hub.NowMs(),
 		InFlight:       inflight,
 		Completed:      completed,
 		CompletedTotal: total,
@@ -213,12 +213,12 @@ func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 // eventsSSE streams hub events as server-sent events until the client
 // disconnects or is disconnected as a slow subscriber (its channel is
 // closed, so the client learns it fell behind). Each message is one
-// Event JSON object; a hello event opens the stream so clients can sync
+// Frame JSON object; a hello event opens the stream so clients can sync
 // clocks.
 func (sv *Server) eventsSSE(w http.ResponseWriter, r *http.Request) {
 	ch, cancel := sv.hub.Subscribe()
 	defer cancel()
-	hello, _ := json.Marshal(Event{Type: "hello", TMs: sv.hub.nowMs()})
+	hello, _ := json.Marshal(Frame{Type: "hello", TMs: sv.hub.NowMs()})
 	writeSSE(w, r, [][]byte{hello}, ch)
 }
 

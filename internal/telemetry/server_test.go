@@ -169,7 +169,7 @@ func TestServerSSERoundTrip(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 
-	events := make(chan Event, 16)
+	events := make(chan Frame, 16)
 	go func() {
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
@@ -177,21 +177,21 @@ func TestServerSSERoundTrip(t *testing.T) {
 			if !strings.HasPrefix(line, "data: ") {
 				continue
 			}
-			var ev Event
+			var ev Frame
 			if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev) == nil {
 				events <- ev
 			}
 		}
 	}()
 
-	next := func(what string) Event {
+	next := func(what string) Frame {
 		t.Helper()
 		select {
 		case ev := <-events:
 			return ev
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out waiting for %s event", what)
-			return Event{}
+			return Frame{}
 		}
 	}
 

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"carf/internal/sched"
 )
 
 // streamFrameCap bounds the replayable progress frames retained per
@@ -28,27 +26,6 @@ const followerBuf = 128
 // sseHeartbeat is the comment interval that keeps idle SSE connections
 // from timing out.
 const sseHeartbeat = 15 * time.Second
-
-// StreamFrame is one SSE message on a per-run /runs/{id}/stream:
-// "progress" frames while the run executes, then exactly one "done"
-// frame. Runs served without simulating (cache hit, disk hit, join)
-// stream a single done frame whose Note says so.
-type StreamFrame struct {
-	Type  string  `json:"type"` // "progress" | "done"
-	TMs   float64 `json:"t_ms"` // milliseconds since the hub started
-	ID    uint64  `json:"id"`
-	Label string  `json:"label,omitempty"`
-	Key   string  `json:"key,omitempty"`
-
-	// progress frames only.
-	Progress *sched.Progress `json:"progress,omitempty"`
-
-	// done frames only.
-	Outcome   string  `json:"outcome,omitempty"`
-	SimWallMs float64 `json:"sim_wall_ms,omitempty"`
-	Err       string  `json:"error,omitempty"`
-	Note      string  `json:"note,omitempty"` // provenance for frame-less runs
-}
 
 // Stream is one replayable frame stream: the recent progress frames,
 // the terminal frame once finished, and the live followers. Every
@@ -73,7 +50,7 @@ func NewStream() *Stream {
 // full misses the frame (counted in dropped). ok is false — and
 // nothing happens — once the stream has finished, or when frame does
 // not encode.
-func (s *Stream) Publish(frame any) (ok bool, dropped int) {
+func (s *Stream) Publish(frame Frame) (ok bool, dropped int) {
 	payload, err := json.Marshal(frame)
 	if err != nil {
 		return false, 0
@@ -101,7 +78,7 @@ func (s *Stream) Publish(frame any) (ok bool, dropped int) {
 // the slot reserved for it) and closes their channels. Only the first
 // call counts; it reports whether this one did. A frame that does not
 // encode still terminates the stream, with a minimal done frame.
-func (s *Stream) Finish(frame any) bool {
+func (s *Stream) Finish(frame Frame) bool {
 	payload, err := json.Marshal(frame)
 	if err != nil {
 		payload = []byte(`{"type":"done"}`)

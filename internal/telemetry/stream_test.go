@@ -14,11 +14,11 @@ import (
 	"carf/internal/sched"
 )
 
-// readSSEFrames decodes data: lines from an SSE body into StreamFrames
+// readSSEFrames decodes data: lines from an SSE body into Frames
 // until the stream ends or n frames arrive (n <= 0 reads to EOF).
-func readSSEFrames(t *testing.T, r *bufio.Reader, n int) []StreamFrame {
+func readSSEFrames(t *testing.T, r *bufio.Reader, n int) []Frame {
 	t.Helper()
-	var out []StreamFrame
+	var out []Frame
 	for n <= 0 || len(out) < n {
 		line, err := r.ReadString('\n')
 		if err != nil {
@@ -28,7 +28,7 @@ func readSSEFrames(t *testing.T, r *bufio.Reader, n int) []StreamFrame {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var f StreamFrame
+		var f Frame
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &f); err != nil {
 			t.Fatalf("bad frame %q: %v", line, err)
 		}
@@ -235,7 +235,7 @@ func TestSlowSubscriberDisconnect(t *testing.T) {
 	// policy trips.
 	total := 256 + maxConsecDrops
 	for i := 0; i < total; i++ {
-		hub.publish(Event{Type: "run-start", ID: uint64(i)})
+		hub.publish(Frame{Type: "run-start", ID: uint64(i)})
 	}
 
 	closed := false
@@ -282,7 +282,7 @@ drain:
 	// and stays connected.
 	ch2, cancel2 := hub.Subscribe()
 	defer cancel2()
-	hub.publish(Event{Type: "run-start", ID: 1})
+	hub.publish(Frame{Type: "run-start", ID: 1})
 	select {
 	case <-ch2:
 	case <-time.After(time.Second):
@@ -303,11 +303,11 @@ drain:
 // the terminal frame, what happens after Finish, and the
 // drop-but-always-terminate rule for slow followers.
 func TestStream(t *testing.T) {
-	progress := func(i int) StreamFrame { return StreamFrame{Type: "progress", ID: uint64(i)} }
-	done := StreamFrame{Type: "done", Outcome: "miss"}
-	decodeAll := func(t *testing.T, payloads [][]byte) []StreamFrame {
+	progress := func(i int) Frame { return Frame{Type: "progress", ID: uint64(i)} }
+	done := Frame{Type: "done", Outcome: "miss"}
+	decodeAll := func(t *testing.T, payloads [][]byte) []Frame {
 		t.Helper()
-		out := make([]StreamFrame, len(payloads))
+		out := make([]Frame, len(payloads))
 		for i, p := range payloads {
 			if err := json.Unmarshal(p, &out[i]); err != nil {
 				t.Fatalf("frame %d %q: %v", i, p, err)
@@ -362,7 +362,7 @@ func TestStream(t *testing.T) {
 			if ok, _ := s.Publish(progress(1)); ok {
 				t.Error("publish after Finish accepted")
 			}
-			if s.Finish(StreamFrame{Type: "done", Outcome: "hit"}) {
+			if s.Finish(Frame{Type: "done", Outcome: "hit"}) {
 				t.Error("second Finish accepted")
 			}
 			replay, _, cancel := s.Subscribe()
@@ -384,7 +384,7 @@ func TestStream(t *testing.T) {
 				t.Errorf("dropped %d frames, want 5", dropped)
 			}
 			s.Finish(done)
-			var got []StreamFrame
+			var got []Frame
 			for p := range live {
 				got = append(got, decodeAll(t, [][]byte{p})...)
 			}

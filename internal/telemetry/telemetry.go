@@ -64,37 +64,43 @@ type RunRecord struct {
 	SimWallMs   float64 `json:"sim_wall_ms,omitempty"`
 	Err         string  `json:"error,omitempty"`
 
-	// Live progress (executing progress-reporting runs only): the
-	// newest frame's totals, completion against the known instruction
-	// budget, interval-window IPC, retirement rate, and ETA.
-	Cycles      uint64  `json:"cycles,omitempty"`
-	Insts       uint64  `json:"insts,omitempty"`
-	Target      uint64  `json:"target,omitempty"`
-	Pct         float64 `json:"pct,omitempty"`
-	IntervalIPC float64 `json:"interval_ipc,omitempty"`
-	InstsPerSec float64 `json:"insts_per_sec,omitempty"`
-	EtaSeconds  float64 `json:"eta_seconds,omitempty"`
+	// Progress is the newest frame of an executing progress-reporting
+	// run; completed rows keep the last one.
+	Progress *sched.Progress `json:"progress,omitempty"`
 }
 
-// Event is one SSE message on /events: run and experiment lifecycle
-// transitions — and, for executing runs, throttled progress frames —
-// as they happen.
-type Event struct {
-	Type  string  `json:"type"` // run-start, run-progress, run-finish, experiment-start, experiment-finish
-	TMs   float64 `json:"t_ms"` // milliseconds since the hub started
-	ID    uint64  `json:"id,omitempty"`
+// Frame is the one SSE message type: run and experiment lifecycle
+// events on /events, per-run frames on /runs/{id}/stream, and carfserve
+// job frames on /api/v1/runs/{id}/stream. Type says which fields are
+// set:
+//
+//   - "hello" opens /events (clients sync their clock to TMs);
+//   - "run-start", "run-progress", "run-finish", "experiment-start" and
+//     "experiment-finish" are /events lifecycle transitions;
+//   - "progress" frames stream an executing run or job, and exactly one
+//     "done" frame ends the stream. A run or job served without
+//     simulating (cache hit, disk hit, join) streams a single done
+//     frame whose Note says so.
+type Frame struct {
+	Type  string  `json:"type"`
+	TMs   float64 `json:"t_ms"`          // milliseconds since the hub started
+	ID    uint64  `json:"id,omitempty"`  // scheduler run id
+	Job   string  `json:"job,omitempty"` // carfserve job id
 	Label string  `json:"label,omitempty"`
 	Key   string  `json:"key,omitempty"`
 
-	// run-progress only: the frame as stamped by the scheduler.
+	// run-progress and progress frames: the frame as stamped by the
+	// scheduler.
 	Progress *sched.Progress `json:"progress,omitempty"`
 
-	// run-finish / experiment-finish only.
+	// Terminal frames: run-finish, experiment-finish and done.
 	Outcome     string  `json:"outcome,omitempty"`
+	Status      string  `json:"status,omitempty"` // a job's terminal status
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
 	SimWallMs   float64 `json:"sim_wall_ms,omitempty"`
 	ElapsedMs   float64 `json:"elapsed_ms,omitempty"`
 	Err         string  `json:"error,omitempty"`
+	Note        string  `json:"note,omitempty"` // provenance for frame-less runs
 }
 
 // runState is the hub's in-flight bookkeeping for one scheduler run.
@@ -163,7 +169,9 @@ func (h *Hub) sinceMs(t time.Time) float64 {
 	return float64(t.Sub(h.t0)) / float64(time.Millisecond)
 }
 
-func (h *Hub) nowMs() float64 { return h.sinceMs(time.Now()) }
+// NowMs is the hub clock every Frame's TMs reads: milliseconds since
+// the hub started.
+func (h *Hub) NowMs() float64 { return h.sinceMs(time.Now()) }
 
 // RunEnqueued implements sched.Observer: a Do call entered the
 // scheduler. The request-side span opens here; its final category
@@ -178,13 +186,13 @@ func (h *Hub) RunEnqueued(id uint64, key sched.Key, label string) {
 			Key:        key.Short(),
 			Label:      label,
 			State:      "queued",
-			EnqueuedMs: h.nowMs(),
+			EnqueuedMs: h.NowMs(),
 		},
 		span: sp,
 	}
 	h.streams[id] = NewStream()
 	h.mu.Unlock()
-	h.publish(Event{Type: "run-start", TMs: h.nowMs(), ID: id, Label: label, Key: key.Short()})
+	h.publish(Frame{Type: "run-start", TMs: h.NowMs(), ID: id, Label: label, Key: key.Short()})
 }
 
 // RunProgressed implements sched.Observer: an executing run reported a
@@ -198,30 +206,20 @@ func (h *Hub) RunProgressed(id uint64, p sched.Progress) {
 		h.mu.Unlock()
 		return
 	}
-	st.rec.Cycles = p.Cycles
-	st.rec.Insts = p.Insts
-	st.rec.Target = p.Target
-	if pct := p.Pct(); pct >= 0 {
-		st.rec.Pct = pct
-	}
-	st.rec.IntervalIPC = p.IntervalIPC
-	st.rec.InstsPerSec = p.InstsPerSec
-	st.rec.EtaSeconds = p.ETASeconds
+	st.rec.Progress = &p
 	label, key := st.rec.Label, st.rec.Key
 	stream := h.streams[id]
 	h.mu.Unlock()
 
-	pp := p
-	if ok, dropped := stream.Publish(StreamFrame{
-		Type: "progress", TMs: h.nowMs(), ID: id, Label: label, Key: key,
-		Progress: &pp,
+	if ok, dropped := stream.Publish(Frame{
+		Type: "progress", TMs: h.NowMs(), ID: id, Label: label, Key: key, Progress: &p,
 	}); ok {
 		h.mu.Lock()
 		h.events++
 		h.dropped += uint64(dropped)
 		h.mu.Unlock()
 	}
-	h.publish(Event{Type: "run-progress", TMs: h.nowMs(), ID: id, Label: label, Key: key, Progress: &pp})
+	h.publish(Frame{Type: "run-progress", TMs: h.NowMs(), ID: id, Label: label, Key: key, Progress: &p})
 }
 
 // RunStarted implements sched.Observer: a miss acquired a worker slot.
@@ -235,7 +233,7 @@ func (h *Hub) RunStarted(id uint64) {
 		return
 	}
 	st.rec.State = "running"
-	st.rec.StartedMs = h.nowMs()
+	st.rec.StartedMs = h.NowMs()
 	reqSpan := st.span
 	h.mu.Unlock()
 
@@ -261,7 +259,7 @@ func (h *Hub) RunFinished(id uint64, p sched.Provenance, err error) {
 	delete(h.inflight, id)
 	st.rec.State = "done"
 	st.rec.Outcome = p.Outcome.String()
-	st.rec.FinishedMs = h.nowMs()
+	st.rec.FinishedMs = h.NowMs()
 	st.rec.QueueWaitMs = float64(p.QueueWait) / float64(time.Millisecond)
 	st.rec.SimWallMs = float64(p.SimWall) / float64(time.Millisecond)
 	if err != nil {
@@ -286,14 +284,14 @@ func (h *Hub) RunFinished(id uint64, p sched.Provenance, err error) {
 		span.SetCategory(p.Outcome.String())
 		span.Attr("outcome", p.Outcome.String()).End()
 	}
-	h.publish(Event{
-		Type: "run-finish", TMs: h.nowMs(), ID: id,
+	h.publish(Frame{
+		Type: "run-finish", TMs: h.NowMs(), ID: id,
 		Label: st.rec.Label, Key: st.rec.Key, Outcome: st.rec.Outcome,
 		QueueWaitMs: st.rec.QueueWaitMs, SimWallMs: st.rec.SimWallMs,
 		Err: st.rec.Err,
 	})
-	if stream.Finish(StreamFrame{
-		Type: "done", TMs: h.nowMs(), ID: id,
+	if stream.Finish(Frame{
+		Type: "done", TMs: h.NowMs(), ID: id,
 		Label: st.rec.Label, Key: st.rec.Key, Outcome: st.rec.Outcome,
 		SimWallMs: st.rec.SimWallMs, Err: st.rec.Err,
 		Note: provenanceNote(p.Outcome),
@@ -341,7 +339,7 @@ func (h *Hub) ExperimentStart(name string) *Span {
 	if h == nil {
 		return nil
 	}
-	h.publish(Event{Type: "experiment-start", TMs: h.nowMs(), Label: name})
+	h.publish(Frame{Type: "experiment-start", TMs: h.NowMs(), Label: name})
 	return h.tracer.StartSpan(TrackExperiments, "experiment", name)
 }
 
@@ -350,8 +348,8 @@ func (h *Hub) ExperimentEnd(name string, sp *Span, elapsed time.Duration, err er
 	if h == nil {
 		return
 	}
-	ev := Event{
-		Type: "experiment-finish", TMs: h.nowMs(), Label: name,
+	ev := Frame{
+		Type: "experiment-finish", TMs: h.NowMs(), Label: name,
 		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
 	}
 	if err != nil {
@@ -403,7 +401,7 @@ func (h *Hub) Subscribe() (<-chan []byte, func()) {
 
 // publish fans one event out to every subscriber without blocking,
 // enforcing the slow-subscriber disconnect policy.
-func (h *Hub) publish(ev Event) {
+func (h *Hub) publish(ev Frame) {
 	h.mu.Lock()
 	if len(h.subs) == 0 {
 		h.mu.Unlock()
