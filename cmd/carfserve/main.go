@@ -1,8 +1,9 @@
 // Command carfserve is the long-running simulation service: an
 // HTTP/JSON daemon that accepts kernel simulations and paper
 // experiments, runs them through the process-global scheduler, and
-// persists completed results in a tiered store so warm cache hits
-// survive restarts.
+// persists completed results in an on-disk store so warm cache hits
+// survive restarts. The scheduler's memo, bounded by -mem-cache, is the
+// one in-memory result cache; runs it evicts come back from the store.
 //
 // Endpoints (see EXPERIMENTS.md for the full schema):
 //
@@ -48,7 +49,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 		storeDir     = flag.String("store", "", "persistent result store directory (empty = memory-only caching)")
 		workers      = flag.Int("workers", 0, "simulation worker pool bound (0 = GOMAXPROCS)")
-		memCache     = flag.Int("mem-cache", 0, "decoded results held in the store's memory tier (0 = default)")
+		memCache     = flag.Int("mem-cache", 256, "completed runs held in the scheduler's in-memory memo; evicted runs return from -store as disk hits (<= 0 = unbounded)")
 		maxJobs      = flag.Int("max-jobs", 16, "admitted-but-unfinished jobs across all clients before 429")
 		maxPerClient = flag.Int("max-jobs-per-client", 4, "unfinished jobs per client before 429")
 		runningJobs  = flag.Int("running-jobs", 2, "jobs executing concurrently (sims inside a job share the worker pool)")
@@ -62,16 +63,12 @@ func main() {
 	if *workers > 0 {
 		sched.Global().SetWorkers(*workers)
 	}
+	sched.Global().SetCacheCap(*memCache)
 
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
-		st, err = store.Open(store.Options{
-			Dir:        *storeDir,
-			Schema:     experiments.StoreSchema,
-			MemEntries: *memCache,
-			Logger:     logger,
-		})
+		st, err = store.Open(store.Options{Dir: *storeDir, Schema: experiments.StoreSchema, Logger: logger})
 		if err != nil {
 			logger.Error("store open failed", "dir", *storeDir, "err", err)
 			os.Exit(1)

@@ -97,7 +97,7 @@ func progressLogger(logger *slog.Logger, exp string) func(carf.Progress) {
 			attrs = append(attrs, "interval_ipc", fmt.Sprintf("%.3f", p.IntervalIPC))
 		}
 		if p.ETASeconds > 0 {
-			attrs = append(attrs, "eta", (time.Duration(p.ETASeconds * float64(time.Second))).Round(100*time.Millisecond))
+			attrs = append(attrs, "eta", (time.Duration(p.ETASeconds * float64(time.Second))).Round(time.Millisecond))
 		}
 		logger.Info("simulation progress", attrs...)
 	}

@@ -204,8 +204,9 @@ func (t *Tally) Stats() Stats {
 // cacheable result. Implementations must be safe for concurrent use,
 // must treat stored values as immutable, and must never fail a run —
 // a Tier that cannot serve or persist a value reports a miss / drops
-// the write (and accounts for it itself). The store package's tiered
-// blob store is the canonical implementation.
+// the write (and accounts for it itself). The store package's on-disk
+// blob store is the canonical implementation; it keeps no values in
+// memory, so the memo is the one in-memory result cache.
 type Tier interface {
 	// Load returns the value persisted under key, if a valid one exists.
 	Load(key Key) (val any, ok bool)
@@ -613,8 +614,8 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	}
 
 	// Persistent-tier probe: serving a previously computed run needs no
-	// worker slot. A hit is promoted into the memory cache so repeats
-	// stay cheap even after the blob ages out of the tier's own memory.
+	// worker slot. A hit is promoted into the memo cache so repeats skip
+	// the tier's disk read and decode.
 	if cacheable && tier != nil {
 		if v, ok := tier.Load(key); ok {
 			return s.served(id, obs, key, e, v, Provenance{Outcome: DiskHit, Key: key})

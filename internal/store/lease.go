@@ -2,7 +2,7 @@
 //
 // N processes sharing one store directory must not duplicate a
 // simulation. Duplication wastes work but never corrupts (blob writes
-// are atomic), so a store that cannot coordinate (memory-only, or the
+// are atomic), so a store that cannot coordinate (degraded, or the
 // platform or filesystem refuses the lock) grants every claim.
 //
 // A lease is an exclusive flock on leases/<key>.lease, which the kernel
@@ -38,7 +38,7 @@ func (s *Store) TryLock(key sched.Key) (release func(), ok bool) {
 	s.mu.Lock()
 	ldir := s.leaseDir
 	s.mu.Unlock()
-	if ldir == "" { // memory-only, by choice or degradation
+	if ldir == "" { // degraded to memory-only
 		return func() {}, true
 	}
 	path := filepath.Join(ldir, hex.EncodeToString(key[:])+".lease")

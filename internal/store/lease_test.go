@@ -137,7 +137,7 @@ func TestLeaseClaimRechecksInode(t *testing.T) {
 }
 
 func TestMemoryOnlyStoreGrantsUncoordinated(t *testing.T) {
-	s := open(t, "") // memory-only by choice
+	s := degraded(t)
 	defer s.Close()
 	r1, ok1 := s.TryLock(key(7))
 	r2, ok2 := s.TryLock(key(7))

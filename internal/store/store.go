@@ -1,8 +1,8 @@
 // Package store is the persistent half of the simulation result cache:
-// a tiered store — a small in-memory LRU of decoded values over
-// on-disk content-addressed blobs — that implements sched.Tier, so a
-// scheduler wired to it serves previously computed runs across process
-// restarts.
+// on-disk content-addressed blobs behind sched.Tier, so a scheduler
+// wired to it serves previously computed runs across process restarts.
+// The scheduler's memo is the one in-memory result cache; the store
+// holds no values in memory.
 //
 // Crash safety is the design center:
 //
@@ -17,8 +17,9 @@
 //     re-simulates.
 //   - When the blob directory is missing, not creatable, or not
 //     writable (read-only volume), the store degrades to memory-only
-//     operation: it logs the reason loudly once, keeps serving, and
-//     surfaces the degradation in Stats for /healthz.
+//     operation: it logs the reason loudly once, persists nothing more
+//     (the scheduler memo still serves results within the process),
+//     and surfaces the degradation in Stats for /healthz.
 //
 // Blobs are namespaced by a hash of the schema string, so a schema
 // bump (a change to the persisted value encoding) starts a fresh
@@ -28,7 +29,6 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
@@ -49,22 +49,10 @@ import (
 // layout), independent of the payload schema the header then names.
 const blobMagic = "carf-blob/v1"
 
-// Codec converts cached values to and from blob payloads. Encode may
-// reject a value it cannot represent (the store then skips persisting
-// it — counted, not fatal); Decode must reject payloads it cannot
-// faithfully reconstruct.
-type Codec interface {
-	Encode(v any) ([]byte, error)
-	Decode(b []byte) (any, error)
-}
-
-// GobCodec encodes values with encoding/gob through an interface
+// encodeValue encodes v with encoding/gob through an interface
 // envelope: any concrete type registered with gob.Register round-trips;
-// unregistered types fail Encode (the store counts and skips them).
-type GobCodec struct{}
-
-// Encode implements Codec.
-func (GobCodec) Encode(v any) ([]byte, error) {
+// unregistered types fail (the store counts and skips them).
+func encodeValue(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		return nil, err
@@ -72,8 +60,8 @@ func (GobCodec) Encode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode implements Codec.
-func (GobCodec) Decode(b []byte) (any, error) {
+// decodeValue reverses encodeValue.
+func decodeValue(b []byte) (any, error) {
 	var v any
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
 		return nil, err
@@ -83,8 +71,8 @@ func (GobCodec) Decode(b []byte) (any, error) {
 
 // Options configures Open.
 type Options struct {
-	// Dir is the blob directory root ("" = memory-only by choice, not
-	// degradation). The store manages a schema-named subdirectory.
+	// Dir is the blob directory root. Required. The store manages a
+	// schema-named subdirectory.
 	Dir string
 
 	// Schema versions the persisted payload encoding; it must change
@@ -92,21 +80,10 @@ type Options struct {
 	// Required.
 	Schema string
 
-	// MemEntries bounds the in-memory tier (decoded values, LRU).
-	// 0 takes DefaultMemEntries; negative disables the memory tier.
-	MemEntries int
-
-	// Codec converts values to blob payloads (default GobCodec).
-	Codec Codec
-
 	// Logger receives degradation and quarantine reports (default
 	// slog.Default()).
 	Logger *slog.Logger
 }
-
-// DefaultMemEntries is the in-memory tier bound when Options.MemEntries
-// is zero.
-const DefaultMemEntries = 256
 
 // tmpSweepAge is how old a blob temporary must be before Open deletes
 // it as a crashed writer's leftover.
@@ -115,41 +92,33 @@ const tmpSweepAge = 10 * time.Second
 // Stats is a snapshot of the store's counters and condition, shaped for
 // /healthz and logs.
 type Stats struct {
-	Dir        string `json:"dir,omitempty"`    // schema-namespaced blob directory ("" when memory-only)
-	Mode       string `json:"mode"`             // "disk" or "memory-only"
-	Reason     string `json:"reason,omitempty"` // why the store is memory-only, when degraded
-	Degraded   bool   `json:"degraded"`         // true when disk was requested but is unavailable
-	MemEntries int    `json:"mem_entries"`      // decoded values held in the memory tier
-	DiskBlobs  int    `json:"disk_blobs"`       // valid blobs believed on disk
+	Dir       string `json:"dir,omitempty"`    // schema-namespaced blob directory ("" when degraded)
+	Mode      string `json:"mode"`             // "disk" or "memory-only"
+	Reason    string `json:"reason,omitempty"` // why the store is memory-only, when degraded
+	Degraded  bool   `json:"degraded"`         // true when the disk is unavailable
+	DiskBlobs int    `json:"disk_blobs"`       // valid blobs believed on disk
 
-	MemHits     uint64 `json:"mem_hits"`
 	DiskHits    uint64 `json:"disk_hits"`
 	Misses      uint64 `json:"misses"`
 	Puts        uint64 `json:"puts"`
-	PutSkipped  uint64 `json:"put_skipped"` // values the codec cannot represent
+	PutSkipped  uint64 `json:"put_skipped"` // values gob cannot encode
 	PutErrors   uint64 `json:"put_errors"`  // disk writes that failed (triggers degradation)
 	Quarantined uint64 `json:"quarantined"` // corrupt blobs moved aside
-	Evictions   uint64 `json:"evictions"`   // memory-tier LRU evictions
 
 	LeasesAcquired uint64 `json:"leases_acquired,omitempty"` // cross-process leases won
 	LeaseLosses    uint64 `json:"lease_losses,omitempty"`    // TryLock calls that found a live peer's lease
 }
 
-// Store is the tiered result store. All methods are safe for concurrent
-// use. It implements sched.Tier.
+// Store is the on-disk result store. All methods are safe for
+// concurrent use. It implements sched.Tier.
 type Store struct {
-	dir      string // schema-namespaced root; "" when memory-only
+	dir      string // schema-namespaced root; "" when degraded
 	qdir     string // quarantine directory under dir
 	leaseDir string // cross-process lease directory under dir
 	schema   string
-	codec    Codec
 	log      *slog.Logger
-	memCap   int
 
 	mu     sync.Mutex
-	mem    map[sched.Key]any
-	lru    *list.List // front = most recent; values are sched.Key
-	lruPos map[sched.Key]*list.Element
 	st     Stats
 	closed bool
 }
@@ -157,37 +126,18 @@ type Store struct {
 // Open opens (creating if needed) the store rooted at o.Dir. Disk
 // problems never fail Open: the store degrades to memory-only operation
 // and says so loudly — check Stats().Degraded when the distinction
-// matters. The only error is a missing schema.
+// matters. The only errors are a missing directory or schema.
 func Open(o Options) (*Store, error) {
+	if o.Dir == "" {
+		return nil, fmt.Errorf("store: Options.Dir is required (the store keeps nothing in memory)")
+	}
 	if o.Schema == "" {
 		return nil, fmt.Errorf("store: Options.Schema is required (it versions the persisted encoding)")
-	}
-	if o.Codec == nil {
-		o.Codec = GobCodec{}
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
-	memCap := o.MemEntries
-	switch {
-	case memCap == 0:
-		memCap = DefaultMemEntries
-	case memCap < 0:
-		memCap = 0 // memory tier disabled
-	}
-	s := &Store{
-		schema: o.Schema,
-		codec:  o.Codec,
-		log:    o.Logger,
-		memCap: memCap,
-		mem:    make(map[sched.Key]any),
-		lru:    list.New(),
-		lruPos: make(map[sched.Key]*list.Element),
-	}
-	s.st.Mode = "memory-only"
-	if o.Dir == "" {
-		return s, nil
-	}
+	s := &Store{schema: o.Schema, log: o.Logger}
 
 	sum := sha256.Sum256([]byte(o.Schema))
 	dir := filepath.Join(o.Dir, "schema-"+hex.EncodeToString(sum[:4]))
@@ -258,9 +208,10 @@ func (s *Store) degradeLocked(reason string) {
 	s.log.Error("store: DEGRADED to memory-only operation — results will not survive restarts", "reason", reason)
 }
 
-// blobPath returns the blob file for key.
-func (s *Store) blobPath(key sched.Key) string {
-	return filepath.Join(s.dir, hex.EncodeToString(key[:])+".blob")
+// blobPath returns key's blob file under dir, the directory a caller
+// read under s.mu (degradation clears s.dir concurrently).
+func blobPath(dir string, key sched.Key) string {
+	return filepath.Join(dir, hex.EncodeToString(key[:])+".blob")
 }
 
 // header is the JSON first line of every blob.
@@ -271,18 +222,10 @@ type header struct {
 	Size   int64  `json:"size"`
 }
 
-// Load implements sched.Tier: memory tier first, then disk. A corrupt
-// blob is quarantined and reported as a miss.
+// Load implements sched.Tier: read, verify and decode key's blob. A
+// corrupt blob is quarantined and reported as a miss.
 func (s *Store) Load(key sched.Key) (any, bool) {
 	s.mu.Lock()
-	if v, ok := s.mem[key]; ok {
-		s.st.MemHits++
-		if el, ok := s.lruPos[key]; ok {
-			s.lru.MoveToFront(el)
-		}
-		s.mu.Unlock()
-		return v, true
-	}
 	dir := s.dir
 	s.mu.Unlock()
 
@@ -290,7 +233,7 @@ func (s *Store) Load(key sched.Key) (any, bool) {
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
 	}
-	path := s.blobPath(key)
+	path := blobPath(dir, key)
 	payload, err := s.readBlob(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -301,7 +244,7 @@ func (s *Store) Load(key sched.Key) (any, bool) {
 		}
 		return nil, false
 	}
-	v, err := s.codec.Decode(payload)
+	v, err := decodeValue(payload)
 	if err != nil {
 		// The bytes are intact but no longer decodable (a type fell out
 		// of registration): quarantine, same as corruption.
@@ -309,10 +252,7 @@ func (s *Store) Load(key sched.Key) (any, bool) {
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
 	}
-	s.mu.Lock()
-	s.st.DiskHits++
-	s.memInsert(key, v)
-	s.mu.Unlock()
+	s.count(func(st *Stats) { st.DiskHits++ })
 	return v, true
 }
 
@@ -391,14 +331,13 @@ func (s *Store) Store(key sched.Key, val any) {
 		return
 	}
 	s.st.Puts++
-	s.memInsert(key, val)
 	dir := s.dir
 	s.mu.Unlock()
 	if dir == "" {
 		return
 	}
 
-	payload, err := s.codec.Encode(val)
+	payload, err := encodeValue(val)
 	if err != nil {
 		// The value's type is not persistable (unregistered, contains
 		// unexported state). Expected for instrumented run families;
@@ -406,7 +345,7 @@ func (s *Store) Store(key sched.Key, val any) {
 		s.count(func(st *Stats) { st.PutSkipped++ })
 		return
 	}
-	if err := s.writeBlob(key, payload); err != nil {
+	if err := s.writeBlob(dir, key, payload); err != nil {
 		s.mu.Lock()
 		s.st.PutErrors++
 		s.degradeLocked(fmt.Sprintf("blob write failed: %v", err))
@@ -434,15 +373,15 @@ func encodeBlob(schema string, payload []byte) ([]byte, error) {
 
 // writeBlob writes header+payload to a temporary and renames it into
 // place, so a crash at any point leaves either the old blob or a .tmp
-// that a later Open sweeps once it is older than the lease timeout —
+// that a later Open sweeps once it is older than tmpSweepAge —
 // never a truncated blob under a valid name.
-func (s *Store) writeBlob(key sched.Key, payload []byte) error {
+func (s *Store) writeBlob(dir string, key sched.Key, payload []byte) error {
 	blob, err := encodeBlob(s.schema, payload)
 	if err != nil {
 		return err
 	}
-	final := s.blobPath(key)
-	f, err := os.CreateTemp(s.dir, hex.EncodeToString(key[:4])+"-*.tmp")
+	final := blobPath(dir, key)
+	f, err := os.CreateTemp(dir, hex.EncodeToString(key[:4])+"-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -467,32 +406,6 @@ func (s *Store) writeBlob(key sched.Key, payload []byte) error {
 	return nil
 }
 
-// memInsert adds v to the memory tier under the LRU bound. Callers hold
-// s.mu.
-func (s *Store) memInsert(key sched.Key, v any) {
-	if s.memCap == 0 {
-		return
-	}
-	if el, ok := s.lruPos[key]; ok {
-		s.lru.MoveToFront(el)
-		s.mem[key] = v
-		return
-	}
-	s.mem[key] = v
-	s.lruPos[key] = s.lru.PushFront(key)
-	for len(s.mem) > s.memCap {
-		el := s.lru.Back()
-		if el == nil {
-			break
-		}
-		k := el.Value.(sched.Key)
-		s.lru.Remove(el)
-		delete(s.lruPos, k)
-		delete(s.mem, k)
-		s.st.Evictions++
-	}
-}
-
 // count applies a stats mutation under the lock.
 func (s *Store) count(f func(*Stats)) {
 	s.mu.Lock()
@@ -504,9 +417,7 @@ func (s *Store) count(f func(*Stats)) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.st
-	st.MemEntries = len(s.mem)
-	return st
+	return s.st
 }
 
 // Readings exports the store's counters in the metrics Reading shape
@@ -518,17 +429,14 @@ func (s *Store) Readings() []metrics.Reading {
 		degraded = 1
 	}
 	return []metrics.Reading{
-		{Name: "store.mem_entries", Kind: metrics.ReadGauge, Value: float64(st.MemEntries)},
 		{Name: "store.disk_blobs", Kind: metrics.ReadGauge, Value: float64(st.DiskBlobs)},
 		{Name: "store.degraded", Kind: metrics.ReadGauge, Value: degraded},
-		{Name: "store.mem_hits_total", Kind: metrics.ReadCounter, Value: float64(st.MemHits)},
 		{Name: "store.disk_hits_total", Kind: metrics.ReadCounter, Value: float64(st.DiskHits)},
 		{Name: "store.misses_total", Kind: metrics.ReadCounter, Value: float64(st.Misses)},
 		{Name: "store.puts_total", Kind: metrics.ReadCounter, Value: float64(st.Puts)},
 		{Name: "store.put_skipped_total", Kind: metrics.ReadCounter, Value: float64(st.PutSkipped)},
 		{Name: "store.put_errors_total", Kind: metrics.ReadCounter, Value: float64(st.PutErrors)},
 		{Name: "store.quarantined_total", Kind: metrics.ReadCounter, Value: float64(st.Quarantined)},
-		{Name: "store.evictions_total", Kind: metrics.ReadCounter, Value: float64(st.Evictions)},
 		{Name: "store.leases_acquired_total", Kind: metrics.ReadCounter, Value: float64(st.LeasesAcquired)},
 		{Name: "store.lease_losses_total", Kind: metrics.ReadCounter, Value: float64(st.LeaseLosses)},
 	}

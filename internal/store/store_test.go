@@ -45,6 +45,37 @@ func key(b byte) sched.Key {
 	return k
 }
 
+// degraded opens a store on a path that cannot be a directory. Running
+// as root ignores permission bits, so this is the reliable way to make
+// the disk unavailable.
+func degraded(t *testing.T) *Store {
+	t.Helper()
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return open(t, file)
+}
+
+// repeatHits runs one job twice through a fresh scheduler over st: the
+// first call simulates, the repeat must be a memo hit that does not
+// call fn, whatever the store could persist.
+func repeatHits(t *testing.T, st *Store, k sched.Key, v any) {
+	t.Helper()
+	s := sched.New(1)
+	s.SetTier(st)
+	calls := 0
+	for _, want := range []sched.Outcome{sched.Miss, sched.Hit} {
+		_, p, err := s.Do(k, "", true, func() (any, error) { calls++; return v, nil })
+		if err != nil || p.Outcome != want {
+			t.Fatalf("Do = %v, %v; want %v", p.Outcome, err, want)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("fn ran %d times, want 1", calls)
+	}
+}
+
 func TestRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
@@ -54,7 +85,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// A fresh store (fresh memory tier) must serve the value from disk.
+	// A fresh store must serve the value from disk.
 	s2 := open(t, dir)
 	v, ok := s2.Load(key(1))
 	if !ok {
@@ -71,12 +102,12 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	if st.DiskHits != 1 {
 		t.Fatalf("DiskHits = %d, want 1", st.DiskHits)
 	}
-	// Second load of the same key is a memory hit (promoted on disk read).
+	// The store holds nothing in memory: a second load reads disk again.
 	if _, ok := s2.Load(key(1)); !ok {
 		t.Fatal("second Load: miss")
 	}
-	if st := s2.Stats(); st.MemHits != 1 {
-		t.Fatalf("MemHits = %d, want 1", st.MemHits)
+	if st := s2.Stats(); st.DiskHits != 2 {
+		t.Fatalf("DiskHits = %d, want 2", st.DiskHits)
 	}
 }
 
@@ -94,7 +125,7 @@ func TestTruncatedBlobQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	s.Store(key(2), payload{Name: "victim", Count: 7})
-	path := s.blobPath(key(2))
+	path := blobPath(s.dir, key(2))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read blob: %v", err)
@@ -134,7 +165,7 @@ func TestCorruptPayloadBitsQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	s.Store(key(3), payload{Name: "bits", Count: 1})
-	path := s.blobPath(key(3))
+	path := blobPath(s.dir, key(3))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -230,15 +261,7 @@ func TestOpenKeepsPeerTmp(t *testing.T) {
 }
 
 func TestDegradeWhenDirIsAFile(t *testing.T) {
-	// Running as root ignores permission bits, so the reliable way to
-	// make the disk tier unavailable is a path that cannot be a
-	// directory.
-	base := t.TempDir()
-	file := filepath.Join(base, "not-a-dir")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := open(t, file)
+	s := degraded(t)
 	st := s.Stats()
 	if !st.Degraded || st.Mode != "memory-only" {
 		t.Fatalf("store not degraded: %+v", st)
@@ -246,30 +269,25 @@ func TestDegradeWhenDirIsAFile(t *testing.T) {
 	if st.Reason == "" {
 		t.Fatal("degraded store has empty Reason")
 	}
-	// Still fully functional in memory.
+	// It persists nothing, but the scheduler memo still serves repeats.
 	s.Store(key(6), payload{Name: "mem"})
-	if _, ok := s.Load(key(6)); !ok {
-		t.Fatal("memory-only store lost a value")
+	if _, ok := s.Load(key(6)); ok {
+		t.Fatal("degraded store served a value it cannot have persisted")
 	}
+	repeatHits(t, s, key(7), payload{Name: "memo"})
 }
 
-func TestMemoryOnlyByChoice(t *testing.T) {
-	s := open(t, "")
-	st := s.Stats()
-	if st.Degraded {
-		t.Fatalf("Dir=\"\" should be memory-only by choice, not degraded: %+v", st)
-	}
-	s.Store(key(7), payload{Name: "m"})
-	if _, ok := s.Load(key(7)); !ok {
-		t.Fatal("miss in memory-only store")
+func TestOpenRejectsEmptyDir(t *testing.T) {
+	if _, err := Open(Options{Schema: "test-schema/v1", Logger: testLogger()}); err == nil {
+		t.Fatal("Open with no Dir succeeded; a store without a disk caches nothing")
 	}
 }
 
 func TestUnencodableValueSkipped(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir)
+	s := open(t, t.TempDir())
 	type unregistered struct{ X chan int } // gob cannot encode chans
-	s.Store(key(8), unregistered{})
+	// The scheduler memo serves the repeat; the store skips the write.
+	repeatHits(t, s, key(8), unregistered{})
 	st := s.Stats()
 	if st.PutSkipped != 1 {
 		t.Fatalf("PutSkipped = %d, want 1", st.PutSkipped)
@@ -277,30 +295,41 @@ func TestUnencodableValueSkipped(t *testing.T) {
 	if st.Degraded {
 		t.Fatal("unencodable value degraded the store")
 	}
-	// The value still serves from the memory tier.
-	if _, ok := s.Load(key(8)); !ok {
-		t.Fatal("unencodable value not served from memory tier")
+	if _, ok := s.Load(key(8)); ok {
+		t.Fatal("unencodable value served from the store")
 	}
 }
 
-func TestMemLRUEviction(t *testing.T) {
-	s := open(t, t.TempDir(), func(o *Options) { o.MemEntries = 2 })
-	s.Store(key(1), payload{Name: "a"})
-	s.Store(key(2), payload{Name: "b"})
-	s.Store(key(3), payload{Name: "c"}) // evicts key(1) from memory
-	st := s.Stats()
-	if st.MemEntries != 2 {
-		t.Fatalf("MemEntries = %d, want 2", st.MemEntries)
+// TestMemoEvictionServedFromDisk: the scheduler memo is the one
+// in-memory result cache, so a run it evicts comes back as a disk hit
+// read from the store's blob, not a re-simulation.
+func TestMemoEvictionServedFromDisk(t *testing.T) {
+	st := open(t, t.TempDir())
+	s := sched.New(1)
+	s.SetTier(st)
+	s.SetCacheCap(1)
+	run := func(k sched.Key, name string) sched.Provenance {
+		t.Helper()
+		v, p, err := s.Do(k, name, true, func() (any, error) { return payload{Name: name}, nil })
+		if err != nil || v.(payload).Name != name {
+			t.Fatalf("Do(%s) = %v, %v", name, v, err)
+		}
+		return p
 	}
-	if st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
+	run(key(1), "a")
+	run(key(2), "b")
+	if got := s.Stats().Evictions; got != 1 {
+		t.Fatalf("scheduler Evictions after b = %d, want 1 (a evicted)", got)
 	}
-	// Evicted from memory, but still on disk.
-	if _, ok := s.Load(key(1)); !ok {
-		t.Fatal("evicted key not recoverable from disk")
+	_, p, err := s.Do(key(1), "a", true, func() (any, error) {
+		t.Error("evicted run was re-simulated despite its blob on disk")
+		return nil, nil
+	})
+	if err != nil || p.Outcome != sched.DiskHit {
+		t.Fatalf("evicted reload: %v, %v; want disk-hit", p.Outcome, err)
 	}
-	if st := s.Stats(); st.DiskHits != 1 {
-		t.Fatalf("DiskHits = %d, want 1", st.DiskHits)
+	if got := st.Stats().DiskHits; got != 1 {
+		t.Fatalf("store DiskHits = %d, want 1", got)
 	}
 }
 
@@ -319,14 +348,11 @@ func TestDegradeOnWriteFailure(t *testing.T) {
 	if st.PutErrors != 1 {
 		t.Fatalf("PutErrors = %d, want 1", st.PutErrors)
 	}
-	// The store keeps serving from memory after degradation.
-	if _, ok := s.Load(key(9)); !ok {
-		t.Fatal("degraded store lost the value")
+	if _, ok := s.Load(key(9)); ok {
+		t.Fatal("degraded store served a value whose write failed")
 	}
-	s.Store(key(10), payload{Name: "after"})
-	if _, ok := s.Load(key(10)); !ok {
-		t.Fatal("degraded store cannot store new values in memory")
-	}
+	// Under a scheduler, repeats are still served from the memo.
+	repeatHits(t, s, key(10), payload{Name: "after"})
 }
 
 func TestImplementsSchedTier(t *testing.T) {
@@ -352,7 +378,7 @@ func TestReadingsShape(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := open(t, t.TempDir(), func(o *Options) { o.MemEntries = 8 })
+	s := open(t, t.TempDir())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
