@@ -139,7 +139,7 @@ func TestRunCtxProgressFrames(t *testing.T) {
 			t.Errorf("frame %d: label %q target %d pct %v", i, p.Label, p.Target, p.Pct)
 		}
 	}
-	if p := frames[0]; p.IntervalCycles == 0 || p.Writes == [3]uint64{} {
+	if p := frames[0]; p.IntervalCycles == 0 || p.WritesByType == [3]uint64{} {
 		t.Errorf("first frame has no interval window or write mix: %+v", p)
 	}
 	last := frames[len(frames)-1]

@@ -262,6 +262,10 @@ func (f *File) Params() Params { return f.p }
 // Stats returns the dynamic behaviour counters.
 func (f *File) Stats() Stats { return f.stats }
 
+// WritesByType returns the completed writes per value class so far
+// (Stats().WritesByType), for live progress reports.
+func (f *File) WritesByType() [3]uint64 { return f.stats.WritesByType }
+
 // Reset implements regfile.Model.
 func (f *File) Reset() {
 	f.d, f.n, f.m = f.p.D(), f.p.N(), f.p.M()

@@ -290,7 +290,8 @@ func ToSchedProgress(p pipeline.Progress, target uint64) sched.Progress {
 		IntIQ:          p.IntIQ,
 		FPIQ:           p.FPIQ,
 		LSQ:            p.LSQ,
-		Writes:         p.Writes,
+		ArrayWrites:    p.ArrayWrites,
+		WritesByType:   p.WritesByType,
 		Final:          p.Final,
 		Target:         target,
 	}

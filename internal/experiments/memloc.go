@@ -60,6 +60,7 @@ func Memloc(opt Options) (Result, error) {
 				}
 				local := newStreams()
 				m := vm.New(k.Prog)
+				defer m.Mem.Release()
 				for !m.Halted {
 					_, eff, err := m.Step()
 					if err != nil {

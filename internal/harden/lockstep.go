@@ -25,6 +25,10 @@ func NewLockstep(prog *vm.Program, ringSize int) *Lockstep {
 	return &Lockstep{golden: vm.New(prog), ring: NewCommitRing(ringSize)}
 }
 
+// Release hands the golden machine's private memory pages back for
+// reuse (vm.Memory.Release); its registers stay readable.
+func (l *Lockstep) Release() { l.golden.Mem.Release() }
+
 // Steps returns the number of commits checked so far.
 func (l *Lockstep) Steps() uint64 { return l.steps }
 

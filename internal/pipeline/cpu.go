@@ -501,23 +501,26 @@ func (c *CPU) runChunk(budget int64) (bool, error) {
 	return true, nil
 }
 
-// Finalize surfaces accumulated model faults and, for a run that can never continue — it completed, or
-// RunChunk failed it for good (hardening detection, watchdog, no
-// progress) — hands the machine's fixed-size tables — cache tag arrays,
-// BTB, gshare counters and the instruction-record slab — back for the
-// next simulation's New. Call it once RunChunk reports done; RunContext
-// calls it on both outcomes.
+// Finalize surfaces accumulated model faults and, for a run that can
+// never continue — it completed, or RunChunk failed it for good
+// (hardening detection, watchdog, no progress) — hands the machine's
+// fixed-size tables — cache tag arrays, BTB, gshare counters and the
+// instruction-record slab — back for the next simulation's New, and its
+// private memory pages for the next simulation's writes. Call it once
+// RunChunk reports done; RunContext calls it on both outcomes.
 //
 // Lifetime rule: after Finalize, everything a caller reads stays
 // readable — Stats, the Hierarchy levels' Stats and Config, the
-// predictor counters, Machine (registers and memory), Model,
-// Injections, and a failed run's error with its bundle — but the CPU
-// cannot run again: RunChunk and RunContext return an error instead of
-// touching a table another simulation may now own. Finalize is
-// idempotent; later calls return the first call's result. A run that
-// was abandoned while still resumable (canceled, or finalized before
-// RunChunk reported done) or that reports model faults keeps its
-// tables, which become ordinary garbage.
+// predictor counters, Machine's registers (X, F, PC), Model,
+// Injections, and a failed run's error with its bundle — except
+// Machine().Mem, which a releasing Finalize empties: its private pages
+// go to the next simulation's writes. The CPU cannot run again:
+// RunChunk and RunContext return an error instead of touching a table
+// another simulation may now own. Finalize is idempotent; later calls
+// return the first call's result. A run that was abandoned while still
+// resumable (canceled, or finalized before RunChunk reported done) or
+// that reports model faults keeps its tables and pages, which become
+// ordinary garbage.
 func (c *CPU) Finalize() (Stats, error) {
 	if c.finalized {
 		return c.stats, c.finalErr
@@ -542,9 +545,11 @@ func (c *CPU) modelFaults() error {
 	return nil
 }
 
-// release hands the recyclable tables back (see Finalize). Structures
-// still pointing into the slab (ROB, queues) keep only their lengths
-// meaningful; nothing reads the records once the CPU cannot run.
+// release hands the recyclable tables back (see Finalize), and the
+// private memory pages of the machine and of the lockstep checker's
+// golden machine. Structures still pointing into the slab (ROB,
+// queues) keep only their lengths meaningful; nothing reads the
+// records once the CPU cannot run.
 func (c *CPU) release() {
 	if c.ownsHier {
 		c.hier.Release()
@@ -553,6 +558,10 @@ func (c *CPU) release() {
 	c.btb.Release()
 	recordPool.Put(c.slab)
 	c.slab, c.pool = nil, nil
+	c.mach.Mem.Release()
+	if c.hard != nil && c.hard.lock != nil {
+		c.hard.lock.Release()
+	}
 }
 
 func max64(a, b int64) int64 {

@@ -31,6 +31,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden differentia
 
 const goldenScale = 0.05
 
+var goldenStatsPath = filepath.Join("testdata", "golden_stats.json")
+
 // goldenRecord is everything one configuration reports.
 type goldenRecord struct {
 	Name  string
@@ -209,7 +211,6 @@ func TestGoldenStatsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden grid is not short")
 	}
-	path := filepath.Join("testdata", "golden_stats.json")
 	got := runGolden(t)
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -219,20 +220,13 @@ func TestGoldenStatsBitIdentical(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(goldenStatsPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden records to %s", len(got), path)
+		t.Logf("wrote %d golden records to %s", len(got), goldenStatsPath)
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden data (run with -update-golden to record): %v", err)
-	}
-	var want []goldenRecord
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d records, golden has %d", len(got), len(want))
 	}
@@ -245,4 +239,28 @@ func TestGoldenStatsBitIdentical(t *testing.T) {
 				got[i].Name, got[i], want[i])
 		}
 	}
+}
+
+// readGolden returns the recorded golden records.
+func readGolden(t *testing.T) []goldenRecord {
+	t.Helper()
+	data, err := os.ReadFile(goldenStatsPath)
+	if err != nil {
+		t.Fatalf("missing golden data (run with -update-golden to record): %v", err)
+	}
+	var recs []goldenRecord
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// goldenStats returns the recorded statistics by record name.
+func goldenStats(t *testing.T) map[string]Stats {
+	t.Helper()
+	out := map[string]Stats{}
+	for _, r := range readGolden(t) {
+		out[r.Name] = r.Stats
+	}
+	return out
 }

@@ -186,6 +186,15 @@ func TestGoldenSeries(t *testing.T) {
 			t.Fatalf("interval 1: sample %d at cycle %d, want %d", i, sm.Cycle, i+1)
 		}
 	}
+	// The cycle() call that commits HALT retires instructions without
+	// counting a cycle, so the closing sample replaces the last slice
+	// boundary's sample at the same cycle.
+	last := every.Samples[len(every.Samples)-1].Values
+	for i, name := range every.Names {
+		if name == "pipeline.instructions" && (uint64(last[i]) != st.Instructions || st.Instructions != 10094) {
+			t.Errorf("interval 1: closing sample counts %v instructions, Stats %d (want 10094)", last[i], st.Instructions)
+		}
+	}
 }
 
 // TestSeriesIntervalAndFinal: series samples fall on every multiple of

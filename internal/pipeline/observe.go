@@ -28,7 +28,8 @@ type Observe struct {
 	// Series, when non-nil, receives the core's registered metric series
 	// (pipeline, register file, caches, predictors): one sample per
 	// frame, at every multiple of Every, plus a closing sample at the
-	// run's last cycle unless that cycle was already sampled.
+	// run's last cycle, which replaces a slice boundary's sample at the
+	// same cycle. Its totals equal the returned Stats.
 	Series *metrics.TimeSeries
 
 	// Trace receives one event per committed instruction, in commit
@@ -63,9 +64,9 @@ const defaultEvery = 4096
 // Progress is one live snapshot of an executing simulation, handed to
 // Observe.Frame: cumulative totals, the delta since the previous report
 // (the "interval window"), the structural queue occupancies at the
-// report cycle, and the register file write mix. Reports are advisory —
-// producing them never changes a single statistic, so a run's results
-// are bit-identical with the callback on or off.
+// report cycle, and the register file's write counts. Reports are
+// advisory — producing them never changes a single statistic, so a
+// run's results are bit-identical with the callback on or off.
 type Progress struct {
 	Cycles       uint64
 	Instructions uint64
@@ -83,11 +84,17 @@ type Progress struct {
 	FPIQ  int
 	LSQ   int
 
-	// Writes is the cumulative per-array register file write traffic in
-	// Model.Files() order: the whole file for conventional organizations
-	// (index 0), and the Simple/Short/Long sub-files for the
-	// content-aware one — the live write-class mix.
-	Writes [3]uint64
+	// ArrayWrites is the cumulative write traffic of each physical
+	// register array, in Model.Files() order: the whole file for
+	// conventional organizations (index 0), and the Simple, Short and
+	// Long arrays of the content-aware one. Every content-aware write
+	// lands in the Simple array, so this is not the write mix.
+	ArrayWrites [3]uint64
+
+	// WritesByType is the cumulative write mix by value class (Simple,
+	// Short, Long) of a content-aware file, as carfsim reports it; zero
+	// for files that do not classify values.
+	WritesByType [3]uint64
 
 	// Final marks the closing report RunContext emits after the last
 	// cycle; its totals equal the returned Stats.
@@ -125,14 +132,14 @@ func (c *CPU) RunContext(ctx context.Context, obs Observe) (Stats, error) {
 		if err != nil {
 			// The run can never continue: hand its tables back. Model
 			// faults are not reported over the run's own error.
-			c.sample(obs.Series, true)
+			c.sample(obs.Series)
 			c.Finalize()
 			return c.stats, err
 		}
 		if done {
 			break
 		}
-		c.sample(obs.Series, false)
+		c.sample(obs.Series)
 		if err := ctx.Err(); err != nil {
 			return c.stats, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
 		}
@@ -141,7 +148,7 @@ func (c *CPU) RunContext(ctx context.Context, obs Observe) (Stats, error) {
 			obs.Frame(last)
 		}
 	}
-	c.sample(obs.Series, true)
+	c.sample(obs.Series)
 	st, err := c.Finalize()
 	if obs.Frame != nil {
 		obs.Frame(c.progressSince(last, true))
@@ -163,20 +170,31 @@ func (c *CPU) install(obs Observe) {
 	}
 }
 
-// sample appends one registry snapshot at the current cycle to ts (nil:
-// metrics off). The closing sample is skipped when its cycle was
-// already sampled at a slice boundary.
-func (c *CPU) sample(ts *metrics.TimeSeries, final bool) {
+// sample records one registry snapshot at the current cycle in ts (nil:
+// metrics off). A series holds at most one sample per cycle, the
+// latest: a sample at an already-sampled cycle replaces that one. The
+// closing sample can repeat the last slice boundary's cycle with
+// different totals, because the cycle() call that commits HALT retires
+// instructions without counting a cycle.
+func (c *CPU) sample(ts *metrics.TimeSeries) {
 	if ts == nil {
 		return
 	}
-	if n := len(ts.Samples); final && n > 0 && ts.Samples[n-1].Cycle == c.stats.Cycles {
+	if n := len(ts.Samples); n > 0 && ts.Samples[n-1].Cycle == c.stats.Cycles {
+		last := &ts.Samples[n-1]
+		last.Values = c.mreg.Snapshot(last.Values[:0])
 		return
 	}
 	ts.Samples = append(ts.Samples, metrics.Sample{
 		Cycle:  c.stats.Cycles,
 		Values: c.mreg.Snapshot(make([]float64, 0, c.mreg.Len())),
 	})
+}
+
+// writeClassifier is implemented by register file models that count
+// their writes by value class (the content-aware file).
+type writeClassifier interface {
+	WritesByType() [3]uint64
 }
 
 // progressSince snapshots the machine, measuring the interval window
@@ -197,10 +215,13 @@ func (c *CPU) progressSince(prev Progress, final bool) Progress {
 		p.IntervalIPC = float64(p.IntervalInstructions) / float64(p.IntervalCycles)
 	}
 	for i, f := range c.model.Files() {
-		if i >= len(p.Writes) {
+		if i >= len(p.ArrayWrites) {
 			break
 		}
-		p.Writes[i] = f.Writes
+		p.ArrayWrites[i] = f.Writes
+	}
+	if wc, ok := c.model.(writeClassifier); ok {
+		p.WritesByType = wc.WritesByType()
 	}
 	return p
 }

@@ -93,15 +93,18 @@ func checkFrames(t *testing.T, prog *vm.Program, every, slice uint64) {
 		t.Errorf("interval deltas sum to %d cycles / %d insts, Stats %d / %d",
 			sumIC, sumII, st.Cycles, st.Instructions)
 	}
-	// The write mix covers the model's sub-files cumulatively; the final
-	// frame must match the model's own activity report.
+	// The write counts are cumulative; the final frame must match the
+	// model's own activity report and write mix.
 	for i, f := range model.Files() {
-		if i >= len(final.Writes) {
+		if i >= len(final.ArrayWrites) {
 			break
 		}
-		if final.Writes[i] != f.Writes {
-			t.Errorf("final frame writes[%d] = %d, model reports %d", i, final.Writes[i], f.Writes)
+		if final.ArrayWrites[i] != f.Writes {
+			t.Errorf("final frame array writes[%d] = %d, model reports %d", i, final.ArrayWrites[i], f.Writes)
 		}
+	}
+	if want := model.Stats().WritesByType; final.WritesByType != want {
+		t.Errorf("final frame writes by type %v, model reports %v", final.WritesByType, want)
 	}
 }
 

@@ -53,7 +53,8 @@ func assertUnshared(t *testing.T, a, b *CPU) {
 
 // TestFinalizeLifetime pins Finalize's lifetime rule: a second call is a
 // no-op, the CPU cannot run again, everything a caller reads stays
-// readable, and the released tables go back exactly once.
+// readable except the machine's memory, which is empty, and the
+// released tables go back exactly once.
 func TestFinalizeLifetime(t *testing.T) {
 	k, err := workload.ByName("histo", 0.05)
 	if err != nil {
@@ -70,10 +71,13 @@ func TestFinalizeLifetime(t *testing.T) {
 	h := cpu.Hierarchy()
 	l1d, l2, acc := h.L1D.Stats(), h.L2.Stats(), cpu.Gshare().Accuracy()
 	writes := cpu.Model().Files()[0].Writes
-	pages := cpu.Machine().Mem.MappedPages()
-	if l1d.Accesses == 0 || l2.Accesses == 0 || acc == 0 || writes == 0 || pages == 0 {
-		t.Fatalf("run left nothing to read: L1D %+v L2 %+v accuracy %v writes %d pages %d", l1d, l2, acc, writes, pages)
+	if l1d.Accesses == 0 || l2.Accesses == 0 || acc == 0 || writes == 0 {
+		t.Fatalf("run left nothing to read: L1D %+v L2 %+v accuracy %v writes %d", l1d, l2, acc, writes)
 	}
+	if pages := cpu.Machine().Mem.MappedPages(); pages != 0 {
+		t.Errorf("memory maps %d pages after Finalize, want 0: its pages go back for reuse", pages)
+	}
+	x, f, pc := cpu.Machine().X, cpu.Machine().F, cpu.Machine().PC
 
 	again, err := cpu.Finalize()
 	if err != nil || !reflect.DeepEqual(again, st) {
@@ -98,8 +102,11 @@ func TestFinalizeLifetime(t *testing.T) {
 	if got := cpu.Machine().X[workload.ResultReg]; got != k.Expected {
 		t.Errorf("result register after Finalize = %#x, want %#x", got, k.Expected)
 	}
-	if cpu.Machine().Mem.MappedPages() != pages || cpu.Model().Files()[0].Writes != writes {
-		t.Error("memory or model state moved after Finalize")
+	if m := cpu.Machine(); m.X != x || m.F != f || m.PC != pc || m.Mem.MappedPages() != 0 {
+		t.Error("machine state moved after Finalize")
+	}
+	if cpu.Model().Files()[0].Writes != writes {
+		t.Error("model state moved after Finalize")
 	}
 
 	assertUnshared(t, New(DefaultConfig(), k.Prog, carfModel()), New(DefaultConfig(), k.Prog, carfModel()))
@@ -120,8 +127,8 @@ func TestAbandonedRunKeepsTables(t *testing.T) {
 	if _, err := cpu.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if cpu.slab == nil {
-		t.Error("an abandoned run released its tables")
+	if cpu.slab == nil || cpu.Machine().Mem.MappedPages() == 0 {
+		t.Error("an abandoned run released its tables or memory pages")
 	}
 
 	faulty := New(DefaultConfig(), k.Prog, faultyModel{carfModel()})
@@ -218,13 +225,17 @@ func TestSMTFinalizes(t *testing.T) {
 	assertUnshared(t, New(DefaultConfig(), ka.Prog, carfModel()), New(DefaultConfig(), ka.Prog, carfModel()))
 }
 
-// TestRecycledTablesIsolateRuns: a simulation on tables another run
-// released reports exactly what it reports on fresh ones. Kernel B runs
-// three times — first, right after itself (a leftover of its own would
-// warm every cache and predictor), and after kernel A on the other
-// register file, stopped by an instruction budget so its records are
-// released while still in flight — and must report the same statistics
-// every time. B is branchy, so a stale predictor shows in its counts.
+// TestRecycledTablesIsolateRuns: a simulation on tables and memory pages
+// another run released reports exactly what it reports on fresh ones.
+// Kernel B runs four times — first, right after itself (a leftover of
+// its own would warm every cache and predictor), after kernel A on the
+// other register file, stopped by an instruction budget so its records
+// are released while still in flight, and after the hungriest kernel,
+// whose hash table leaves about 128 dirty pages for B's writes — and
+// must report its golden record and checksum every time. B is branchy,
+// so a stale predictor shows in its counts. The hungry kernel then runs
+// again on its own released pages, so a table that still held its keys
+// would change its checksum and statistics.
 func TestRecycledTablesIsolateRuns(t *testing.T) {
 	ka, err := workload.ByName("histo", 0.05)
 	if err != nil {
@@ -260,9 +271,21 @@ func TestRecycledTablesIsolateRuns(t *testing.T) {
 		t.Fatalf("%s stopped at %d instructions, before its budget", ka.Name, a.Stats.Instructions)
 	}
 	afterA := run(DefaultConfig(), kb, regfile.Baseline())
-	for name, got := range map[string]result{"after itself": afterSelf, "after " + ka.Name: afterA} {
+	hungry, err := workload.ByName("hashprobe", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hungryFirst := run(DefaultConfig(), hungry, regfile.Baseline())
+	afterHungry := run(DefaultConfig(), kb, regfile.Baseline())
+	if hungryAgain := run(DefaultConfig(), hungry, regfile.Baseline()); !reflect.DeepEqual(hungryAgain, hungryFirst) {
+		t.Errorf("%s on its own released pages differs from its first run:\n got: %+v\nwant: %+v", hungry.Name, hungryAgain, hungryFirst)
+	}
+	for name, got := range map[string]result{"after itself": afterSelf, "after " + ka.Name: afterA, "after " + hungry.Name: afterHungry} {
 		if !reflect.DeepEqual(got, first) {
 			t.Errorf("%s %s differs from its first run:\n got: %+v\nwant: %+v", kb.Name, name, got, first)
 		}
+	}
+	if want := goldenStats(t)[kb.Name+"/baseline"]; !reflect.DeepEqual(first.Stats, want) {
+		t.Errorf("%s differs from its golden record:\n got: %+v\nwant: %+v", kb.Name, first.Stats, want)
 	}
 }

@@ -12,13 +12,21 @@ import (
 // TestExtremeConfigurations squeezes every structural resource to (or
 // near) its minimum and requires the machine to stay correct — the
 // structural-hazard paths (ROB full, IQ full, LSQ full, tag starvation,
-// single-issue, tiny caches) must only ever cost time.
+// single-issue, tiny caches) must only ever cost time. The subtests run
+// in parallel, and every finished run hands its tables and memory pages
+// to whichever runs next (hashprobe dirties over a hundred pages), so
+// under -race this also checks recycling across concurrent
+// simulations; each run's checksum would catch a page shared by two.
 func TestExtremeConfigurations(t *testing.T) {
 	k, err := workload.ByName("rle", 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kfp, err := workload.ByName("nbody", 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	khash, err := workload.ByName("hashprobe", 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +53,7 @@ func TestExtremeConfigurations(t *testing.T) {
 		name, tweak := name, tweak
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for _, kern := range []workload.Kernel{k, kfp} {
+			for _, kern := range []workload.Kernel{k, kfp, khash} {
 				for _, model := range []regfile.Model{regfile.Baseline(), core.New(core.DefaultParams())} {
 					cfg := DefaultConfig()
 					tweak(&cfg)

@@ -7,7 +7,7 @@ import (
 // Progress is one live snapshot of an executing run: the only
 // progress value above the simulator. The run's body fills the
 // simulation-domain fields (cycles, instructions, interval window,
-// occupancies, write mix) and Target; Stamp fills Label, Pct and the
+// occupancies, write counts) and Target; Stamp fills Label, Pct and the
 // wall-clock fields. Frames for one run are monotonic in Cycles and
 // Insts.
 type Progress struct {
@@ -30,10 +30,13 @@ type Progress struct {
 	FPIQ  int `json:"fp_iq,omitempty"`
 	LSQ   int `json:"lsq,omitempty"`
 
-	// Writes is the cumulative per-array register file write mix
-	// (whole file, or Simple/Short/Long for the content-aware
-	// organization).
-	Writes [3]uint64 `json:"writes,omitempty"`
+	// ArrayWrites is the cumulative write traffic of each physical
+	// register array (the whole file, or the Simple, Short and Long
+	// arrays of the content-aware organization); WritesByType is the
+	// content-aware file's write mix by value class (Simple, Short,
+	// Long), zero for conventional files.
+	ArrayWrites  [3]uint64 `json:"array_writes"`
+	WritesByType [3]uint64 `json:"writes_by_type"`
 
 	// Final marks the run's closing frame (totals equal the final
 	// statistics). Final frames bypass the throttle — every watcher

@@ -163,11 +163,26 @@ func TestFramesGolden(t *testing.T) {
 			add(fmt.Sprintf("run/%d", r.ID), f)
 		}
 	}
+	var final *sched.Progress
 	for _, id := range jobs {
 		for _, f := range sseData(t, ts, "/api/v1/runs/"+id+"/stream") {
 			add("job/"+id, f)
+			var doc struct {
+				Progress *sched.Progress `json:"progress"`
+			}
+			if err := json.Unmarshal(f, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Progress != nil && doc.Progress.Final {
+				final = doc.Progress
+			}
 		}
 		add("status/"+id, getCompact(t, ts, "/api/v1/runs/"+id))
+	}
+	// The simulated job's closing frame carries the paper's write mix,
+	// as carfsim reports it for crc64 at scale 0.04.
+	if final == nil || final.WritesByType != [3]uint64{3239, 800, 4001} {
+		t.Errorf("closing progress frame %+v, want writes by type [3239 800 4001]", final)
 	}
 
 	if *updateGolden {

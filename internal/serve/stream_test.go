@@ -109,7 +109,7 @@ func TestJobStreamProgressThenDone(t *testing.T) {
 		var f struct {
 			Progress struct {
 				IntervalCycles uint64    `json:"interval_cycles"`
-				Writes         [3]uint64 `json:"writes"`
+				WritesByType   [3]uint64 `json:"writes_by_type"`
 				Final          bool      `json:"final"`
 			} `json:"progress"`
 		}
@@ -120,7 +120,7 @@ func TestJobStreamProgressThenDone(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := f.Progress
-		if p.Final || p.IntervalCycles == 0 || p.Writes[0]+p.Writes[1]+p.Writes[2] == 0 {
+		if p.Final || p.IntervalCycles == 0 || p.WritesByType[0]+p.WritesByType[1]+p.WritesByType[2] == 0 {
 			t.Errorf("%s first frame %s: want a non-final frame with interval_cycles > 0 and a write mix", path, raw[0])
 		}
 	}

@@ -39,7 +39,9 @@ func Budget(k Kernel, scale float64) uint64 {
 
 	// Execute outside the lock: two racing callers both simulate, both
 	// store the same deterministic count.
-	n, err := vm.New(k.Prog).Run(0)
+	m := vm.New(k.Prog)
+	n, err := m.Run(0)
+	m.Mem.Release()
 	if err != nil {
 		return 0
 	}
