@@ -1,6 +1,7 @@
 // Package recycle keeps the simulator's fixed-size tables — cache tag
-// arrays, predictor tables, instruction-record slabs — for the next
-// simulation instead of leaving them to the garbage collector. A study
+// arrays, predictor tables, instruction-record slabs, memory pages —
+// for the next simulation instead of leaving them to the garbage
+// collector. A study
 // runs hundreds of short simulations of the same machine, so building
 // those tables afresh for every run dominated its heap traffic
 // (DESIGN.md §8, "Recycled machine tables").
@@ -12,14 +13,19 @@ package recycle
 
 import "sync"
 
-// keep bounds the tables retained per length: enough for the
-// simulations a host runs at once, so a burst of concurrent runs does
-// not pin its peak footprint for the life of the process.
+// keep is the default bound on the tables retained per length: enough
+// for the simulations a host runs at once, so a burst of concurrent
+// runs does not pin its peak footprint for the life of the process.
 const keep = 8
 
 // Pool holds released tables keyed by length. The zero value is ready
 // to use, and a Pool is safe for concurrent use.
 type Pool[E any] struct {
+	// Keep bounds the tables retained per length; zero means 8. An
+	// owner whose simulation holds many tables of one length (the vm's
+	// memory pages) raises it.
+	Keep int
+
 	mu   sync.Mutex
 	free map[int][][]E
 }
@@ -42,7 +48,7 @@ func (p *Pool[E]) Get(n int) []E {
 }
 
 // Put releases t for a later Get(len(t)); the caller must not use t
-// afterwards. An empty t is ignored, and beyond keep tables of one
+// afterwards. An empty t is ignored, and beyond Keep tables of one
 // length t is left to the garbage collector.
 func (p *Pool[E]) Put(t []E) {
 	if len(t) == 0 {
@@ -53,7 +59,19 @@ func (p *Pool[E]) Put(t []E) {
 	if p.free == nil {
 		p.free = make(map[int][][]E)
 	}
-	if ts := p.free[len(t)]; len(ts) < keep {
+	limit := p.Keep
+	if limit == 0 {
+		limit = keep
+	}
+	if ts := p.free[len(t)]; len(ts) < limit {
 		p.free[len(t)] = append(ts, t)
 	}
+}
+
+// Len returns the number of released tables of length n the pool
+// holds.
+func (p *Pool[E]) Len(n int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free[n])
 }

@@ -49,6 +49,24 @@ func TestPoolBounded(t *testing.T) {
 	}
 }
 
+func TestPoolKeep(t *testing.T) {
+	p := Pool[byte]{Keep: 3 * keep}
+	for i := 0; i < 4*keep; i++ {
+		p.Put(make([]byte, 16))
+	}
+	p.Put(make([]byte, 8))
+	if n := p.Len(16); n != 3*keep {
+		t.Errorf("pool with Keep %d holds %d tables of one length", 3*keep, n)
+	}
+	if n := p.Len(8); n != 1 {
+		t.Errorf("pool holds %d 8-entry tables, want 1", n)
+	}
+	p.Get(16)
+	if n := p.Len(16); n != 3*keep-1 {
+		t.Errorf("after Get the pool holds %d tables, want %d", n, 3*keep-1)
+	}
+}
+
 func TestPoolConcurrent(t *testing.T) {
 	var p Pool[int]
 	var wg sync.WaitGroup
