@@ -160,7 +160,7 @@ func BenchmarkExtSMT(b *testing.B) {
 		model := core.New(core.DefaultParams())
 		smt := pipeline.NewSMT(pipeline.DefaultConfig(),
 			[2]*vm.Program{ka.Prog, kb.Prog}, model)
-		sts, err := smt.Run()
+		sts, err := smt.RunContext(context.Background(), pipeline.Observe{})
 		if err != nil {
 			b.Fatal(err)
 		}

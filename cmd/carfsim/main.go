@@ -162,12 +162,11 @@ func main() {
 		defer sv.Close()
 		logger.Info("telemetry serving", "addr", addr,
 			"endpoints", "/metrics /runs /events /healthz")
-		inner := run
 		run = func() (carf.Result, error) {
 			key := sched.KeyOf("carfsim", *kernel, cfg)
 			label := fmt.Sprintf("carfsim/%s/%s", *kernel, *org)
-			v, prov, err := sched.Global().DoCtx(ctx, key, label, false, func() (any, error) {
-				return inner()
+			v, prov, err := sched.Global().DoProgress(ctx, key, label, false, nil, func(report sched.ProgressFunc) (any, error) {
+				return carf.RunCtxProgress(ctx, *kernel, cfg, report)
 			})
 			logArgs := append([]any{"kernel", *kernel, "org", *org}, telemetry.LogProvenance(prov)...)
 			if err != nil {
@@ -323,8 +322,8 @@ func runInjection(kernel string, scale float64, class string, cycle, seed uint64
 		fmt.Printf(" at cycle %d (latency %d cycles)", out.DetectedAt, out.Latency())
 	}
 	fmt.Println()
-	if out.Err != nil {
-		fmt.Printf("error             %v\n", out.Err)
+	if out.Err != "" {
+		fmt.Printf("error             %s\n", out.Err)
 	}
 }
 

@@ -44,11 +44,10 @@ func CPIStackStudy(opt Options) (Result, error) {
 		{"carf-8long", carfSpec(pressuredParams())},
 	}
 
-	// One scheduler job per (kernel, org) cell; a profiled run carries a
-	// different instrumentation cost than a plain one, so "cpistack" runs
-	// get their own key kind and never alias the registry's plain runs.
-	// The cached profile.CPIStack is a plain value: each cell gets its
-	// own copy and the slot-identity check happens inside the job.
+	// One run per (kernel, org) cell; a profiled run carries a different
+	// instrumentation cost than a plain one, so "cpistack" runs get their
+	// own key kind and never alias the registry's plain runs. The
+	// slot-identity check happens inside the run.
 	cfg := pipeline.DefaultConfig()
 	refs := make([]*workload.Ref, len(cpiKernels))
 	for i, name := range cpiKernels {
@@ -64,27 +63,23 @@ func CPIStackStudy(opt Options) (Result, error) {
 		name := r.Name
 		org := orgs[idx%len(orgs)]
 		key := runKey("cpistack", opt, name, org.spec.id, cfg, "profiled")
-		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("cpistack", name, org.spec.id), true, func() (any, error) {
+		var err error
+		cells[idx], err = do(opt, key, runLabel("cpistack", name, org.spec.id), func(report sched.ProgressFunc) (profile.CPIStack, error) {
 			k, err := r.Build()
 			if err != nil {
-				return nil, err
+				return profile.CPIStack{}, err
 			}
 			cpu := pipeline.New(cfg, k.Prog, org.spec.new())
 			prof := new(profile.Profiler)
-			if _, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Profile: prof}); err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", name, org.label, err)
+			if _, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Profile: prof, Frame: frames(report, opt.Scale, k)}); err != nil {
+				return profile.CPIStack{}, fmt.Errorf("%s on %s: %w", name, org.label, err)
 			}
 			if err := prof.Stack.CheckIdentity(); err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", name, org.label, err)
+				return profile.CPIStack{}, fmt.Errorf("%s on %s: %w", name, org.label, err)
 			}
 			return prof.Stack, nil
 		})
-		opt.Tally.Record(prov, err)
-		if err != nil {
-			return err
-		}
-		cells[idx] = v.(profile.CPIStack)
-		return nil
+		return err
 	})
 	if err != nil {
 		return Result{}, err

@@ -12,7 +12,10 @@ import (
 	"fmt"
 
 	"carf/internal/core"
+	"carf/internal/harden"
+	"carf/internal/oracle"
 	"carf/internal/pipeline"
+	"carf/internal/profile"
 	"carf/internal/regfile"
 	"carf/internal/sched"
 	"carf/internal/stats"
@@ -27,10 +30,16 @@ import (
 const StoreSchema = "carf-run/v1"
 
 func init() {
-	// runOut crosses the store's any-envelope, so its concrete type must
-	// be registered for gob. Named here once; values containing only
-	// exported scalar/slice fields round-trip exactly.
+	// Every run kind's value crosses the store's any-envelope, so each
+	// concrete type is registered for gob. Values hold only exported
+	// fields, which round-trip exactly.
 	gob.Register(runOut{})
+	gob.Register([]oracle.Counts(nil))
+	gob.Register(MemlocOut{})
+	gob.Register(PhasesOut{})
+	gob.Register(profile.CPIStack{})
+	gob.Register(SMTOut{})
+	gob.Register(harden.Outcome{})
 }
 
 // Options configures an experiment run.
@@ -237,9 +246,9 @@ func runKey(kind string, opt Options, kernel string, specID string, cfg pipeline
 
 // simulate builds kernel r and runs it on a fresh model, optionally with
 // a live-value sampler attached (every oracleSamplePeriod cycles). It is
-// the scheduler-job body shared by every harvesting path; callers go
-// through runOneCfg (or a sibling wrapper) so the run is pooled and
-// memoized, and a run served from a cache never builds the kernel.
+// the body of plain and oracle runs; callers go through do, so the run
+// is pooled and memoized, and a run served from a cache never builds
+// the kernel.
 func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, report sched.ProgressFunc) (runOut, error) {
 	k, err := r.Build()
 	if err != nil {
@@ -247,13 +256,7 @@ func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config,
 	}
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
-	obs := pipeline.Observe{Live: sampler, LivePeriod: oracleSamplePeriod}
-	if report != nil {
-		// The instruction budget for ETA math comes from a (memoized)
-		// functional pre-run, a cost paid only when someone watches.
-		target := workload.Budget(k, opt.Scale)
-		obs.Frame = func(pp pipeline.Progress) { report(ToSchedProgress(pp, target)) }
-	}
+	obs := pipeline.Observe{Live: sampler, LivePeriod: oracleSamplePeriod, Frame: frames(report, opt.Scale, k)}
 	st, err := cpu.RunContext(opt.Ctx, obs)
 	if err != nil {
 		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
@@ -268,6 +271,21 @@ func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config,
 		out.Carf = &cs
 	}
 	return out, nil
+}
+
+// frames returns the Observe.Frame that forwards a run of kernels ks to
+// report, or nil when nobody watches. The instruction budget for ETA
+// math comes from (memoized) functional pre-runs, a cost paid only
+// when someone watches.
+func frames(report sched.ProgressFunc, scale float64, ks ...workload.Kernel) func(pipeline.Progress) {
+	if report == nil {
+		return nil
+	}
+	var target uint64
+	for _, k := range ks {
+		target += workload.Budget(k, scale)
+	}
+	return func(pp pipeline.Progress) { report(ToSchedProgress(pp, target)) }
 }
 
 // runOne simulates kernel k on a fresh model through the scheduler.
@@ -305,20 +323,28 @@ func runLabel(kind, kernel, specID string) string {
 }
 
 // runOneCfg is runOne with an explicit pipeline configuration
-// (ablations: bypass depth, widths). The run is submitted to the
-// scheduler: concurrency is bounded by the shared worker pool and the
-// result is memoized by (kernel, scale, model spec, config).
+// (ablations: bypass depth, widths). The result is memoized by (kernel,
+// scale, model spec, config).
 func runOneCfg(k *workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options) (runOut, error) {
-	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
-		runLabel("sim", k.Name, spec.id), true, opt.OnProgress,
-		func(report sched.ProgressFunc) (any, error) {
+	return do(opt, runKey("sim", opt, k.Name, spec.id, cfg), runLabel("sim", k.Name, spec.id),
+		func(report sched.ProgressFunc) (runOut, error) {
 			return simulate(opt, k, spec, cfg, nil, report)
 		})
+}
+
+// do is the one path every run kind takes: body runs through
+// opt.Sched.DoProgress, pooled, deduplicated, memoized, persisted,
+// cancelled by opt.Ctx and counted in opt.Tally, and receives the
+// run's progress reporter. T must be registered for gob (init).
+func do[T any](opt Options, key sched.Key, label string, body func(report sched.ProgressFunc) (T, error)) (T, error) {
+	v, prov, err := opt.Sched.DoProgress(opt.Ctx, key, label, true, opt.OnProgress,
+		func(report sched.ProgressFunc) (any, error) { return body(report) })
 	opt.Tally.Record(prov, err)
 	if err != nil {
-		return runOut{}, err
+		var zero T
+		return zero, err
 	}
-	return v.(runOut), nil
+	return v.(T), nil
 }
 
 // runSuite simulates every kernel of a suite on fresh models through

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -59,29 +58,24 @@ func RunFaultInjection(kernel string, scale float64, f harden.Fault) (harden.Out
 	if err != nil {
 		return harden.Outcome{}, err
 	}
-	return runFaultInjection(context.Background(), sched.Global(), nil, r, scale, f)
+	return runFaultInjection(Options{Scale: scale}.withDefaults(), r, f)
 }
 
 // runFaultInjection runs one seeded injection against r, which is
 // built only if the run is not served from a cache.
-func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tally, r *workload.Ref, scale float64, f harden.Fault) (harden.Outcome, error) {
+func runFaultInjection(opt Options, r *workload.Ref, f harden.Fault) (harden.Outcome, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Harden = faultHardenOptions()
 	p := faultParams()
-	key := sched.KeyOf("fault", r.Name, scale, p, cfg, f)
+	key := sched.KeyOf("fault", r.Name, opt.Scale, p, cfg, f)
 	label := runLabel("fault", r.Name, fmt.Sprintf("%v#%d", f.Class, f.Seed))
-	v, prov, err := s.DoCtx(ctx, key, label, true, func() (any, error) {
-		return injectOnce(r, cfg, p, f)
+	return do(opt, key, label, func(report sched.ProgressFunc) (harden.Outcome, error) {
+		return injectOnce(opt, r, cfg, p, f, report)
 	})
-	tally.Record(prov, err)
-	if err != nil {
-		return harden.Outcome{}, err
-	}
-	return v.(harden.Outcome), nil
 }
 
-// injectOnce is the scheduler-job body of one seeded campaign run.
-func injectOnce(r *workload.Ref, cfg pipeline.Config, p core.Params, f harden.Fault) (harden.Outcome, error) {
+// injectOnce is the body of one seeded campaign run.
+func injectOnce(opt Options, r *workload.Ref, cfg pipeline.Config, p core.Params, f harden.Fault, report sched.ProgressFunc) (harden.Outcome, error) {
 	k, err := r.Build()
 	if err != nil {
 		return harden.Outcome{}, err
@@ -91,14 +85,20 @@ func injectOnce(r *workload.Ref, cfg pipeline.Config, p core.Params, f harden.Fa
 		return harden.Outcome{}, err
 	}
 	cpu.ScheduleFault(f)
-	st, runErr := cpu.Run()
+	st, runErr := cpu.RunContext(opt.Ctx, pipeline.Observe{Frame: frames(report, opt.Scale, k)})
+	if err := opt.Ctx.Err(); err != nil {
+		// Interrupted: no checker had its say.
+		return harden.Outcome{}, fmt.Errorf("fault run %v: %w", f, err)
+	}
 
 	outs := cpu.Injections()
 	if len(outs) == 0 {
 		return harden.Outcome{}, fmt.Errorf("experiments: scheduled fault vanished (%v)", f)
 	}
 	out := outs[0]
-	out.Err = runErr
+	if runErr != nil {
+		out.Err = runErr.Error()
+	}
 
 	var div *harden.DivergenceError
 	var inv *harden.InvariantError
@@ -151,7 +151,7 @@ func Faults(opt Options) (Result, error) {
 	outs := make([]harden.Outcome, len(jobs))
 	if err := sched.ForEach(len(jobs), func(i int) error {
 		var err error
-		outs[i], err = runFaultInjection(opt.Ctx, opt.Sched, opt.Tally, r, opt.Scale, harden.Fault{
+		outs[i], err = runFaultInjection(opt, r, harden.Fault{
 			Class: classes[jobs[i].class],
 			Cycle: faultInjectCycle,
 			Seed:  faultSeeds[jobs[i].seed],

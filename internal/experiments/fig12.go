@@ -16,42 +16,38 @@ const oracleSamplePeriod = 128
 
 // oracleSuite runs every kernel of a suite on the baseline machine with
 // one live-value analyzer per requested d, merged across kernels. Each
-// kernel's sampled run goes through the scheduler keyed on (kernel,
-// scale, d-list, sampling period), so fig1 and fig2 share runs when
-// they request the same analysis; the per-kernel analyzers in the
-// cache are immutable — Merge only reads its argument — and the merge
+// kernel's sampled run is keyed on (kernel, scale, d-list, sampling
+// period), so fig1 and fig2 share runs when they request the same
+// analysis; a run's value is its analyzers' counts, and the merge
 // happens in suite order after every run completes.
-func oracleSuite(kernels []*workload.Ref, ds []int, opt Options) ([]*oracle.Analyzer, error) {
-	perKernel := make([][]*oracle.Analyzer, len(kernels))
+func oracleSuite(kernels []*workload.Ref, ds []int, opt Options) ([]oracle.Counts, error) {
+	perKernel := make([][]oracle.Counts, len(kernels))
 	cfg := pipeline.DefaultConfig()
 	err := sched.ForEach(len(kernels), func(i int) error {
 		k := kernels[i]
 		key := runKey("oracle", opt, k.Name, "baseline", cfg, ds, oracleSamplePeriod)
-		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("oracle", k.Name, "baseline"), true, func() (any, error) {
-			analyzers := make([]*oracle.Analyzer, len(ds))
+		var err error
+		perKernel[i], err = do(opt, key, runLabel("oracle", k.Name, "baseline"), func(report sched.ProgressFunc) ([]oracle.Counts, error) {
 			local := make(oracle.Fanout, len(ds))
 			for j, d := range ds {
-				analyzers[j] = oracle.NewAnalyzer(d)
-				local[j] = analyzers[j]
+				local[j] = oracle.NewAnalyzer(d)
 			}
-			if _, err := simulate(opt, k, baselineSpec(), cfg, local, nil); err != nil {
+			if _, err := simulate(opt, k, baselineSpec(), cfg, local, report); err != nil {
 				return nil, err
 			}
-			return analyzers, nil
+			counts := make([]oracle.Counts, len(ds))
+			for j, a := range local {
+				counts[j] = a.Counts
+			}
+			return counts, nil
 		})
-		opt.Tally.Record(prov, err)
-		if err != nil {
-			return err
-		}
-		perKernel[i] = v.([]*oracle.Analyzer)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged := make([]*oracle.Analyzer, len(ds))
-	for j, d := range ds {
-		merged[j] = oracle.NewAnalyzer(d)
+	merged := make([]oracle.Counts, len(ds))
+	for j := range ds {
 		for i := range kernels {
 			merged[j].Merge(perKernel[i][j])
 		}

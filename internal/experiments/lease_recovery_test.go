@@ -104,14 +104,29 @@ func TestLeaseFreedWhenHolderKilled(t *testing.T) {
 // TestSharedStoreSimulatesEachRunOnce is the cross-process singleflight
 // gate: two store handles on one directory, each under its own
 // scheduler, stand in for two processes sharing a store. Running table2
-// through both at once, each must render what a serial scheduler
-// renders, and between them they must simulate exactly the runs the
-// serial scheduler simulates: every run one side simulates, the other
-// reads from disk or waits out its lease for.
+// (plain simulations) and phases (metric-sampled runs) through both at
+// once, each must render what a serial scheduler renders, and between
+// them they must simulate exactly the runs the serial scheduler
+// simulates: every run one side simulates, the other reads from disk
+// or waits out its lease for.
 func TestSharedStoreSimulatesEachRunOnce(t *testing.T) {
-	const exp = "table2"
+	exps := []string{"table2", "phases"}
+	renderAll := func(s *sched.Scheduler) (string, error) {
+		var out string
+		for _, exp := range exps {
+			r, err := Run(exp, Options{Scale: determinismScale, Sched: s})
+			if err != nil {
+				return "", err
+			}
+			out += r.Render()
+		}
+		return out, nil
+	}
 	serial := sched.New(1)
-	want := render(t, exp, Options{Scale: determinismScale, Sched: serial})
+	want, err := renderAll(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	var peers [2]*sched.Scheduler
@@ -125,13 +140,10 @@ func TestSharedStoreSimulatesEachRunOnce(t *testing.T) {
 		peers[i].SetTier(st)
 	}
 	var got [2]string
-	err := sched.ForEach(len(peers), func(i int) error {
-		r, err := Run(exp, Options{Scale: determinismScale, Sched: peers[i]})
-		if err != nil {
-			return err
-		}
-		got[i] = r.Render()
-		return nil
+	err = sched.ForEach(len(peers), func(i int) error {
+		var err error
+		got[i], err = renderAll(peers[i])
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,10 @@ import (
 // memWindow is the recent-access window used for the stream study.
 const memWindow = 64
 
+// MemlocOut is one kernel's memory-traffic value: per d, the counts of
+// its address and data streams.
+type MemlocOut struct{ Addr, Data []oracle.StreamCounts }
+
 // Memloc quantifies the §6 memory-hierarchy direction: how much partial
 // value locality exists in the *memory traffic* — effective addresses
 // and transferred data — measured as the fraction of accesses whose high
@@ -20,19 +24,6 @@ const memWindow = 64
 // functional execution, so it runs on the golden-model VM.
 func Memloc(opt Options) (Result, error) {
 	ds := []int{8, 16, 24}
-	type streams struct {
-		addr []*oracle.StreamAnalyzer
-		data []*oracle.StreamAnalyzer
-	}
-	newStreams := func() streams {
-		var s streams
-		for _, d := range ds {
-			s.addr = append(s.addr, oracle.NewStreamAnalyzer(d, memWindow))
-			s.data = append(s.data, oracle.NewStreamAnalyzer(d, memWindow))
-		}
-		return s
-	}
-
 	suites := []struct {
 		label   string
 		kernels []*workload.Ref
@@ -46,25 +37,31 @@ func Memloc(opt Options) (Result, error) {
 		Header: []string{"suite", "stream", "d=8", "d=16", "d=24"},
 	}
 	for _, suite := range suites {
-		// One scheduler job per kernel, keyed on the analysis inputs
-		// (functional execution only — no pipeline configuration). The
-		// cached streams are read-only; Merge copies their sums out.
-		perKernel := make([]streams, len(suite.kernels))
+		// One run per kernel, keyed on the analysis inputs (functional
+		// execution only — no pipeline configuration).
+		perKernel := make([]MemlocOut, len(suite.kernels))
 		err := sched.ForEach(len(suite.kernels), func(i int) error {
 			r := suite.kernels[i]
 			key := sched.KeyOf("memloc", r.Name, opt.Scale, ds, memWindow)
-			v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("memloc", r.Name, "vm"), true, func() (any, error) {
+			var err error
+			// A run takes milliseconds on the VM, so it reports one Final
+			// frame and is not sliced for cancellation.
+			perKernel[i], err = do(opt, key, runLabel("memloc", r.Name, "vm"), func(report sched.ProgressFunc) (MemlocOut, error) {
 				k, err := r.Build()
 				if err != nil {
-					return nil, err
+					return MemlocOut{}, err
 				}
-				local := newStreams()
+				addr := make([]*oracle.StreamAnalyzer, len(ds))
+				data := make([]*oracle.StreamAnalyzer, len(ds))
+				for j, d := range ds {
+					addr[j], data[j] = oracle.NewStreamAnalyzer(d, memWindow), oracle.NewStreamAnalyzer(d, memWindow)
+				}
 				m := vm.New(k.Prog)
 				defer m.Mem.Release()
 				for !m.Halted {
 					_, eff, err := m.Step()
 					if err != nil {
-						return nil, fmt.Errorf("%s: %w", k.Name, err)
+						return MemlocOut{}, fmt.Errorf("%s: %w", k.Name, err)
 					}
 					if !eff.Mem {
 						continue
@@ -74,34 +71,36 @@ func Memloc(opt Options) (Result, error) {
 						value = eff.StoreVal
 					}
 					for j := range ds {
-						local.addr[j].Note(eff.Addr)
-						local.data[j].Note(value)
+						addr[j].Note(eff.Addr)
+						data[j].Note(value)
 					}
 				}
-				return local, nil
+				if report != nil {
+					report(sched.Progress{Insts: m.InstCount, Target: m.InstCount, Final: true})
+				}
+				out := MemlocOut{Addr: make([]oracle.StreamCounts, len(ds)), Data: make([]oracle.StreamCounts, len(ds))}
+				for j := range ds {
+					out.Addr[j], out.Data[j] = addr[j].StreamCounts, data[j].StreamCounts
+				}
+				return out, nil
 			})
-			opt.Tally.Record(prov, err)
-			if err != nil {
-				return err
-			}
-			perKernel[i] = v.(streams)
-			return nil
+			return err
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		merged := newStreams()
+		merged := MemlocOut{Addr: make([]oracle.StreamCounts, len(ds)), Data: make([]oracle.StreamCounts, len(ds))}
 		for i := range suite.kernels {
 			for j := range ds {
-				merged.addr[j].Merge(perKernel[i].addr[j])
-				merged.data[j].Merge(perKernel[i].data[j])
+				merged.Addr[j].Merge(perKernel[i].Addr[j])
+				merged.Data[j].Merge(perKernel[i].Data[j])
 			}
 		}
 		addrRow := []string{suite.label, "addresses"}
 		dataRow := []string{suite.label, "data"}
 		for j := range ds {
-			addrRow = append(addrRow, stats.Pct(merged.addr[j].Coverage()))
-			dataRow = append(dataRow, stats.Pct(merged.data[j].Coverage()))
+			addrRow = append(addrRow, stats.Pct(merged.Addr[j].Coverage()))
+			dataRow = append(dataRow, stats.Pct(merged.Data[j].Coverage()))
 		}
 		tb.Rows = append(tb.Rows, addrRow, dataRow)
 	}

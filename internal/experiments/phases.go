@@ -17,6 +17,13 @@ import (
 // that each interval spans many instructions.
 const phasesInterval = 1000
 
+// PhasesOut is one kernel's phase-variance value: summaries of its
+// interval IPC and Short/Long occupancy series, and the run's IPC.
+type PhasesOut struct {
+	IPC, Short, Long metrics.Summary
+	RunIPC           float64
+}
+
 // Phases runs the integer suite on the content-aware organization with
 // its metric series observed every phasesInterval cycles and reports
 // phase variance — the spread of interval IPC and of Short/Long
@@ -26,39 +33,34 @@ const phasesInterval = 1000
 // marks phases where the d-bit similarity test changes its hit rate.
 func Phases(opt Options) (Result, error) {
 	kernels := workload.IntSuite(opt.Scale)
-	type out struct {
-		kernel string
-		series metrics.TimeSeries
-		ipc    float64
-	}
 	// Metric-sampled runs are memoized like plain ones; the sampling
-	// interval is part of the key, and the cached series is read-only
-	// (Column and Summarize never mutate it).
+	// interval is part of the key.
 	spec := carfSpec(core.DefaultParams())
 	cfg := pipeline.DefaultConfig()
-	outs := make([]out, len(kernels))
+	outs := make([]PhasesOut, len(kernels))
 	err := sched.ForEach(len(kernels), func(i int) error {
 		r := kernels[i]
 		key := runKey("phases", opt, r.Name, spec.id, cfg, phasesInterval)
-		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("phases", r.Name, spec.id), true, func() (any, error) {
+		var err error
+		outs[i], err = do(opt, key, runLabel("phases", r.Name, spec.id), func(report sched.ProgressFunc) (PhasesOut, error) {
 			k, err := r.Build()
 			if err != nil {
-				return nil, err
+				return PhasesOut{}, err
 			}
 			cpu := pipeline.New(cfg, k.Prog, spec.new())
 			var series metrics.TimeSeries
-			st, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Every: phasesInterval, Series: &series})
+			st, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Every: phasesInterval, Series: &series, Frame: frames(report, opt.Scale, k)})
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", k.Name, err)
+				return PhasesOut{}, fmt.Errorf("%s: %w", k.Name, err)
 			}
-			return out{kernel: k.Name, series: series, ipc: st.IPC()}, nil
+			return PhasesOut{
+				IPC:    metrics.Summarize(series.Column("pipeline.ipc")),
+				Short:  metrics.Summarize(series.Column("core.short_occupancy")),
+				Long:   metrics.Summarize(series.Column("core.long_occupancy")),
+				RunIPC: st.IPC(),
+			}, nil
 		})
-		opt.Tally.Record(prov, err)
-		if err != nil {
-			return err
-		}
-		outs[i] = v.(out)
-		return nil
+		return err
 	})
 	if err != nil {
 		return Result{}, err
@@ -73,23 +75,19 @@ func Phases(opt Options) (Result, error) {
 		Title:  "Sub-file occupancy over time (content-aware)",
 		Header: []string{"kernel", "short mean", "short max", "long mean", "long stddev", "long max"},
 	}
-	for _, o := range outs {
-		ipc := metrics.Summarize(o.series.Column("pipeline.ipc"))
+	for i, o := range outs {
 		cv := 0.0
-		if ipc.Mean != 0 {
-			cv = ipc.Stddev / ipc.Mean
+		if o.IPC.Mean != 0 {
+			cv = o.IPC.Stddev / o.IPC.Mean
 		}
-		ipcT.AddRow(o.kernel,
-			fmt.Sprintf("%d", ipc.N),
-			stats.F3(ipc.Mean), stats.F3(ipc.Stddev),
-			stats.F3(ipc.Min), stats.F3(ipc.Max),
-			stats.Pct(cv), stats.F3(o.ipc))
-
-		short := metrics.Summarize(o.series.Column("core.short_occupancy"))
-		long := metrics.Summarize(o.series.Column("core.long_occupancy"))
-		occT.AddRow(o.kernel,
-			stats.F3(short.Mean), fmt.Sprintf("%.0f", short.Max),
-			stats.F3(long.Mean), stats.F3(long.Stddev), fmt.Sprintf("%.0f", long.Max))
+		ipcT.AddRow(kernels[i].Name,
+			fmt.Sprintf("%d", o.IPC.N),
+			stats.F3(o.IPC.Mean), stats.F3(o.IPC.Stddev),
+			stats.F3(o.IPC.Min), stats.F3(o.IPC.Max),
+			stats.Pct(cv), stats.F3(o.RunIPC))
+		occT.AddRow(kernels[i].Name,
+			stats.F3(o.Short.Mean), fmt.Sprintf("%.0f", o.Short.Max),
+			stats.F3(o.Long.Mean), stats.F3(o.Long.Stddev), fmt.Sprintf("%.0f", o.Long.Max))
 	}
 	p := core.DefaultParams()
 	occT.AddNote("structural bounds: %d short, %d long registers", p.NumShort, p.NumLong)

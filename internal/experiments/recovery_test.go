@@ -154,3 +154,39 @@ func TestWarmPassBuildsNoKernel(t *testing.T) {
 		t.Errorf("warm render differs from cold render:\n--- cold ---\n%s\n--- warm ---\n%s", want, got)
 	}
 }
+
+// TestEveryRunPersists: every run kind's value persists. All the
+// experiments run into a fresh store with no write skipped, and a
+// second fresh scheduler over that store simulates nothing and renders
+// every exhibit byte-identically.
+func TestEveryRunPersists(t *testing.T) {
+	dir := t.TempDir()
+	pass := func() ([]string, sched.Stats, store.Stats) {
+		st, err := store.Open(store.Options{Dir: dir, Schema: StoreSchema, Logger: quietLogger()})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		defer st.Close()
+		s := sched.New(4)
+		s.SetTier(st)
+		texts := make([]string, len(Names()))
+		for i, name := range Names() {
+			texts[i] = render(t, name, Options{Scale: determinismScale, Sched: s})
+		}
+		return texts, s.Stats(), st.Stats()
+	}
+	want, cold, cst := pass()
+	if cst.PutSkipped != 0 || cst.PutErrors != 0 || uint64(cst.DiskBlobs) != cold.Misses {
+		t.Fatalf("cold pass simulated %d runs but stored %d blobs (%d skipped, %d failed)",
+			cold.Misses, cst.DiskBlobs, cst.PutSkipped, cst.PutErrors)
+	}
+	got, warm, _ := pass()
+	if warm.Misses != 0 || warm.Errors != 0 {
+		t.Errorf("warm pass simulated %d runs (%d errors), want none", warm.Misses, warm.Errors)
+	}
+	for i, name := range Names() {
+		if got[i] != want[i] {
+			t.Errorf("%s: warm render differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", name, want[i], got[i])
+		}
+	}
+}

@@ -5,57 +5,52 @@ import (
 
 	"carf/internal/core"
 	"carf/internal/pipeline"
+	"carf/internal/sched"
 	"carf/internal/stats"
 	"carf/internal/vm"
 	"carf/internal/workload"
 )
 
-// smtOut is one two-thread simulation's harvest: per-thread stats plus
-// the shared file's occupancy, captured inside the scheduler job so the
-// cached value is a plain immutable snapshot.
-type smtOut struct {
-	sts         [2]pipeline.Stats
-	avgLiveLong float64
+// SMTOut is one two-thread simulation's value: per-thread stats plus
+// the shared file's live-long occupancy.
+type SMTOut struct {
+	Stats       [2]pipeline.Stats
+	AvgLiveLong float64
 }
 
 // runSMT simulates kernels a and b sharing one content-aware file built
 // from p under the given thread-priority policy, pooled and memoized
 // like every other run (the policy and file parameters key the cache).
-func runSMT(ra, rb *workload.Ref, p core.Params, pol pipeline.SMTPolicy, opt Options) (smtOut, error) {
+func runSMT(ra, rb *workload.Ref, p core.Params, pol pipeline.SMTPolicy, opt Options) (SMTOut, error) {
 	cfg := pipeline.DefaultConfig()
 	key := runKey("smt", opt, ra.Name+"+"+rb.Name, "carf", cfg, p, pol)
 	label := runLabel("smt", ra.Name+"+"+rb.Name, fmt.Sprintf("policy-%v", pol))
-	v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, label, true, func() (any, error) {
+	return do(opt, key, label, func(report sched.ProgressFunc) (SMTOut, error) {
 		a, err := ra.Build()
 		if err != nil {
-			return nil, err
+			return SMTOut{}, err
 		}
 		b, err := rb.Build()
 		if err != nil {
-			return nil, err
+			return SMTOut{}, err
 		}
 		model := core.New(p)
 		smt := pipeline.NewSMT(cfg, [2]*vm.Program{a.Prog, b.Prog}, model)
 		smt.SetPolicy(pol)
-		sts, err := smt.Run()
+		sts, err := smt.RunContext(opt.Ctx, pipeline.Observe{Frame: frames(report, opt.Scale, a, b)})
 		if err != nil {
-			return nil, err
+			return SMTOut{}, err
 		}
 		for i, k := range []workload.Kernel{a, b} {
 			if got := smt.Thread(i).Machine().X[workload.ResultReg]; got != k.Expected {
-				return nil, fmt.Errorf("smt %s (policy %s): result %#x, want %#x", k.Name, pol, got, k.Expected)
+				return SMTOut{}, fmt.Errorf("smt %s (policy %s): result %#x, want %#x", k.Name, pol, got, k.Expected)
 			}
 			if n := sts[i].ValueMismatches; n != 0 {
-				return nil, fmt.Errorf("smt %s (policy %s): %d register reconstruction mismatches", k.Name, pol, n)
+				return SMTOut{}, fmt.Errorf("smt %s (policy %s): %d register reconstruction mismatches", k.Name, pol, n)
 			}
 		}
-		return smtOut{sts: sts, avgLiveLong: model.Stats().AvgLiveLong()}, nil
+		return SMTOut{Stats: sts, AvgLiveLong: model.Stats().AvgLiveLong()}, nil
 	})
-	opt.Tally.Record(prov, err)
-	if err != nil {
-		return smtOut{}, err
-	}
-	return v.(smtOut), nil
 }
 
 // smtPolicyStudy compares the §6 thread-priority policies on a
@@ -82,9 +77,9 @@ func smtPolicyStudy(opt Options) (stats.Table, error) {
 			return stats.Table{}, err
 		}
 		tb.AddRow(pol.String(),
-			stats.F3(o.sts[0].IPC()+o.sts[1].IPC()),
-			fmt.Sprintf("%d", o.sts[0].RecoveryStallCycles+o.sts[1].RecoveryStallCycles),
-			fmt.Sprintf("%d", o.sts[0].LongStallCycles+o.sts[1].LongStallCycles))
+			stats.F3(o.Stats[0].IPC()+o.Stats[1].IPC()),
+			fmt.Sprintf("%d", o.Stats[0].RecoveryStallCycles+o.Stats[1].RecoveryStallCycles),
+			fmt.Sprintf("%d", o.Stats[0].LongStallCycles+o.Stats[1].LongStallCycles))
 	}
 	tb.AddNote("the long-aware policy throttles the thread hoarding Long entries when the shared file runs low")
 	return tb, nil
@@ -120,13 +115,13 @@ func smtPair(a, b string, opt Options) ([]string, error) {
 
 	// Per-thread IPC is measured over each thread's own active cycles,
 	// so a short thread draining early does not count as idle loss.
-	combined := o.sts[0].IPC() + o.sts[1].IPC()
+	combined := o.Stats[0].IPC() + o.Stats[1].IPC()
 	soloSum := soloA.Pstats.IPC() + soloB.Pstats.IPC()
 	return []string{
 		a + "+" + b,
 		stats.F3(combined),
 		stats.Pct(combined / soloSum),
-		stats.F3(o.avgLiveLong),
-		fmt.Sprintf("%d", o.sts[0].RecoveryStallCycles+o.sts[1].RecoveryStallCycles),
+		stats.F3(o.AvgLiveLong),
+		fmt.Sprintf("%d", o.Stats[0].RecoveryStallCycles+o.Stats[1].RecoveryStallCycles),
 	}, nil
 }

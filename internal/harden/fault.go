@@ -81,7 +81,8 @@ type Injector interface {
 }
 
 // Outcome records one campaign run: what was injected and which checker
-// (if any) caught it.
+// (if any) caught it. It is a plain value, so a campaign run persists;
+// Err therefore keeps the raised error's message, not the error.
 type Outcome struct {
 	Fault      Fault
 	Injected   bool
@@ -91,7 +92,7 @@ type Outcome struct {
 	Detected   bool
 	Detector   string // "lockstep", "invariant", "watchdog", "readcheck", "result", ""
 	DetectedAt uint64 // cycle of detection (0 for end-of-run detectors)
-	Err        error  // the structured error, when one was raised
+	Err        string // the raised error's message, when one was raised
 }
 
 // Latency returns the detection latency in cycles (0 when undetected or

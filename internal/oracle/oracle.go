@@ -42,9 +42,8 @@ func bucketOf(rank int) int {
 type Analyzer struct {
 	// D is the number of low-order bits ignored when grouping.
 	D int
+	Counts
 
-	buckets [NumBuckets]uint64
-	total   uint64
 	samples uint64
 	scratch map[uint64]int
 	sizes   []int // Sample's group sizes, reused across samples
@@ -77,35 +76,41 @@ func (a *Analyzer) Sample(values []uint64) {
 	// Ascending sort, read largest first: rank i+1 is sizes[len-1-i].
 	slices.Sort(sizes)
 	for i := range sizes {
-		a.buckets[bucketOf(i+1)] += uint64(sizes[len(sizes)-1-i])
+		a.Buckets[bucketOf(i+1)] += uint64(sizes[len(sizes)-1-i])
 	}
-	a.total += uint64(len(values))
+	a.Total += uint64(len(values))
 	a.samples++
 }
 
 // Samples returns the number of accumulated cycles.
 func (a *Analyzer) Samples() uint64 { return a.samples }
 
+// Counts is an accumulated live-value distribution: the live values
+// in each rank bucket and in all. It is a plain value, so per-kernel
+// results merge and persist.
+type Counts struct {
+	Buckets [NumBuckets]uint64
+	Total   uint64
+}
+
 // Distribution returns the fraction of live values in each rank bucket.
-func (a *Analyzer) Distribution() [NumBuckets]float64 {
+func (c Counts) Distribution() [NumBuckets]float64 {
 	var out [NumBuckets]float64
-	if a.total == 0 {
+	if c.Total == 0 {
 		return out
 	}
-	for i, n := range a.buckets {
-		out[i] = float64(n) / float64(a.total)
+	for i, n := range c.Buckets {
+		out[i] = float64(n) / float64(c.Total)
 	}
 	return out
 }
 
-// Merge folds another analyzer's accumulation into a (used to aggregate
-// across benchmarks).
-func (a *Analyzer) Merge(b *Analyzer) {
-	for i := range a.buckets {
-		a.buckets[i] += b.buckets[i]
+// Merge folds o into c (used to aggregate across benchmarks).
+func (c *Counts) Merge(o Counts) {
+	for i := range c.Buckets {
+		c.Buckets[i] += o.Buckets[i]
 	}
-	a.total += b.total
-	a.samples += b.samples
+	c.Total += o.Total
 }
 
 // Fanout feeds one live-value stream to several analyzers (e.g. d = 0,

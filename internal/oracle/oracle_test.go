@@ -78,10 +78,7 @@ func TestMerge(t *testing.T) {
 	a, b := NewAnalyzer(0), NewAnalyzer(0)
 	a.Sample([]uint64{1, 1})
 	b.Sample([]uint64{2, 3})
-	a.Merge(b)
-	if a.Samples() != 2 {
-		t.Errorf("merged samples = %d", a.Samples())
-	}
+	a.Counts.Merge(b.Counts)
 	d := a.Distribution()
 	// a: both in G1 (2 values); b: G1=1, G2=1. Total: G1=3/4, G2=1/4.
 	if d[0] != 0.75 || d[1] != 0.25 {
@@ -139,8 +136,8 @@ func TestStreamAnalyzer(t *testing.T) {
 	// A far address misses; returning within the window hits.
 	s.Note(0x7FFF_0000_0000)
 	s.Note(base + 0xC0)
-	if s.Total() != 5 {
-		t.Errorf("total = %d", s.Total())
+	if s.Total != 5 {
+		t.Errorf("total = %d", s.Total)
 	}
 	if got := s.Coverage(); got != 0.6 {
 		t.Errorf("coverage = %v, want 3/5", got)
@@ -153,12 +150,12 @@ func TestStreamAnalyzerWindowEviction(t *testing.T) {
 	s.Note(2)
 	s.Note(3) // evicts 1
 	s.Note(1) // miss: 1 left the window
-	if s.covered != 0 {
-		t.Errorf("covered = %d, want 0", s.covered)
+	if s.Covered != 0 {
+		t.Errorf("covered = %d, want 0", s.Covered)
 	}
 	s.Note(3) // still in window (3 was noted 2 back... window holds {1,3} now)
-	if s.covered != 1 {
-		t.Errorf("covered = %d, want 1", s.covered)
+	if s.Covered != 1 {
+		t.Errorf("covered = %d, want 1", s.Covered)
 	}
 }
 
@@ -167,9 +164,9 @@ func TestStreamAnalyzerMerge(t *testing.T) {
 	a.Note(100)
 	a.Note(100)
 	b.Note(200)
-	a.Merge(b)
-	if a.Total() != 3 {
-		t.Errorf("merged total = %d", a.Total())
+	a.StreamCounts.Merge(b.StreamCounts)
+	if a.Total != 3 {
+		t.Errorf("merged total = %d", a.Total)
 	}
 	if got := a.Coverage(); got < 0.33 || got > 0.34 {
 		t.Errorf("merged coverage = %v", got)

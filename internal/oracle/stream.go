@@ -11,12 +11,17 @@ type StreamAnalyzer struct {
 	// relation; Window is how many recent elements are searched.
 	D      int
 	Window int
+	StreamCounts
 
-	ring    []uint64
-	pos     int
-	filled  bool
-	total   uint64
-	covered uint64
+	ring []uint64
+	pos  int
+}
+
+// StreamCounts is a stream's accumulated locality: elements observed,
+// and those whose high bits matched a recent element. It is a plain
+// value, so per-workload results merge and persist.
+type StreamCounts struct {
+	Total, Covered uint64
 }
 
 // NewStreamAnalyzer returns an analyzer for (64−d)-similarity over a
@@ -31,10 +36,10 @@ func NewStreamAnalyzer(d, window int) *StreamAnalyzer {
 // Note records one stream element.
 func (s *StreamAnalyzer) Note(v uint64) {
 	key := v >> uint(s.D)
-	s.total++
+	s.Total++
 	for _, k := range s.ring {
 		if k == key {
-			s.covered++
+			s.Covered++
 			break
 		}
 	}
@@ -46,21 +51,18 @@ func (s *StreamAnalyzer) Note(v uint64) {
 	s.pos = (s.pos + 1) % s.Window
 }
 
-// Total returns the number of elements observed.
-func (s *StreamAnalyzer) Total() uint64 { return s.total }
-
 // Coverage returns the fraction of elements whose high bits matched a
 // recent element.
-func (s *StreamAnalyzer) Coverage() float64 {
-	if s.total == 0 {
+func (c StreamCounts) Coverage() float64 {
+	if c.Total == 0 {
 		return 0
 	}
-	return float64(s.covered) / float64(s.total)
+	return float64(c.Covered) / float64(c.Total)
 }
 
-// Merge folds another analyzer's counts into s (window contents are not
-// merged; use per-workload analyzers and merge at reporting time).
-func (s *StreamAnalyzer) Merge(o *StreamAnalyzer) {
-	s.total += o.total
-	s.covered += o.covered
+// Merge folds o into c. Window contents do not merge: analyze each
+// workload on its own and merge the counts at reporting time.
+func (c *StreamCounts) Merge(o StreamCounts) {
+	c.Total += o.Total
+	c.Covered += o.Covered
 }

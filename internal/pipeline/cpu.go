@@ -237,7 +237,7 @@ type CPU struct {
 	pp *profState
 
 	// Run lifecycle (see Finalize). slab holds the records seeding pool;
-	// ownsHier is false for SMT threads, whose shared hierarchy SMT.Run
+	// ownsHier is false for SMT threads, whose shared hierarchy SMT.RunContext
 	// releases once.
 	slab      []dynInst
 	ownsHier  bool

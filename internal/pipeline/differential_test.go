@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestSMTBothThreadsCorrect(t *testing.T) {
 		}
 		model := core.New(core.DefaultParams())
 		smt := NewSMT(DefaultConfig(), [2]*vm.Program{ka.Prog, kb.Prog}, model)
-		sts, err := smt.Run()
+		sts, err := smt.RunContext(context.Background(), Observe{})
 		if err != nil {
 			t.Fatalf("%v: %v", pair, err)
 		}
@@ -193,7 +194,7 @@ func TestSMTPolicies(t *testing.T) {
 		model := core.New(p)
 		smt := NewSMT(DefaultConfig(), [2]*vm.Program{ka.Prog, kb.Prog}, model)
 		smt.SetPolicy(pol)
-		sts, err := smt.Run()
+		sts, err := smt.RunContext(context.Background(), Observe{})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}

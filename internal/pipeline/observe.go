@@ -112,48 +112,71 @@ func (c *CPU) Run() (Stats, error) {
 }
 
 // RunContext is Run driven in slices of obs.Every cycles, watched by
-// obs. Between slices it records a Series sample, checks ctx — a
-// canceled run stops, unfinalized, with an error wrapping ctx.Err() —
-// and hands Frame a snapshot. A run that RunChunk fails is finalized
-// and returns RunChunk's error. A canceled run resumes with another
-// RunContext call given the same obs.
+// obs (see drive). A canceled run resumes with another RunContext call
+// given the same obs.
 func (c *CPU) RunContext(ctx context.Context, obs Observe) (Stats, error) {
 	if obs.Live != nil && obs.LivePeriod <= 0 {
 		return c.stats, errors.New("pipeline: Observe.Live needs a positive LivePeriod")
 	}
 	c.install(obs)
+	err := drive(ctx, c, obs)
+	return c.stats, err
+}
+
+// machine is what drive runs: a CPU, or the two-thread SMT. finish
+// finalizes a run that can never continue, reporting runErr, the run's
+// own error, over model faults.
+type machine interface {
+	chunk(budget int64) (done bool, err error)
+	sample()
+	progress(final bool) Progress
+	finish(runErr error) error
+}
+
+// drive is the one slice loop every simulation runs in. It steps m in
+// slices of obs.Every cycles; between slices it records a Series
+// sample, checks ctx — a canceled run stops, unfinalized, with an
+// error wrapping ctx.Err() — and hands obs.Frame a snapshot. A run that
+// ends, completed or failed by its chunk, takes a closing sample and is
+// finished; a completed one closes with a Final frame.
+func drive(ctx context.Context, m machine, obs Observe) error {
 	every := int64(obs.Every)
 	if every == 0 {
 		every = defaultEvery
 	}
 	var last Progress // the previous report: the interval window's start
 	for {
-		done, err := c.RunChunk(every)
+		done, err := m.chunk(every)
+		m.sample()
 		if err != nil {
-			// The run can never continue: hand its tables back. Model
-			// faults are not reported over the run's own error.
-			c.sample(obs.Series)
-			c.Finalize()
-			return c.stats, err
+			return m.finish(err)
 		}
 		if done {
 			break
 		}
-		c.sample(obs.Series)
 		if err := ctx.Err(); err != nil {
-			return c.stats, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
+			return fmt.Errorf("pipeline: run interrupted at cycle %d: %w", m.progress(false).Cycles, err)
 		}
 		if obs.Frame != nil {
-			last = c.progressSince(last, false)
+			last = m.progress(false).since(last)
 			obs.Frame(last)
 		}
 	}
-	c.sample(obs.Series)
-	st, err := c.Finalize()
+	err := m.finish(nil)
 	if obs.Frame != nil {
-		obs.Frame(c.progressSince(last, true))
+		obs.Frame(m.progress(true).since(last))
 	}
-	return st, err
+	return err
+}
+
+func (c *CPU) chunk(budget int64) (bool, error) { return c.RunChunk(budget) }
+
+func (c *CPU) finish(runErr error) error {
+	_, err := c.Finalize()
+	if runErr != nil {
+		return runErr
+	}
+	return err
 }
 
 // install attaches obs to the core. The metrics registry and the
@@ -170,13 +193,14 @@ func (c *CPU) install(obs Observe) {
 	}
 }
 
-// sample records one registry snapshot at the current cycle in ts (nil:
-// metrics off). A series holds at most one sample per cycle, the
-// latest: a sample at an already-sampled cycle replaces that one. The
-// closing sample can repeat the last slice boundary's cycle with
-// different totals, because the cycle() call that commits HALT retires
-// instructions without counting a cycle.
-func (c *CPU) sample(ts *metrics.TimeSeries) {
+// sample records one registry snapshot at the current cycle in the
+// observed Series (nil: metrics off). A series holds at most one
+// sample per cycle, the latest: a sample at an already-sampled cycle
+// replaces that one. The closing sample can repeat the last slice
+// boundary's cycle with different totals, because the cycle() call
+// that commits HALT retires instructions without counting a cycle.
+func (c *CPU) sample() {
+	ts := c.obs.Series
 	if ts == nil {
 		return
 	}
@@ -197,9 +221,8 @@ type writeClassifier interface {
 	WritesByType() [3]uint64
 }
 
-// progressSince snapshots the machine, measuring the interval window
-// from prev (the zero Progress for the first report).
-func (c *CPU) progressSince(prev Progress, final bool) Progress {
+// progress snapshots the machine; since fills in the interval window.
+func (c *CPU) progress(final bool) Progress {
 	p := Progress{
 		Cycles:       c.stats.Cycles,
 		Instructions: c.stats.Instructions,
@@ -209,11 +232,6 @@ func (c *CPU) progressSince(prev Progress, final bool) Progress {
 		LSQ:          c.lsq.Len(),
 		Final:        final,
 	}
-	p.IntervalCycles = p.Cycles - prev.Cycles
-	p.IntervalInstructions = p.Instructions - prev.Instructions
-	if p.IntervalCycles > 0 {
-		p.IntervalIPC = float64(p.IntervalInstructions) / float64(p.IntervalCycles)
-	}
 	for i, f := range c.model.Files() {
 		if i >= len(p.ArrayWrites) {
 			break
@@ -222,6 +240,17 @@ func (c *CPU) progressSince(prev Progress, final bool) Progress {
 	}
 	if wc, ok := c.model.(writeClassifier); ok {
 		p.WritesByType = wc.WritesByType()
+	}
+	return p
+}
+
+// since measures p's interval window from prev, the previous report
+// (the zero Progress for the first).
+func (p Progress) since(prev Progress) Progress {
+	p.IntervalCycles = p.Cycles - prev.Cycles
+	p.IntervalInstructions = p.Instructions - prev.Instructions
+	if p.IntervalCycles > 0 {
+		p.IntervalIPC = float64(p.IntervalInstructions) / float64(p.IntervalCycles)
 	}
 	return p
 }

@@ -190,7 +190,7 @@ type faultyModel struct{ regfile.Model }
 
 func (faultyModel) Faults() []string { return []string{"injected fault"} }
 
-// TestSMTFinalizes: SMT.Run surfaces model faults with Finalize's error,
+// TestSMTFinalizes: SMT.RunContext surfaces model faults with Finalize's error,
 // and a clean run releases the shared hierarchy exactly once and cannot
 // run again.
 func TestSMTFinalizes(t *testing.T) {
@@ -204,22 +204,22 @@ func TestSMTFinalizes(t *testing.T) {
 	}
 	progs := [2]*vm.Program{ka.Prog, kb.Prog}
 
-	_, err = NewSMT(DefaultConfig(), progs, faultyModel{carfModel()}).Run()
+	_, err = NewSMT(DefaultConfig(), progs, faultyModel{carfModel()}).RunContext(context.Background(), Observe{})
 	if err == nil || !strings.Contains(err.Error(), "pipeline: 1 register file fault(s), first: injected fault") {
 		t.Fatalf("SMT run on a faulty model: err = %v, want Finalize's fault error", err)
 	}
 
 	smt := NewSMT(DefaultConfig(), progs, carfModel())
-	sts, err := smt.Run()
+	sts, err := smt.RunContext(context.Background(), Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := smt.Run(); err == nil {
+	if _, err := smt.RunContext(context.Background(), Observe{}); err == nil {
 		t.Error("a finished SMT ran again")
 	}
 	for i := range sts {
 		if got, err := smt.Thread(i).Finalize(); err != nil || !reflect.DeepEqual(got, sts[i]) {
-			t.Errorf("thread %d: Finalize after SMT.Run = %+v, %v; want %+v", i, got, err, sts[i])
+			t.Errorf("thread %d: Finalize after SMT.RunContext = %+v, %v; want %+v", i, got, err, sts[i])
 		}
 	}
 	assertUnshared(t, New(DefaultConfig(), ka.Prog, carfModel()), New(DefaultConfig(), ka.Prog, carfModel()))

@@ -9,6 +9,7 @@ import (
 
 	"carf/internal/core"
 	"carf/internal/regfile"
+	"carf/internal/vm"
 	"carf/internal/workload"
 )
 
@@ -110,4 +111,71 @@ func TestRunContextCancel(t *testing.T) {
 		st, err := cpu.RunContext(ctx, Observe{})
 		check(t, st, err, defaultEvery)
 	})
+}
+
+// TestSMTRunContextSlices is TestRunChunkMatchesRun for the two-thread
+// machine: both threads' statistics and the machine's cycle count are
+// bit-identical for every slice length, and the closing frame carries
+// the summed totals.
+func TestSMTRunContextSlices(t *testing.T) {
+	ka, err := workload.ByName("crc64", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := workload.ByName("hashprobe", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(every uint64) ([2]Stats, uint64, Progress) {
+		p := core.DefaultParams()
+		p.NumLong = 24
+		smt := NewSMT(DefaultConfig(), [2]*vm.Program{ka.Prog, kb.Prog}, core.New(p))
+		smt.SetPolicy(PolicyLongAware)
+		var final Progress
+		sts, err := smt.RunContext(context.Background(), Observe{Every: every, Frame: func(p Progress) { final = p }})
+		if err != nil {
+			t.Fatalf("every %d: %v", every, err)
+		}
+		for i, k := range []workload.Kernel{ka, kb} {
+			if got := smt.Thread(i).Machine().X[workload.ResultReg]; got != k.Expected {
+				t.Errorf("every %d thread %d: result %#x, want %#x", every, i, got, k.Expected)
+			}
+		}
+		return sts, smt.Cycles(), final
+	}
+	want, wantCycles, final := run(0)
+	if !final.Final || final.Cycles != wantCycles || final.Instructions != want[0].Instructions+want[1].Instructions {
+		t.Errorf("closing frame %+v, want Final at cycle %d with %d instructions",
+			final, wantCycles, want[0].Instructions+want[1].Instructions)
+	}
+	for _, every := range []uint64{1, 7, 4096, 1 << 40} {
+		got, cycles, _ := run(every)
+		if cycles != wantCycles || !reflect.DeepEqual(got, want) {
+			t.Errorf("every %d: %d cycles, stats diverge\n got: %+v\nwant: %+v", every, cycles, got, want)
+		}
+	}
+}
+
+// TestSMTRunContextCancel: a canceled context stops the two-thread
+// machine at the first slice boundary with an error wrapping the
+// context's.
+func TestSMTRunContextCancel(t *testing.T) {
+	ka, err := workload.ByName("qsort", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := workload.ByName("crc64", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	smt := NewSMT(DefaultConfig(), [2]*vm.Program{ka.Prog, kb.Prog}, core.New(core.DefaultParams()))
+	_, err = smt.RunContext(ctx, Observe{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if smt.Cycles() != defaultEvery {
+		t.Errorf("stopped at cycle %d, want %d", smt.Cycles(), defaultEvery)
+	}
 }

@@ -1,7 +1,8 @@
 package pipeline
 
 import (
-	"fmt"
+	"context"
+	"errors"
 
 	"carf/internal/cache"
 	"carf/internal/regfile"
@@ -45,7 +46,7 @@ func (p SMTPolicy) String() string {
 	return "round-robin"
 }
 
-// SetPolicy selects the thread-priority policy (before Run).
+// SetPolicy selects the thread-priority policy (before RunContext).
 func (s *SMT) SetPolicy(p SMTPolicy) { s.policy = p }
 
 // NewSMT builds a two-thread machine running progs against a single
@@ -85,48 +86,69 @@ func (s *SMT) Thread(i int) *CPU { return s.threads[i] }
 // Cycles returns the total machine cycles simulated.
 func (s *SMT) Cycles() uint64 { return s.cycles }
 
-// Run simulates until both threads halt and returns their statistics.
-// Like CPU.RunContext it finalizes the run: model faults fail it with
+// RunContext simulates until both threads halt and returns their
+// statistics, in the slice loop CPU.RunContext runs in (see drive).
+// Each thread advances one cycle at a time through CPU.RunChunk, so its
+// no-progress and hardening checks end the run. A run that ends
+// otherwise than canceled is finalized: model faults fail it with
 // Finalize's error, and a clean run hands each thread's tables and the
 // shared hierarchy back for reuse, under Finalize's lifetime rule. A
-// finished SMT cannot run again.
-func (s *SMT) Run() ([2]Stats, error) {
-	var out [2]Stats
-	if s.threads[0].finalized {
-		return out, errFinalized
+// finished SMT cannot run again. Of obs, SMT honours Every and Frame
+// only.
+func (s *SMT) RunContext(ctx context.Context, obs Observe) ([2]Stats, error) {
+	err := errFinalized
+	if obs.Series != nil || obs.Trace != nil || obs.Profile != nil || obs.Live != nil {
+		err = errors.New("pipeline: SMT observes only Every and Frame")
+	} else if !s.threads[0].finalized {
+		err = drive(ctx, s, obs)
 	}
-	const idleLimit = 200000
-	idle := 0
-	lastTotal := uint64(0)
-	for !s.threads[0].done || !s.threads[1].done {
+	return [2]Stats{s.threads[0].stats, s.threads[1].stats}, err
+}
+
+// chunk simulates up to budget machine cycles: each applies the
+// thread-priority policy, then steps each thread once (a halted thread
+// stays put).
+func (s *SMT) chunk(budget int64) (bool, error) {
+	for n := int64(0); n < budget && !s.halted(); n++ {
 		s.applyPolicy()
 		for _, t := range s.threads {
-			if !t.done {
-				t.cycle()
+			if _, err := t.RunChunk(1); err != nil {
+				return true, err
 			}
 		}
 		s.cycles++
-		total := s.threads[0].stats.Instructions + s.threads[1].stats.Instructions
-		if total == lastTotal {
-			idle++
-			if idle > idleLimit {
-				return out, fmt.Errorf("smt: no commit progress for %d cycles", idleLimit)
-			}
-		} else {
-			idle = 0
-			lastTotal = total
+	}
+	return s.halted(), nil
+}
+
+func (s *SMT) halted() bool { return s.threads[0].done && s.threads[1].done }
+
+func (s *SMT) sample() {}
+
+// finish finalizes both threads and, after a clean run, releases the
+// shared hierarchy.
+func (s *SMT) finish(runErr error) error {
+	err := runErr
+	for _, t := range s.threads {
+		if _, ferr := t.Finalize(); err == nil {
+			err = ferr
 		}
 	}
-	for i, t := range s.threads {
-		t.complete = true
-		st, err := t.Finalize()
-		if err != nil {
-			return out, err
-		}
-		out[i] = st
+	if err == nil {
+		s.hier.Release()
 	}
-	s.hier.Release()
-	return out, nil
+	return err
+}
+
+// progress snapshots the machine for Observe.Frame: its own cycles, both
+// threads' instructions and structure occupancies summed, and the
+// shared register file's write counts.
+func (s *SMT) progress(final bool) Progress {
+	p, q := s.threads[0].progress(final), s.threads[1].progress(final)
+	p.Cycles = s.cycles
+	p.Instructions += q.Instructions
+	p.ROB, p.IntIQ, p.FPIQ, p.LSQ = p.ROB+q.ROB, p.IntIQ+q.IntIQ, p.FPIQ+q.FPIQ, p.LSQ+q.LSQ
+	return p
 }
 
 // applyPolicy sets each thread's issue-hold flag for the coming cycle.

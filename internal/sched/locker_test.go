@@ -80,7 +80,7 @@ func TestSetTierAutoDetectsLockerAndPeerHit(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		pt.fakeTier.Store(key, "peer-result") // the peer finishes: blob lands
 	}()
-	v, prov, err := s.Do(key, "", true, func() (any, error) {
+	v, prov, err := do(s, key, "", true, func() (any, error) {
 		t.Error("simulated despite a live peer's lease")
 		return nil, nil
 	})
@@ -95,7 +95,7 @@ func TestSetTierAutoDetectsLockerAndPeerHit(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 peer hit, 0 misses, LeaseWait > 0", st)
 	}
 	// Promoted into the memory cache: a repeat is a plain hit.
-	if _, prov, _ := s.Do(key, "", true, func() (any, error) { return nil, nil }); prov.Outcome != Hit {
+	if _, prov, _ := do(s, key, "", true, func() (any, error) { return nil, nil }); prov.Outcome != Hit {
 		t.Errorf("repeat after peer hit: outcome %v, want Hit", prov.Outcome)
 	}
 }
@@ -109,7 +109,7 @@ func TestLockerTakeoverBecomesMissWithLeaseWait(t *testing.T) {
 	s.SetTier(lt)
 
 	ran := 0
-	v, prov, err := s.Do(KeyOf("orphaned"), "", true, func() (any, error) {
+	v, prov, err := do(s, KeyOf("orphaned"), "", true, func() (any, error) {
 		ran++
 		return "simulated-here", nil
 	})
@@ -147,7 +147,7 @@ func TestLeaseWinnerServesPeerBlob(t *testing.T) {
 	s := New(2)
 	s.SetTier(rt)
 
-	v, prov, err := s.Do(key, "", true, func() (any, error) {
+	v, prov, err := do(s, key, "", true, func() (any, error) {
 		t.Error("simulated a key whose blob landed before the lease was won")
 		return "simulated-here", nil
 	})
@@ -173,7 +173,7 @@ func TestLockerReleaseAfterTierStore(t *testing.T) {
 	s := New(2)
 	s.SetTier(lt)
 
-	if _, _, err := s.Do(KeyOf("ordered"), "", true, func() (any, error) { return 1, nil }); err != nil {
+	if _, _, err := do(s, KeyOf("ordered"), "", true, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	lt.fakeLocker.mu.Lock()
@@ -197,7 +197,7 @@ func TestLockerReleasedOnSimulationError(t *testing.T) {
 	s := New(2)
 	s.SetTier(lt)
 
-	if _, _, err := s.Do(KeyOf("failing"), "", true, func() (any, error) {
+	if _, _, err := do(s, KeyOf("failing"), "", true, func() (any, error) {
 		return nil, context.DeadlineExceeded
 	}); err == nil {
 		t.Fatal("want simulation error")
@@ -226,7 +226,7 @@ func TestLockerCancelWhileWaitingOnPeer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(leaderIn)
-		_, prov, err := s.DoCtx(ctx, key, "", true, func() (any, error) {
+		_, prov, err := doCtx(ctx, s, key, "", true, func() (any, error) {
 			t.Error("simulated while a peer held the lease")
 			return nil, nil
 		})
@@ -251,7 +251,7 @@ func TestUncacheableRunSkipsLocker(t *testing.T) {
 	lt := newLockingTier(0)
 	s := New(2)
 	s.SetTier(lt)
-	if _, _, err := s.Do(KeyOf("raw"), "", false, func() (any, error) { return 1, nil }); err != nil {
+	if _, _, err := do(s, KeyOf("raw"), "", false, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	lt.fakeLocker.mu.Lock()
@@ -270,7 +270,7 @@ func TestSetLockerOverridesAndClears(t *testing.T) {
 	s.SetTier(lt)
 	plain := newFakeTier()
 	s.SetTier(plain)
-	if _, _, err := s.Do(KeyOf("plain"), "", true, func() (any, error) { return 1, nil }); err != nil {
+	if _, _, err := do(s, KeyOf("plain"), "", true, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	lt.fakeLocker.mu.Lock()
@@ -282,7 +282,7 @@ func TestSetLockerOverridesAndClears(t *testing.T) {
 
 	// And SetLocker wires coordination separate from the tier.
 	s.SetLocker(lt.fakeLocker)
-	if _, _, err := s.Do(KeyOf("separate"), "", true, func() (any, error) { return 1, nil }); err != nil {
+	if _, _, err := do(s, KeyOf("separate"), "", true, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if lt.released.Load() != 1 {

@@ -6,9 +6,9 @@
 //
 // Three mechanisms compose:
 //
-//   - A resizable bounded pool. Do blocks until a worker slot is free,
-//     so the total simulation concurrency stays bounded no matter how
-//     many experiments fan out at once.
+//   - A resizable bounded pool. DoProgress blocks until a worker slot is
+//     free, so the total simulation concurrency stays bounded no matter
+//     how many experiments fan out at once.
 //   - Content-keyed memoization. Cacheable runs are stored by a digest
 //     of everything that determines their result (see KeyOf); a later
 //     request with the same key returns the stored value without
@@ -18,10 +18,10 @@
 //     already in flight joins it (waits for the one execution) instead
 //     of starting a second simulation.
 //
-// Every Do call returns a Provenance (hit / miss / joined, queue wait,
-// simulation wall time); cumulative counters are available through
-// Stats and, for interval sampling and export, through the scheduler's
-// metrics.Registry.
+// Every DoProgress call returns a Provenance (hit / miss / joined,
+// queue wait, simulation wall time); cumulative counters are available
+// through Stats and, for interval sampling and export, through the
+// scheduler's metrics.Registry.
 package sched
 
 import (
@@ -36,7 +36,7 @@ import (
 	"carf/internal/metrics"
 )
 
-// Outcome classifies how a Do call was served.
+// Outcome classifies how a DoProgress call was served.
 type Outcome uint8
 
 const (
@@ -79,14 +79,14 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", uint8(o))
 }
 
-// Provenance describes how one Do call was served. QueueWait and
+// Provenance describes how one DoProgress call was served. QueueWait and
 // SimWall are nonzero only for misses (the call that actually ran the
 // simulation). Key is the request's content digest — the correlation id
 // that ties this run to its telemetry spans, /runs row, and log lines.
 type Provenance struct {
 	Outcome   Outcome
 	Key       Key           // content digest of the request (correlation id)
-	QueueWait time.Duration // Do entry until a worker slot was acquired
+	QueueWait time.Duration // DoProgress entry until a worker slot was acquired
 	SimWall   time.Duration // wall time inside the simulation function
 
 	// LeaseWait is the time spent waiting on another process's
@@ -102,7 +102,7 @@ type Provenance struct {
 type Stats struct {
 	Workers      int    // current pool bound
 	CacheEntries int    // completed runs held in the memo cache
-	Runs         uint64 // total Do calls
+	Runs         uint64 // total DoProgress calls
 	Misses       uint64 // runs simulated
 	Hits         uint64 // runs served from the in-memory cache
 	Joins        uint64 // runs that joined an in-flight execution
@@ -117,19 +117,19 @@ type Stats struct {
 	LeaseWait time.Duration // cumulative cross-process lease wait (peer hits + contended misses)
 }
 
-// Observer receives run lifecycle callbacks from a scheduler: every Do
-// call announces itself once on entry (RunEnqueued), misses additionally
-// report worker-slot acquisition (RunStarted), and every call reports
-// its outcome on exit (RunFinished). Executing DoProgress runs
+// Observer receives run lifecycle callbacks from a scheduler: every
+// DoProgress call announces itself once on entry (RunEnqueued), misses
+// additionally report worker-slot acquisition (RunStarted), and every
+// call reports its outcome on exit (RunFinished). Executing runs
 // additionally stream RunProgressed frames between RunStarted and
 // RunFinished (throttled; see SetProgressInterval). Callbacks run on
 // the requesting goroutine, outside the scheduler lock, so an observer
 // may call Stats or Metrics — but must return quickly and must not call
-// Do. The id is unique per scheduler and strictly increasing in enqueue
-// order; for one id the callbacks are ordered (enqueued happens-before
-// started happens-before each progressed happens-before finished),
-// while callbacks for different ids interleave arbitrarily. The
-// telemetry hub is the canonical implementation.
+// DoProgress. The id is unique per scheduler and strictly increasing in
+// enqueue order; for one id the callbacks are ordered (enqueued
+// happens-before started happens-before each progressed happens-before
+// finished), while callbacks for different ids interleave arbitrarily.
+// The telemetry hub is the canonical implementation.
 type Observer interface {
 	RunEnqueued(id uint64, key Key, label string)
 	RunStarted(id uint64)
@@ -139,8 +139,8 @@ type Observer interface {
 
 // Tally accumulates per-caller provenance counts: a harness that wants
 // to know how *its* requests were served — while sharing a scheduler
-// with everyone else — records each Do's Provenance into its own Tally.
-// All methods are safe for concurrent use; a nil *Tally ignores Record,
+// with everyone else — records each call's Provenance into its own
+// Tally. All methods are safe for concurrent use; a nil *Tally ignores Record,
 // so threading one through is optional at every level.
 type Tally struct {
 	runs, hits, misses, joins           atomic.Uint64
@@ -457,9 +457,9 @@ func (s *Scheduler) Workers() int {
 }
 
 // DisableMemo turns off the completed-run cache and in-flight
-// deduplication: every Do executes its function (still through the
-// bounded pool). The determinism tests use this as the unmemoized
-// reference.
+// deduplication: every DoProgress call executes its function (still
+// through the bounded pool). The determinism tests use this as the
+// unmemoized reference.
 func (s *Scheduler) DisableMemo() {
 	s.mu.Lock()
 	s.memo = false
@@ -487,20 +487,14 @@ func (s *Scheduler) Stats() Stats {
 // interval state and should keep a single driver.
 func (s *Scheduler) Metrics() *metrics.Registry { return s.reg }
 
-// Do runs fn through the worker pool, deduplicating and memoizing by
-// key when cacheable is true. It is DoCtx without a deadline: the call
-// blocks until a result is available.
-func (s *Scheduler) Do(key Key, label string, cacheable bool, fn func() (any, error)) (any, Provenance, error) {
-	return s.DoCtx(context.Background(), key, label, cacheable, fn)
-}
-
-// DoCtx runs fn through the worker pool, deduplicating and memoizing by
-// key when cacheable is true. The returned value is shared by every
-// caller with the same key and must be treated as immutable. Errors
-// propagate to all joined callers but are never cached — a later
-// request with the same key retries. label is a short human-readable
-// description ("sim/qsort/baseline") carried to the observer and shown
-// in telemetry; it has no effect on scheduling or caching.
+// DoProgress runs fn through the worker pool, deduplicating and
+// memoizing by key when cacheable is true; it is the scheduler's one
+// entry point. The returned value is shared by every caller with the
+// same key and must be treated as immutable. Errors propagate to all
+// joined callers but are never cached — a later request with the same
+// key retries. label is a short human-readable description
+// ("sim/qsort/baseline") carried to the observer and shown in
+// telemetry; it has no effect on scheduling or caching.
 //
 // ctx carries the request's deadline and cancellation: a request whose
 // context expires while it waits for a worker slot, or while it is
@@ -510,31 +504,23 @@ func (s *Scheduler) Do(key Key, label string, cacheable bool, fn func() (any, er
 // still lands in the cache. A leader canceled while queued resolves its
 // entry with the cancellation error, which propagates to any joiners
 // (a later request with the same key retries). fn itself is not
-// interrupted once running; closures wanting cooperative abort capture
-// ctx themselves (pipeline.CPU.RunContext is the simulator's path).
+// interrupted once running; it watches ctx itself
+// (pipeline.CPU.RunContext is the simulator's path).
 //
-// fn must not call Do on the same scheduler (a saturated pool of
-// parent runs waiting on child runs would deadlock).
-func (s *Scheduler) DoCtx(ctx context.Context, key Key, label string, cacheable bool, fn func() (any, error)) (any, Provenance, error) {
-	return s.DoProgress(ctx, key, label, cacheable, nil, func(ProgressFunc) (any, error) { return fn() })
-}
-
-// DoProgress is DoCtx for runs that can report live progress. fn
-// receives a report function to call with in-flight Progress snapshots;
-// the scheduler throttles non-final frames to one per
-// SetProgressInterval, stamps each forwarded frame (Progress.Stamp)
-// with label, the completion, the wall-clock rate and an ETA derived
-// from the frame's Target (the run's known dynamic-instruction budget,
-// stamped by the body; 0 = unknown, frames then carry Pct -1 and no
-// ETA), and fans the result out to the attached Observer
-// (RunProgressed) and to onProgress. Both are
-// optional; when neither is attached fn receives a nil report and the
-// call is exactly DoCtx — callers guard their hook installation on
-// report != nil, so a silent run pays nothing.
-//
-// Progress frames are leader-only: hits, disk hits, and joiners resolve
+// fn receives a report function for in-flight Progress snapshots; the
+// scheduler throttles non-final frames to one per SetProgressInterval,
+// stamps each forwarded frame (Progress.Stamp) with label, the
+// completion, the wall-clock rate and an ETA derived from the frame's
+// Target (the run's known dynamic-instruction budget, stamped by the
+// body; 0 = unknown, frames then carry Pct -1 and no ETA), and fans it
+// out to the attached Observer (RunProgressed) and to onProgress. With
+// neither attached fn receives a nil report, so a silent run pays
+// nothing. Frames are leader-only: hits, disk hits and joiners resolve
 // without frames (their provenance says why). onProgress runs on the
 // simulating goroutine and must return quickly.
+//
+// fn must not call DoProgress on the same scheduler (a saturated pool
+// of parent runs waiting on child runs would deadlock).
 func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cacheable bool, onProgress ProgressFunc, fn func(report ProgressFunc) (any, error)) (any, Provenance, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {

@@ -41,7 +41,7 @@ func TestDoMissHitJoin(t *testing.T) {
 	key := KeyOf("t", 1)
 	var execs atomic.Int64
 	run := func() (any, Provenance, error) {
-		return s.Do(key, "", true, func() (any, error) {
+		return do(s, key, "", true, func() (any, error) {
 			execs.Add(1)
 			time.Sleep(10 * time.Millisecond)
 			return 42, nil
@@ -65,7 +65,7 @@ func TestDoMissHitJoin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, prov, err := s.Do(key2, "", true, func() (any, error) {
+			v, prov, err := do(s, key2, "", true, func() (any, error) {
 				execs.Add(1)
 				time.Sleep(20 * time.Millisecond)
 				return "shared", nil
@@ -100,7 +100,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, prov, err := s.Do(key, "", true, func() (any, error) {
+		_, prov, err := do(s, key, "", true, func() (any, error) {
 			calls++
 			return nil, boom
 		})
@@ -125,7 +125,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := s.Do(KeyOf("job", i), "", true, func() (any, error) {
+			_, _, err := do(s, KeyOf("job", i), "", true, func() (any, error) {
 				n := cur.Add(1)
 				for {
 					p := peak.Load()
@@ -152,7 +152,7 @@ func TestSetWorkersUnblocksWaiters(t *testing.T) {
 	s := New(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go s.Do(KeyOf("hold"), "", false, func() (any, error) {
+	go do(s, KeyOf("hold"), "", false, func() (any, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -161,7 +161,7 @@ func TestSetWorkersUnblocksWaiters(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		s.Do(KeyOf("waits"), "", false, func() (any, error) { return nil, nil })
+		do(s, KeyOf("waits"), "", false, func() (any, error) { return nil, nil })
 		close(done)
 	}()
 	select {
@@ -187,7 +187,7 @@ func TestDisableMemo(t *testing.T) {
 	key := KeyOf("same")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		_, prov, err := s.Do(key, "", true, func() (any, error) {
+		_, prov, err := do(s, key, "", true, func() (any, error) {
 			calls++
 			return i, nil
 		})
@@ -236,7 +236,7 @@ func TestMetricsRegistryExposesCounters(t *testing.T) {
 	s := New(2)
 	key := KeyOf("m")
 	for i := 0; i < 3; i++ {
-		s.Do(key, "", true, func() (any, error) { return nil, nil })
+		do(s, key, "", true, func() (any, error) { return nil, nil })
 	}
 	names := s.Metrics().Names()
 	idx := map[string]int{}
@@ -318,11 +318,11 @@ func TestObserverLifecycle(t *testing.T) {
 	s.SetObserver(obs)
 	key := KeyOf("obs", 1)
 
-	_, p1, err := s.Do(key, "sim/a/base", true, func() (any, error) { return 1, nil })
+	_, p1, err := do(s, key, "sim/a/base", true, func() (any, error) { return 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p2, err := s.Do(key, "sim/a/base", true, func() (any, error) { return 1, nil })
+	_, p2, err := do(s, key, "sim/a/base", true, func() (any, error) { return 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestObserverSeesJoins(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Do(key, "join-me", true, func() (any, error) {
+			do(s, key, "join-me", true, func() (any, error) {
 				time.Sleep(20 * time.Millisecond)
 				return nil, nil
 			})
@@ -397,7 +397,7 @@ func TestLatencyHistograms(t *testing.T) {
 	s := New(2)
 	key := KeyOf("hist")
 	for i := 0; i < 3; i++ {
-		s.Do(key, "", true, func() (any, error) {
+		do(s, key, "", true, func() (any, error) {
 			time.Sleep(time.Millisecond)
 			return nil, nil
 		})
@@ -428,13 +428,13 @@ func TestTally(t *testing.T) {
 	var tl Tally
 	key := KeyOf("tally")
 	for i := 0; i < 3; i++ {
-		_, p, err := s.Do(key, "", true, func() (any, error) {
+		_, p, err := do(s, key, "", true, func() (any, error) {
 			time.Sleep(time.Millisecond)
 			return nil, nil
 		})
 		tl.Record(p, err)
 	}
-	_, p, err := s.Do(KeyOf("tally-err"), "", true, func() (any, error) { return nil, errors.New("boom") })
+	_, p, err := do(s, KeyOf("tally-err"), "", true, func() (any, error) { return nil, errors.New("boom") })
 	tl.Record(p, err)
 
 	st := tl.Stats()
@@ -480,7 +480,7 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	s := New(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go s.Do(KeyOf("hog"), "", false, func() (any, error) { //nolint:errcheck
+	go do(s, KeyOf("hog"), "", false, func() (any, error) { //nolint:errcheck
 		close(started)
 		<-release
 		return nil, nil
@@ -492,7 +492,7 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
 	ran := false
-	_, prov, err := s.DoCtx(ctx, KeyOf("queued"), "", true, func() (any, error) {
+	_, prov, err := doCtx(ctx, s, KeyOf("queued"), "", true, func() (any, error) {
 		ran = true
 		return nil, nil
 	})
@@ -510,7 +510,7 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	// Dead on arrival: an already-expired context never queues at all.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	_, prov, err = s.DoCtx(dead, KeyOf("doa"), "", true, func() (any, error) { return nil, nil })
+	_, prov, err = doCtx(dead, s, KeyOf("doa"), "", true, func() (any, error) { return nil, nil })
 	if !errors.Is(err, context.Canceled) || prov.Outcome != Canceled {
 		t.Fatalf("DOA: prov=%+v err=%v", prov, err)
 	}
@@ -523,7 +523,7 @@ func TestJoinerDetachesOnOwnCancel(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan Provenance, 1)
 	go func() {
-		_, prov, _ := s.Do(key, "", true, func() (any, error) {
+		_, prov, _ := do(s, key, "", true, func() (any, error) {
 			close(inFn)
 			<-release
 			return "value", nil
@@ -536,7 +536,7 @@ func TestJoinerDetachesOnOwnCancel(t *testing.T) {
 	// running and still populates the cache.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
-	_, prov, err := s.DoCtx(ctx, key, "", true, func() (any, error) {
+	_, prov, err := doCtx(ctx, s, key, "", true, func() (any, error) {
 		t.Error("joiner ran the function")
 		return nil, nil
 	})
@@ -548,7 +548,7 @@ func TestJoinerDetachesOnOwnCancel(t *testing.T) {
 	if p := <-leaderDone; p.Outcome != Miss {
 		t.Fatalf("leader outcome = %v, want miss (undisturbed by joiner cancel)", p.Outcome)
 	}
-	v, prov, err := s.Do(key, "", true, func() (any, error) { return nil, errors.New("must not run") })
+	v, prov, err := do(s, key, "", true, func() (any, error) { return nil, errors.New("must not run") })
 	if err != nil || v.(string) != "value" || prov.Outcome != Hit {
 		t.Errorf("post-detach request: v=%v prov=%+v err=%v (leader's result should be cached)", v, prov, err)
 	}
@@ -561,7 +561,7 @@ func TestTierDiskHitProvenance(t *testing.T) {
 
 	s := New(2)
 	s.SetTier(tier)
-	v, prov, err := s.Do(key, "", true, func() (any, error) {
+	v, prov, err := do(s, key, "", true, func() (any, error) {
 		t.Error("tier-resident run was re-simulated")
 		return nil, nil
 	})
@@ -571,7 +571,7 @@ func TestTierDiskHitProvenance(t *testing.T) {
 	// The disk hit was promoted into the memory cache: a repeat is a
 	// plain hit and does not touch the tier again.
 	loadsBefore := tier.loads
-	v, prov, err = s.Do(key, "", true, func() (any, error) { return nil, nil })
+	v, prov, err = do(s, key, "", true, func() (any, error) { return nil, nil })
 	if err != nil || v.(string) != "from-disk" || prov.Outcome != Hit {
 		t.Fatalf("promoted hit: v=%v prov=%+v err=%v", v, prov, err)
 	}
@@ -579,7 +579,7 @@ func TestTierDiskHitProvenance(t *testing.T) {
 		t.Error("memory hit consulted the tier")
 	}
 	// Fresh misses are offered to the tier.
-	if _, _, err := s.Do(KeyOf("fresh"), "", true, func() (any, error) { return 7, nil }); err != nil {
+	if _, _, err := do(s, KeyOf("fresh"), "", true, func() (any, error) { return 7, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if tier.stores != 1 {
@@ -596,7 +596,7 @@ func TestCacheCapEvictsLRUIntoTier(t *testing.T) {
 	s.SetTier(tier)
 	s.SetCacheCap(2)
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.Do(KeyOf("evict", i), "", true, func() (any, error) { return i, nil }); err != nil {
+		if _, _, err := do(s, KeyOf("evict", i), "", true, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -606,11 +606,21 @@ func TestCacheCapEvictsLRUIntoTier(t *testing.T) {
 	}
 	// The evicted (least recently used) entry comes back from the tier,
 	// not a re-simulation.
-	v, prov, err := s.Do(KeyOf("evict", 0), "", true, func() (any, error) {
+	v, prov, err := do(s, KeyOf("evict", 0), "", true, func() (any, error) {
 		t.Error("evicted run was re-simulated despite the tier holding it")
 		return nil, nil
 	})
 	if err != nil || v.(int) != 0 || prov.Outcome != DiskHit {
 		t.Fatalf("evicted reload: v=%v prov=%+v err=%v", v, prov, err)
 	}
+}
+
+// do is a DoProgress call with no deadline and no progress reporting.
+func do(s *Scheduler, key Key, label string, cacheable bool, fn func() (any, error)) (any, Provenance, error) {
+	return doCtx(context.Background(), s, key, label, cacheable, fn)
+}
+
+// doCtx is a DoProgress call with no progress reporting.
+func doCtx(ctx context.Context, s *Scheduler, key Key, label string, cacheable bool, fn func() (any, error)) (any, Provenance, error) {
+	return s.DoProgress(ctx, key, label, cacheable, nil, func(ProgressFunc) (any, error) { return fn() })
 }

@@ -101,7 +101,7 @@ type Stats struct {
 	DiskHits    uint64 `json:"disk_hits"`
 	Misses      uint64 `json:"misses"`
 	Puts        uint64 `json:"puts"`
-	PutSkipped  uint64 `json:"put_skipped"` // values gob cannot encode
+	PutSkipped  uint64 `json:"put_skipped"` // values gob cannot encode (a bug: every run kind persists)
 	PutErrors   uint64 `json:"put_errors"`  // disk writes that failed (triggers degradation)
 	Quarantined uint64 `json:"quarantined"` // corrupt blobs moved aside
 
@@ -339,9 +339,10 @@ func (s *Store) Store(key sched.Key, val any) {
 
 	payload, err := encodeValue(val)
 	if err != nil {
-		// The value's type is not persistable (unregistered, contains
-		// unexported state). Expected for instrumented run families;
-		// count and move on.
+		// The value's type is not persistable (unregistered, or holding
+		// what gob cannot carry). Every run kind's value is meant to
+		// persist, so this is a bug the experiments' tests catch; count
+		// it and move on.
 		s.count(func(st *Stats) { st.PutSkipped++ })
 		return
 	}

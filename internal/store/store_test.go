@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"log/slog"
@@ -66,7 +67,7 @@ func repeatHits(t *testing.T, st *Store, k sched.Key, v any) {
 	s.SetTier(st)
 	calls := 0
 	for _, want := range []sched.Outcome{sched.Miss, sched.Hit} {
-		_, p, err := s.Do(k, "", true, func() (any, error) { calls++; return v, nil })
+		_, p, err := s.DoProgress(context.Background(), k, "", true, nil, func(sched.ProgressFunc) (any, error) { calls++; return v, nil })
 		if err != nil || p.Outcome != want {
 			t.Fatalf("Do = %v, %v; want %v", p.Outcome, err, want)
 		}
@@ -310,7 +311,7 @@ func TestMemoEvictionServedFromDisk(t *testing.T) {
 	s.SetCacheCap(1)
 	run := func(k sched.Key, name string) sched.Provenance {
 		t.Helper()
-		v, p, err := s.Do(k, name, true, func() (any, error) { return payload{Name: name}, nil })
+		v, p, err := s.DoProgress(context.Background(), k, name, true, nil, func(sched.ProgressFunc) (any, error) { return payload{Name: name}, nil })
 		if err != nil || v.(payload).Name != name {
 			t.Fatalf("Do(%s) = %v, %v", name, v, err)
 		}
@@ -321,7 +322,7 @@ func TestMemoEvictionServedFromDisk(t *testing.T) {
 	if got := s.Stats().Evictions; got != 1 {
 		t.Fatalf("scheduler Evictions after b = %d, want 1 (a evicted)", got)
 	}
-	_, p, err := s.Do(key(1), "a", true, func() (any, error) {
+	_, p, err := s.DoProgress(context.Background(), key(1), "a", true, nil, func(sched.ProgressFunc) (any, error) {
 		t.Error("evicted run was re-simulated despite its blob on disk")
 		return nil, nil
 	})

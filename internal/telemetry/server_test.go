@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -19,13 +20,13 @@ func driveScheduler(t *testing.T, hub *Hub) *sched.Scheduler {
 	s.SetObserver(hub)
 	key := sched.KeyOf("telemetry-test", 1)
 	for i := 0; i < 2; i++ { // miss, then hit
-		if _, _, err := s.Do(key, "sim/gcd/carf", true, func() (any, error) {
+		if _, _, err := s.DoProgress(context.Background(), key, "sim/gcd/carf", true, nil, func(sched.ProgressFunc) (any, error) {
 			return 42, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := s.Do(sched.KeyOf("telemetry-test", 2), "sim/bad/carf", true, func() (any, error) {
+	_, _, err := s.DoProgress(context.Background(), sched.KeyOf("telemetry-test", 2), "sim/bad/carf", true, nil, func(sched.ProgressFunc) (any, error) {
 		return nil, errBoom
 	})
 	if err == nil {
@@ -204,7 +205,7 @@ func TestServerSSERoundTrip(t *testing.T) {
 	s := sched.New(1)
 	s.SetObserver(hub)
 	key := sched.KeyOf("sse-test", 1)
-	if _, _, err := s.Do(key, "sim/sse/carf", true, func() (any, error) {
+	if _, _, err := s.DoProgress(context.Background(), key, "sim/sse/carf", true, nil, func(sched.ProgressFunc) (any, error) {
 		return 1, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -171,10 +171,10 @@ func TestRunStreamHitProvenance(t *testing.T) {
 	srv := httptest.NewServer(sv.Handler())
 	defer srv.Close()
 
-	body := func() (any, error) { return 7, nil }
+	body := func(sched.ProgressFunc) (any, error) { return 7, nil }
 	key := sched.KeyOf("stream-hit")
 	for i := 0; i < 2; i++ { // miss, then hit
-		if _, _, err := s.Do(key, "sim/bfs/carf", true, body); err != nil {
+		if _, _, err := s.DoProgress(context.Background(), key, "sim/bfs/carf", true, nil, body); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,8 +17,8 @@
 //     streaming run lifecycle events over SSE.
 //
 // The Hub implements sched.Observer; attach it with
-// Scheduler.SetObserver and every Do call appears in all four views,
-// correlated by the run key's short id. Everything here is passive:
+// Scheduler.SetObserver and every DoProgress call appears in all four
+// views, correlated by the run key's short id. Everything here is passive:
 // rendered experiment output is byte-identical with telemetry on or
 // off.
 package telemetry
@@ -173,7 +173,7 @@ func (h *Hub) sinceMs(t time.Time) float64 {
 // the hub started.
 func (h *Hub) NowMs() float64 { return h.sinceMs(time.Now()) }
 
-// RunEnqueued implements sched.Observer: a Do call entered the
+// RunEnqueued implements sched.Observer: a DoProgress call entered the
 // scheduler. The request-side span opens here; its final category
 // (queue-wait, hit, joined) is decided when the run resolves.
 func (h *Hub) RunEnqueued(id uint64, key sched.Key, label string) {

@@ -18,9 +18,9 @@ type Track int
 const (
 	// TrackExperiments holds one span per experiment (carfstudy -jobs).
 	TrackExperiments Track = 1
-	// TrackRequests holds the request-side view of every scheduler Do:
-	// queue-wait slices while a miss waits for a worker slot, and
-	// hit/joined slices for requests served without simulating.
+	// TrackRequests holds the request-side view of every scheduler
+	// DoProgress call: queue-wait slices while a miss waits for a worker
+	// slot, and hit/joined slices for requests served without simulating.
 	TrackRequests Track = 2
 	// TrackWorkers holds the sim-wall slices: one row per concurrently
 	// executing simulation, bounded by the scheduler pool.
