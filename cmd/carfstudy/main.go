@@ -13,10 +13,12 @@
 //
 // With -store, completed runs persist as blobs in a directory, so a
 // rerun (after a crash, say) serves every finished run from disk. Any
-// number of processes may share one store directory at once:
-// per-simulation leases make sure no persisted run is simulated twice
+// number of processes may share one store directory at once. On Linux,
+// per-simulation leases (byte-range locks on the store's one
+// leases.lock file) make sure no persisted run is simulated twice
 // across them, and a process that loses a lease waits for the winner's
-// blob instead.
+// blob instead; on other platforms the processes run uncoordinated,
+// which may duplicate work but never changes the output.
 //
 // With -telemetry the study serves its live observability plane over
 // HTTP while it runs: /metrics (Prometheus), /runs (live run table),
@@ -275,7 +277,7 @@ func main() {
 			// Store condition next to the scheduler totals, so a run that
 			// shares its store with other processes is diagnosable from
 			// the terminal alone.
-			fmt.Fprintf(w, "%s\n", storeLine(st.Stats()))
+			fmt.Fprintf(w, "%s\n", storeLine(st.Stats(), totals.LeaseWaitSeconds))
 		}
 		nameWidth := 0
 		for _, name := range names {
@@ -322,13 +324,14 @@ func main() {
 }
 
 // storeLine renders the store's end-of-run condition for the trailer:
-// mode, blob population, hit/quarantine counters, lease activity, and —
-// loudly — degradation, so a sweep that silently fell back to
-// memory-only operation is visible from the terminal.
-func storeLine(ss store.Stats) string {
+// mode, blob population, hit/quarantine counters, lease activity (leases
+// won, and leaseWait, the scheduler's seconds spent waiting on peers'
+// leases), and — loudly — degradation, so a sweep that silently fell
+// back to memory-only operation is visible from the terminal.
+func storeLine(ss store.Stats, leaseWait float64) string {
 	line := fmt.Sprintf("store: %s; %d blobs, %d disk hits, %d quarantined", ss.Mode, ss.DiskBlobs, ss.DiskHits, ss.Quarantined)
-	if ss.LeasesAcquired > 0 || ss.LeaseLosses > 0 {
-		line += fmt.Sprintf(", leases %d won / %d lost", ss.LeasesAcquired, ss.LeaseLosses)
+	if ss.LeasesAcquired > 0 || leaseWait > 0 {
+		line += fmt.Sprintf(", leases %d won, %.2fs waiting on peers", ss.LeasesAcquired, leaseWait)
 	}
 	if ss.Degraded {
 		line += "; DEGRADED: " + ss.Reason

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 
 // TestCrashHelperSimulate is not a test: it is the worker half of
 // TestLeaseFreedWhenHolderKilled, re-executed as a child process. It
-// opens the shared store and simulates table2; the parent SIGKILLs it
-// while it holds a per-simulation lease.
+// opens the shared store and simulates table2. Its first progress frame
+// comes from a running simulation, which holds that run's lease: it
+// writes the marker file there and stalls the simulation until the
+// parent SIGKILLs it.
 func TestCrashHelperSimulate(t *testing.T) {
 	dir := os.Getenv("CARF_CRASH_HELPER_DIR")
 	if dir == "" {
@@ -27,15 +30,22 @@ func TestCrashHelperSimulate(t *testing.T) {
 	}
 	s := sched.New(1)
 	s.SetTier(st)
-	_, _ = Run("table2", Options{Scale: determinismScale, Sched: s})
+	var once sync.Once
+	onProgress := func(sched.Progress) {
+		once.Do(func() {
+			os.WriteFile(os.Getenv("CARF_CRASH_HELPER_MARKER"), nil, 0o644) //nolint:errcheck // the parent times out without it
+			time.Sleep(time.Hour)
+		})
+	}
+	_, _ = Run("table2", Options{Scale: determinismScale, Sched: s, OnProgress: onProgress})
 }
 
 // TestLeaseFreedWhenHolderKilled is the cross-process crash gate: a
-// worker process SIGKILLed mid-simulation leaves its lease files
-// behind, but the kernel drops its locks with it. A surviving process
-// sweeping the same store with default options must claim those leases
-// at once, re-simulate, and produce output byte-identical to a serial
-// run that never saw the crash.
+// worker process SIGKILLed while it holds a simulation's lease takes
+// the lock with it, as the kernel frees the locks of a dead process. A
+// surviving process sweeping the same store with default options must
+// claim that lease at once, re-simulate, and produce output
+// byte-identical to a serial run that never saw the crash.
 func TestLeaseFreedWhenHolderKilled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills a child simulation process")
@@ -43,41 +53,31 @@ func TestLeaseFreedWhenHolderKilled(t *testing.T) {
 	const exp = "table2"
 	want := render(t, exp, Options{Scale: determinismScale, Sched: sched.New(1)})
 
-	// The kill races the victim's own progress: land it between two
-	// simulations (release → next claim) and no lease file survives.
-	// Retry with a fresh store until one is actually left behind.
 	self, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dir string
-	killed := false
-	for attempt := 0; attempt < 5 && !killed; attempt++ {
-		dir = t.TempDir()
-		cmd := exec.Command(self, "-test.run", "^TestCrashHelperSimulate$")
-		cmd.Env = append(os.Environ(), "CARF_CRASH_HELPER_DIR="+dir)
-		cmd.Stdout = io.Discard
-		cmd.Stderr = io.Discard
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	marker := filepath.Join(t.TempDir(), "holding")
+	cmd := exec.Command(self, "-test.run", "^TestCrashHelperSimulate$")
+	cmd.Env = append(os.Environ(), "CARF_CRASH_HELPER_DIR="+dir, "CARF_CRASH_HELPER_MARKER="+marker)
+	cmd.Stdout = io.Discard
+	cmd.Stderr = io.Discard
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, err := os.Stat(marker); err == nil {
+			break
 		}
-		leaseGlob := filepath.Join(dir, "schema-*", "leases", "*.lease")
-		deadline := time.Now().Add(60 * time.Second)
-		for time.Now().Before(deadline) {
-			if m, _ := filepath.Glob(leaseGlob); len(m) > 0 {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		cmd.Process.Kill() // SIGKILL: no release, lease file left behind
-		cmd.Wait()         //nolint:errcheck // "signal: killed" is the point
-		if m, _ := filepath.Glob(leaseGlob); len(m) > 0 {
-			killed = true
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait() //nolint:errcheck
+			t.Fatal("worker sent no progress frame within 60s")
 		}
 	}
-	if !killed {
-		t.Fatal("could not catch the worker holding a lease in 5 attempts")
-	}
+	cmd.Process.Kill() // SIGKILL mid-simulation: no release
+	cmd.Wait()         //nolint:errcheck // "signal: killed" is the point
 
 	st, err := store.Open(store.Options{Dir: dir, Schema: StoreSchema, Logger: quietLogger()})
 	if err != nil {
@@ -91,13 +91,10 @@ func TestLeaseFreedWhenHolderKilled(t *testing.T) {
 	if got != want {
 		t.Fatalf("post-crash render differs from serial:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
-	// The dead worker's locks died with it: the survivor must not wait
-	// out its leases.
+	// The dead worker's lock died with it: the survivor must not wait
+	// out its lease.
 	if wait := s.Stats().LeaseWait; wait >= time.Second {
 		t.Errorf("survivor waited %v on leases, want well under 1s", wait)
-	}
-	if m, _ := filepath.Glob(filepath.Join(dir, "schema-*", "leases", "*.lease")); len(m) != 0 {
-		t.Errorf("lease files left after recovery: %v", m)
 	}
 }
 

@@ -1,8 +1,9 @@
-//go:build !unix || aix || solaris
+//go:build !linux
 
 package store
 
 import "errors"
 
-// lockFile cannot coordinate on this platform: claims run uncoordinated.
-func lockFile(uintptr) error { return errors.ErrUnsupported }
+// lockByte cannot coordinate without open-file-description locks:
+// claims run uncoordinated.
+func lockByte(string, int64) (func(), error) { return nil, errors.ErrUnsupported }

@@ -1,38 +1,41 @@
 package store
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// leaseFiles globs the store directory's lease files.
-func leaseFiles(t *testing.T, dir string) []string {
+// entries counts the files and directories under the store root.
+func entries(t *testing.T, dir string) int {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "schema-*", "leases", "*.lease"))
+	n := 0
+	err := filepath.WalkDir(dir, func(string, fs.DirEntry, error) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return matches
+	return n
 }
 
 func TestLeaseAcquireAndRelease(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	defer s.Close()
+	peer := open(t, dir)
+	defer peer.Close()
 
 	release, ok := s.TryLock(key(1))
 	if !ok {
 		t.Fatal("TryLock on a fresh key: denied, want granted")
 	}
-	if got := leaseFiles(t, dir); len(got) != 1 {
-		t.Fatalf("lease files while held = %v, want exactly 1", got)
-	}
 	release()
 	release() // idempotent: callers route through sync.Once anyway, but double-release must be safe
-	if got := leaseFiles(t, dir); len(got) != 0 {
-		t.Fatalf("lease files after release = %v, want none", got)
+	rel, ok := peer.TryLock(key(1))
+	if !ok {
+		t.Fatal("peer TryLock after release: denied, want granted")
 	}
+	rel()
 	if st := s.Stats(); st.LeasesAcquired != 1 || st.LeaseLosses != 0 {
 		t.Errorf("stats = %+v, want 1 acquired, 0 losses", st)
 	}
@@ -70,69 +73,80 @@ func TestLeftoverLeaseFileIsFree(t *testing.T) {
 	s := open(t, dir)
 	defer s.Close()
 
-	// Learn the key's lease path, then leave a file there unlocked, as a
-	// holder killed before its release does: the kernel dropped its lock,
-	// so the next claim must win at once.
-	release, ok := s.TryLock(key(4))
-	if !ok {
-		t.Fatal("setup TryLock denied")
-	}
-	files := leaseFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("lease files = %v, want exactly 1", files)
-	}
-	release()
-	if err := os.WriteFile(files[0], nil, 0o644); err != nil {
+	// A lock file that outlived every holder, as one killed mid-claim
+	// leaves it, with stray bytes in it: the kernel dropped the holder's
+	// lock, so the next claim must win at once.
+	if err := os.WriteFile(filepath.Join(s.Stats().Dir, leaseFile), []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	release, ok = s.TryLock(key(4))
+	release, ok := s.TryLock(key(4))
 	if !ok {
 		t.Fatal("TryLock over a dead holder's leftover file denied")
 	}
 	release()
-	if got := leaseFiles(t, dir); len(got) != 0 {
-		t.Errorf("lease files after release = %v, want none", got)
+}
+
+// TestLeaseClaimsCreateNoFiles: the first claim creates the one lock
+// file; 99 more leases held at once on other keys, and their releases,
+// add no directory entries.
+func TestLeaseClaimsCreateNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	defer s.Close()
+
+	var releases []func()
+	defer func() {
+		for _, r := range releases {
+			r()
+		}
+	}()
+	var want int
+	for i := 0; i < 100; i++ {
+		release, ok := s.TryLock(key(byte(i)))
+		if !ok {
+			t.Fatalf("TryLock on key %d denied", i)
+		}
+		releases = append(releases, release)
+		if i == 0 {
+			want = entries(t, dir)
+		}
+	}
+	if got := entries(t, dir); got != want {
+		t.Errorf("store holds %d entries with 100 leases held, %d with the first", got, want)
+	}
+	for _, r := range releases {
+		r()
+	}
+	if got := entries(t, dir); got != want {
+		t.Errorf("store holds %d entries after 100 releases, %d after the first claim", got, want)
 	}
 }
 
-func TestLeaseClaimRechecksInode(t *testing.T) {
+// TestLeaseReleaseKeepsOtherLeases: releasing one of a handle's leases
+// leaves the others held. A POSIX record lock would fail this, as
+// closing any descriptor drops all of the process's locks on the file.
+func TestLeaseReleaseKeepsOtherLeases(t *testing.T) {
 	dir := t.TempDir()
-	a, b, c := open(t, dir), open(t, dir), open(t, dir)
-	defer a.Close()
-	defer b.Close()
-	defer c.Close()
+	holder := open(t, dir)
+	defer holder.Close()
+	peer := open(t, dir)
+	defer peer.Close()
 
-	releaseA, ok := a.TryLock(key(5))
-	if !ok {
-		t.Fatal("A: TryLock denied")
+	releaseA, okA := holder.TryLock(key(5))
+	releaseB, okB := holder.TryLock(key(6))
+	if !okA || !okB {
+		t.Fatal("holder TryLock denied")
 	}
-	files := leaseFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("lease files = %v, want exactly 1", files)
+	defer releaseB()
+	releaseA()
+	if rel, ok := peer.TryLock(key(6)); ok {
+		rel()
+		t.Fatal("peer TryLock granted on a lease the holder still holds")
 	}
-	path := files[0]
-	// B opens the path while A still holds it, and is descheduled before
-	// taking the lock.
-	fb, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	releaseA() // unlinks the inode B holds open
-	releaseC, ok := c.TryLock(key(5))
-	if !ok {
-		t.Fatal("C: TryLock after A's release denied")
-	}
-	defer releaseC()
-
-	// B's flock on the dead inode succeeds, but C holds the live lease:
-	// B must see that the path moved on rather than win a second lease.
-	if err := lockLease(fb, path); err != errLeaseGone {
-		t.Fatalf("B: lockLease on the unlinked inode = %v, want errLeaseGone", err)
-	}
-	if _, ok := b.TryLock(key(5)); ok {
-		t.Fatal("B: TryLock granted while C holds the lease")
+	if rel, ok := peer.TryLock(key(5)); !ok {
+		t.Error("peer TryLock on the released lease denied")
+	} else {
+		rel()
 	}
 }
 

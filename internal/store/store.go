@@ -49,16 +49,16 @@ import (
 // layout), independent of the payload schema the header then names.
 const blobMagic = "carf-blob/v1"
 
-// encodeValue encodes v with encoding/gob through an interface
+// encodeValue appends v to buf with encoding/gob through an interface
 // envelope: any concrete type registered with gob.Register round-trips;
 // unregistered types fail (the store counts and skips them).
-func encodeValue(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+func encodeValue(buf *bytes.Buffer, v any) error {
+	return gob.NewEncoder(buf).Encode(&v)
 }
+
+// payloads recycles Store's encode buffers, so a put allocates no
+// payload bytes once the buffers have grown to the values' size.
+var payloads = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decodeValue reverses encodeValue.
 func decodeValue(b []byte) (any, error) {
@@ -106,17 +106,17 @@ type Stats struct {
 	Quarantined uint64 `json:"quarantined"` // corrupt blobs moved aside
 
 	LeasesAcquired uint64 `json:"leases_acquired,omitempty"` // cross-process leases won
-	LeaseLosses    uint64 `json:"lease_losses,omitempty"`    // TryLock calls that found a live peer's lease
+	LeaseLosses    uint64 `json:"lease_losses,omitempty"`    // failed claims: one per poll of a peer's lease, not per contended run
 }
 
 // Store is the on-disk result store. All methods are safe for
 // concurrent use. It implements sched.Tier.
 type Store struct {
-	dir      string // schema-namespaced root; "" when degraded
-	qdir     string // quarantine directory under dir
-	leaseDir string // cross-process lease directory under dir
-	schema   string
-	log      *slog.Logger
+	dir       string // schema-namespaced root; "" when degraded
+	qdir      string // quarantine directory under dir
+	leasePath string // cross-process lease lock file under dir; "" when degraded
+	schema    string
+	log       *slog.Logger
 
 	mu     sync.Mutex
 	st     Stats
@@ -147,7 +147,7 @@ func Open(o Options) (*Store, error) {
 	}
 	s.dir = dir
 	s.qdir = filepath.Join(dir, "quarantine")
-	s.leaseDir = filepath.Join(dir, "leases")
+	s.leasePath = filepath.Join(dir, leaseFile)
 	s.st.Dir = dir
 	s.st.Mode = "disk"
 	return s, nil
@@ -157,9 +157,6 @@ func Open(o Options) (*Store, error) {
 // the schema text for humans, sweeps crash leftovers, and counts blobs.
 func (s *Store) initDisk(dir string) error {
 	if err := os.MkdirAll(filepath.Join(dir, "quarantine"), 0o755); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "leases"), 0o755); err != nil {
 		return err
 	}
 	// Write-probe: a read-only volume fails here, not on the first Put.
@@ -200,7 +197,7 @@ func (s *Store) initDisk(dir string) error {
 // may hold s.mu or not (Open calls it before the store is shared).
 func (s *Store) degradeLocked(reason string) {
 	s.dir = ""
-	s.leaseDir = ""
+	s.leasePath = ""
 	s.st.Mode = "memory-only"
 	s.st.Degraded = true
 	s.st.Reason = reason
@@ -337,8 +334,10 @@ func (s *Store) Store(key sched.Key, val any) {
 		return
 	}
 
-	payload, err := encodeValue(val)
-	if err != nil {
+	buf := payloads.Get().(*bytes.Buffer)
+	defer payloads.Put(buf)
+	buf.Reset()
+	if err := encodeValue(buf, val); err != nil {
 		// The value's type is not persistable (unregistered, or holding
 		// what gob cannot carry). Every run kind's value is meant to
 		// persist, so this is a bug the experiments' tests catch; count
@@ -346,7 +345,7 @@ func (s *Store) Store(key sched.Key, val any) {
 		s.count(func(st *Stats) { st.PutSkipped++ })
 		return
 	}
-	if err := s.writeBlob(dir, key, payload); err != nil {
+	if err := s.writeBlob(dir, key, buf.Bytes()); err != nil {
 		s.mu.Lock()
 		s.st.PutErrors++
 		s.degradeLocked(fmt.Sprintf("blob write failed: %v", err))
@@ -356,55 +355,39 @@ func (s *Store) Store(key sched.Key, val any) {
 	s.count(func(st *Stats) { st.DiskBlobs++ })
 }
 
-// encodeBlob returns the on-disk form of payload: its JSON header
-// line, then the payload bytes.
-func encodeBlob(schema string, payload []byte) ([]byte, error) {
-	sum := sha256.Sum256(payload)
-	hdr, err := json.Marshal(header{
-		Magic:  blobMagic,
-		Schema: schema,
-		SHA256: hex.EncodeToString(sum[:]),
-		Size:   int64(len(payload)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(append(hdr, '\n'), payload...), nil
-}
-
-// writeBlob writes header+payload to a temporary and renames it into
-// place, so a crash at any point leaves either the old blob or a .tmp
-// that a later Open sweeps once it is older than tmpSweepAge —
-// never a truncated blob under a valid name.
+// writeBlob writes payload's JSON header line, then the payload, to a
+// temporary and renames it into place, so a crash at any point leaves
+// either the old blob or a .tmp that a later Open sweeps once it is
+// older than tmpSweepAge — never a truncated blob under a valid name.
 func (s *Store) writeBlob(dir string, key sched.Key, payload []byte) error {
-	blob, err := encodeBlob(s.schema, payload)
-	if err != nil {
-		return err
-	}
-	final := blobPath(dir, key)
 	f, err := os.CreateTemp(dir, hex.EncodeToString(key[:4])+"-*.tmp")
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(blob); err != nil {
-		cleanup()
-		return err
+	sum := sha256.Sum256(payload)
+	// Encode ends the header line with the newline the format wants.
+	err = json.NewEncoder(f).Encode(header{
+		Magic:  blobMagic,
+		Schema: s.schema,
+		SHA256: hex.EncodeToString(sum[:]),
+		Size:   int64(len(payload)),
+	})
+	if err == nil {
+		_, err = f.Write(payload)
 	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(f.Name(), blobPath(dir, key))
 	}
-	return nil
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // count applies a stats mutation under the lock.

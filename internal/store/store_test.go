@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
@@ -109,6 +113,54 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskHits != 2 {
 		t.Fatalf("DiskHits = %d, want 2", st.DiskHits)
+	}
+}
+
+// encodeBlob is the reference on-disk form of payload: its JSON header
+// line, then the payload bytes. Store writes the same bytes without
+// assembling them in memory.
+func encodeBlob(schema string, payload []byte) ([]byte, error) {
+	sum := sha256.Sum256(payload)
+	hdr, err := json.Marshal(header{
+		Magic:  blobMagic,
+		Schema: schema,
+		SHA256: hex.EncodeToString(sum[:]),
+		Size:   int64(len(payload)),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(append(hdr, '\n'), payload...), nil
+}
+
+// TestStoredBlobMatchesEncodeBlob pins the blob format: each stored
+// file holds exactly encodeBlob's bytes, also when a larger value went
+// through the recycled encode buffer first.
+func TestStoredBlobMatchesEncodeBlob(t *testing.T) {
+	s := open(t, t.TempDir())
+	defer s.Close()
+	vals := []payload{
+		{Name: "large", Vals: make([]float64, 512), Count: 1 << 40},
+		{Name: "small", Vals: []float64{0.5}, Count: 3},
+	}
+	for i, v := range vals {
+		k := key(byte(i + 1))
+		s.Store(k, v)
+		var buf bytes.Buffer
+		if err := encodeValue(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeBlob(s.schema, buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(blobPath(s.Stats().Dir, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: stored blob differs from encodeBlob:\n got %q\nwant %q", v.Name, got, want)
+		}
 	}
 }
 
