@@ -289,3 +289,82 @@ func TestSetLockerOverridesAndClears(t *testing.T) {
 		t.Error("explicit SetLocker did not engage the lease path")
 	}
 }
+
+// memLocker is an in-memory cross-process lease table: schedulers that
+// share one stand in for processes sharing a store.
+type memLocker struct {
+	mu   sync.Mutex
+	held map[Key]bool
+}
+
+func (l *memLocker) TryLock(key Key) (func(), bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.held[key] {
+		return nil, false
+	}
+	l.held[key] = true
+	return func() {
+		l.mu.Lock()
+		delete(l.held, key)
+		l.mu.Unlock()
+	}, true
+}
+
+func TestQueuedRunsHoldNoLease(t *testing.T) {
+	// Peer A has one worker: its first run stalls inside the body and
+	// its other five queue behind it. A lease is claimed only once a run
+	// holds a worker slot, so A holds one lease, and peer B, with two
+	// idle workers, simulates the five queued keys instead of waiting on
+	// them.
+	locker := &memLocker{held: map[Key]bool{}}
+	a, b := New(1), New(2)
+	a.SetLocker(locker)
+	b.SetLocker(locker)
+	keys := make([]Key, 6)
+	for i := range keys {
+		keys[i] = KeyOf("queued-lease", i)
+	}
+
+	stalled, unstall := make(chan struct{}), make(chan struct{})
+	var aRuns sync.WaitGroup
+	for i, key := range keys {
+		aRuns.Add(1)
+		go func() {
+			defer aRuns.Done()
+			do(a, key, "", true, func() (any, error) { //nolint:errcheck
+				if i == 0 {
+					close(stalled)
+					<-unstall
+				}
+				return i, nil
+			})
+		}()
+		if i == 0 {
+			<-stalled
+		}
+	}
+	defer aRuns.Wait()
+	defer close(unstall)
+	for a.Stats().Runs < uint64(len(keys)) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let the queued runs settle into their wait
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	var canceled atomic.Int32
+	err := ForEach(len(keys), func(i int) error {
+		_, prov, _ := doCtx(ctx, b, keys[i], "", true, func() (any, error) { return i, nil })
+		if prov.Outcome == Canceled {
+			canceled.Add(1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := canceled.Load(); n > 1 {
+		t.Errorf("%d of B's %d runs were canceled waiting on A's leases, want at most 1 (A simulates one key)", n, len(keys))
+	}
+}

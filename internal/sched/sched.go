@@ -86,7 +86,7 @@ func (o Outcome) String() string {
 type Provenance struct {
 	Outcome   Outcome
 	Key       Key           // content digest of the request (correlation id)
-	QueueWait time.Duration // DoProgress entry until a worker slot was acquired
+	QueueWait time.Duration // DoProgress entry until a worker slot was acquired; ends before LeaseWait starts
 	SimWall   time.Duration // wall time inside the simulation function
 
 	// LeaseWait is the time spent waiting on another process's
@@ -119,7 +119,7 @@ type Stats struct {
 
 // Observer receives run lifecycle callbacks from a scheduler: every
 // DoProgress call announces itself once on entry (RunEnqueued), misses
-// additionally report worker-slot acquisition (RunStarted), and every
+// additionally report the start of simulation (RunStarted), and every
 // call reports its outcome on exit (RunFinished). Executing runs
 // additionally stream RunProgressed frames between RunStarted and
 // RunFinished (throttled; see SetProgressInterval). Callbacks run on
@@ -608,13 +608,47 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 		}
 	}
 
-	// Cross-process singleflight: claim the key's lease before taking a
-	// worker slot. Losing means a live peer process is simulating this
-	// key right now — retry until its lease comes free (the cross-process
-	// analogue of joining an in-flight run) instead of duplicating the
-	// work. Holders release only after storing their result, so the
-	// double-check below then serves the peer's blob; a holder that died
-	// or stored nothing leaves this call an ordinary miss.
+	if done := ctx.Done(); done != nil {
+		// The pool wait below sleeps on a sync.Cond; wake it when the
+		// context expires so the cancellation check runs.
+		stop := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		})
+		defer stop()
+	}
+	s.mu.Lock()
+	for s.busy >= s.workers && ctx.Err() == nil {
+		s.cond.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		// Canceled while queued: resolve the entry with the error so
+		// joiners unblock (they see the error and may retry later).
+		s.stats.Canceled++
+		if cacheable {
+			delete(s.inflight, key)
+		}
+		e.err = fmt.Errorf("sched: run %s canceled while queued: %w", key.Short(), err)
+		s.mu.Unlock()
+		close(e.done)
+		p := Provenance{Outcome: Canceled, Key: key}
+		if obs != nil {
+			obs.RunFinished(id, p, e.err)
+		}
+		return nil, p, e.err
+	}
+	s.busy++
+	queueWait := time.Since(start)
+	s.mu.Unlock()
+
+	// Cross-process singleflight: claim the key's lease once holding a
+	// worker slot, so only simulating runs hold leases. Losing means a
+	// live peer is simulating this key: keep the slot and retry until
+	// the lease comes free (the cross-process analogue of joining). The
+	// holder releases only after storing its result, so the double-check
+	// below then serves the peer's blob; a holder that died or stored
+	// nothing leaves this call an ordinary miss.
 	var release func() // non-nil once the lease is held
 	var leaseWait time.Duration
 	if cacheable && locker != nil {
@@ -641,6 +675,8 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 				// later request retries.
 				err := fmt.Errorf("sched: run %s canceled waiting on a peer's lease: %w", key.Short(), ctx.Err())
 				s.mu.Lock()
+				s.busy--
+				s.cond.Broadcast()
 				s.stats.Canceled++
 				s.stats.LeaseWait += time.Since(leaseStart)
 				delete(s.inflight, key)
@@ -657,45 +693,9 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 		}
 	}
 
-	if done := ctx.Done(); done != nil {
-		// The pool wait below sleeps on a sync.Cond; wake it when the
-		// context expires so the cancellation check runs.
-		stop := context.AfterFunc(ctx, func() {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		defer stop()
-	}
 	s.mu.Lock()
-	for s.busy >= s.workers && ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		// Canceled while queued: resolve the entry with the error so
-		// joiners unblock (they see the error and may retry later).
-		s.stats.Canceled++
-		if cacheable {
-			delete(s.inflight, key)
-		}
-		e.err = fmt.Errorf("sched: run %s canceled while queued: %w", key.Short(), err)
-		s.mu.Unlock()
-		close(e.done)
-		if release != nil {
-			// Nothing was stored; dropping the lease lets a peer (or a
-			// retry here) claim the key and simulate it.
-			release()
-		}
-		p := Provenance{Outcome: Canceled, Key: key, LeaseWait: leaseWait}
-		if obs != nil {
-			obs.RunFinished(id, p, e.err)
-		}
-		return nil, p, e.err
-	}
-	s.busy++
 	s.stats.Misses++
 	s.stats.LeaseWait += leaseWait
-	queueWait := time.Since(start)
 	s.stats.QueueWait += queueWait
 	s.mu.Unlock()
 	s.queueHist.Observe(queueWait.Seconds())
@@ -756,6 +756,8 @@ func (s *Scheduler) served(id uint64, obs Observer, key Key, e *entry, v any, p 
 	s.cacheInsert(key, e)
 	if p.Outcome == PeerHit {
 		s.stats.PeerHits++
+		s.busy-- // the lease was claimed holding a worker slot
+		s.cond.Broadcast()
 	} else {
 		s.stats.DiskHits++
 	}

@@ -210,16 +210,16 @@ func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(resp) //nolint:errcheck // client went away
 }
 
-// eventsSSE streams hub events as server-sent events until the client
-// disconnects or is disconnected as a slow subscriber (its channel is
-// closed, so the client learns it fell behind). Each message is one
-// Frame JSON object; a hello event opens the stream so clients can sync
-// clocks.
+// eventsSSE follows the hub's /events stream until the client
+// disconnects or is disconnected as a slow follower (the stream closes
+// its channel, so the client learns it fell behind). Each message is
+// one Frame JSON object; a hello frame opens the stream so clients can
+// sync clocks.
 func (sv *Server) eventsSSE(w http.ResponseWriter, r *http.Request) {
-	ch, cancel := sv.hub.Subscribe()
+	_, live, cancel := sv.hub.feed.Subscribe()
 	defer cancel()
 	hello, _ := json.Marshal(Frame{Type: "hello", TMs: sv.hub.NowMs()})
-	writeSSE(w, r, [][]byte{hello}, ch)
+	writeSSE(w, r, [][]byte{hello}, live)
 }
 
 // runStream streams one run's frames (see Stream.ServeHTTP). A run that

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// streamFrameCap bounds the replayable progress frames retained per
-// stream: a late subscriber sees the most recent window, not the whole
-// history (the terminal frame is always retained separately).
+// streamFrameCap bounds the replayable progress frames NewStream
+// retains: a late subscriber sees the most recent window, not the
+// whole history (the terminal frame is always retained separately).
 const streamFrameCap = 64
 
 // streamCap bounds finished run streams the hub retains for replay;
@@ -23,55 +23,75 @@ const streamCap = 256
 // behind still learns how the stream ended.
 const followerBuf = 128
 
+// maxConsecDrops is the slow-follower disconnect threshold: a follower
+// that misses this many consecutive frames (its buffer stayed full) is
+// removed and its channel closed, so the serving handler ends the
+// connection instead of carrying a client that stopped reading.
+const maxConsecDrops = 64
+
 // sseHeartbeat is the comment interval that keeps idle SSE connections
 // from timing out.
 const sseHeartbeat = 15 * time.Second
 
-// Stream is one replayable frame stream: the recent progress frames,
-// the terminal frame once finished, and the live followers. Every
-// per-run (/runs/{id}/stream) and per-job (carfserve's
-// /api/v1/runs/{id}/stream) stream is one. It has its own lock, so
-// high-rate progress fan-out never contends with its owner's tables.
-// Frames are JSON-encoded on the way in.
+// Stream is one frame stream: live followers, a replay window of recent
+// progress frames, and the terminal frame once finished. Every SSE
+// endpoint serves one: each run (/runs/{id}/stream), each carfserve job
+// (/api/v1/runs/{id}/stream), and the hub's /events feed, which has no
+// replay window. Its own lock keeps high-rate fan-out from contending
+// with its owner's tables. Frames are JSON-encoded on the way in.
 type Stream struct {
 	mu       sync.Mutex
-	frames   [][]byte // recent progress frames, oldest first
-	terminal []byte   // the done frame; non-nil once finished
-	subs     map[chan []byte]struct{}
+	window   int                 // replayable progress frames kept; 0 keeps none
+	frames   [][]byte            // recent progress frames, oldest first
+	terminal []byte              // the done frame; non-nil once finished
+	subs     map[chan []byte]int // follower → consecutive missed frames
 }
 
-// NewStream returns an empty, unfinished stream.
-func NewStream() *Stream {
-	return &Stream{subs: map[chan []byte]struct{}{}}
+// NewStream returns an empty stream replaying its last 64 progress frames.
+func NewStream() *Stream { return newStream(streamFrameCap) }
+
+func newStream(window int) *Stream {
+	return &Stream{window: window, subs: map[chan []byte]int{}}
 }
 
 // Publish appends a progress frame to the replay window and fans it
 // out to live followers without blocking: a follower whose buffer is
-// full misses the frame (counted in dropped). ok is false — and
-// nothing happens — once the stream has finished, or when frame does
-// not encode.
-func (s *Stream) Publish(frame Frame) (ok bool, dropped int) {
-	payload, err := json.Marshal(frame)
-	if err != nil {
-		return false, 0
-	}
+// full misses the frame (dropped), and one that misses maxConsecDrops
+// in a row is disconnected. ok is false, and nothing happens (not even
+// encoding), once the stream has finished, when no window or follower
+// would see the frame, or when frame does not encode.
+func (s *Stream) Publish(frame Frame) (ok bool, dropped, disconnected int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.terminal != nil {
-		return false, 0
+	if s.terminal != nil || (s.window == 0 && len(s.subs) == 0) {
+		return false, 0, 0
 	}
-	s.frames = append(s.frames, payload)
-	if len(s.frames) > streamFrameCap {
-		s.frames = s.frames[len(s.frames)-streamFrameCap:]
+	payload, err := json.Marshal(frame)
+	if err != nil {
+		return false, 0, 0
 	}
-	for ch := range s.subs {
-		if len(ch) < followerBuf {
-			ch <- payload
-		} else {
-			dropped++
+	if s.window > 0 {
+		s.frames = append(s.frames, payload)
+		if len(s.frames) > s.window {
+			s.frames = s.frames[len(s.frames)-s.window:]
 		}
 	}
-	return true, dropped
+	for ch, missed := range s.subs {
+		switch {
+		case len(ch) < followerBuf:
+			ch <- payload
+			s.subs[ch] = 0
+		case missed+1 < maxConsecDrops:
+			dropped++
+			s.subs[ch] = missed + 1
+		default:
+			dropped++
+			disconnected++
+			delete(s.subs, ch)
+			close(ch)
+		}
+	}
+	return true, dropped, disconnected
 }
 
 // Finish records the terminal frame, hands it to every follower (into
@@ -100,8 +120,8 @@ func (s *Stream) Finish(frame Frame) bool {
 // Subscribe returns the replayable history — ending with the terminal
 // frame if the stream has finished, in which case live is nil — a live
 // channel that delivers later frames, the terminal one last, and is
-// then closed, and a cancel function (safe at any time, also after
-// Finish).
+// then closed (a slow follower's is closed early, without it), and a
+// cancel function (safe at any time, also after Finish).
 func (s *Stream) Subscribe() (replay [][]byte, live <-chan []byte, cancel func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,12 +130,19 @@ func (s *Stream) Subscribe() (replay [][]byte, live <-chan []byte, cancel func()
 		return append(replay, s.terminal), nil, func() {}
 	}
 	ch := make(chan []byte, followerBuf+1)
-	s.subs[ch] = struct{}{}
+	s.subs[ch] = 0
 	return replay, ch, func() {
 		s.mu.Lock()
 		delete(s.subs, ch)
 		s.mu.Unlock()
 	}
+}
+
+// followers reports how many live followers the stream has.
+func (s *Stream) followers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
 }
 
 // ServeHTTP streams the frames as SSE: the retained history first (so

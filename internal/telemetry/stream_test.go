@@ -223,17 +223,17 @@ func TestRunStreamUnknownID(t *testing.T) {
 	}
 }
 
-// TestSlowSubscriberDisconnect: a subscriber that stops reading is
-// dropped-counted and, after maxConsecDrops consecutive misses,
+// TestSlowSubscriberDisconnect: an /events follower that stops reading
+// is dropped-counted and, after maxConsecDrops consecutive misses,
 // force-closed; the aggregate disconnect counter records it.
 func TestSlowSubscriberDisconnect(t *testing.T) {
 	hub := NewHub()
-	ch, cancel := hub.Subscribe()
+	_, ch, cancel := hub.feed.Subscribe()
 	defer cancel()
 
 	// Fill the buffer, then keep publishing without draining until the
 	// policy trips.
-	total := 256 + maxConsecDrops
+	total := followerBuf + maxConsecDrops
 	for i := 0; i < total; i++ {
 		hub.publish(Frame{Type: "run-start", ID: uint64(i)})
 	}
@@ -253,7 +253,7 @@ drain:
 		}
 	}
 	if !closed {
-		t.Fatal("slow subscriber's channel was never closed")
+		t.Fatal("slow follower's channel was never closed")
 	}
 
 	var disconnects, dropped, subs float64
@@ -278,30 +278,21 @@ drain:
 		t.Errorf("subscribers = %v, want 0 after the forced disconnect", subs)
 	}
 
-	// A healthy subscriber keeps its per-subscriber drop counter at 0
-	// and stays connected.
-	ch2, cancel2 := hub.Subscribe()
+	// A healthy follower stays connected and receives frames.
+	_, ch2, cancel2 := hub.feed.Subscribe()
 	defer cancel2()
 	hub.publish(Frame{Type: "run-start", ID: 1})
 	select {
 	case <-ch2:
 	case <-time.After(time.Second):
-		t.Fatal("healthy subscriber did not receive the event")
-	}
-	persub := -1.0
-	for _, r := range hub.MetaReadings() {
-		if strings.HasPrefix(r.Name, "telemetry.sse.sub") {
-			persub = r.Value
-		}
-	}
-	if persub != 0 {
-		t.Errorf("healthy subscriber's drop counter = %v, want 0", persub)
+		t.Fatal("healthy follower did not receive the frame")
 	}
 }
 
 // TestStream pins the shared frame stream's rules: the replay window,
-// the terminal frame, what happens after Finish, and the
-// drop-but-always-terminate rule for slow followers.
+// the terminal frame, what happens after Finish, the
+// drop-but-always-terminate rule for followers that fall behind, and
+// the disconnect of one that stops reading.
 func TestStream(t *testing.T) {
 	progress := func(i int) Frame { return Frame{Type: "progress", ID: uint64(i)} }
 	done := Frame{Type: "done", Outcome: "miss"}
@@ -322,7 +313,7 @@ func TestStream(t *testing.T) {
 	}{
 		{"replay is the last 64 frames in order", func(t *testing.T, s *Stream) {
 			for i := 1; i <= 100; i++ {
-				if ok, _ := s.Publish(progress(i)); !ok {
+				if ok, _, _ := s.Publish(progress(i)); !ok {
 					t.Fatalf("publish %d refused", i)
 				}
 			}
@@ -359,7 +350,7 @@ func TestStream(t *testing.T) {
 		}},
 		{"publish and a second finish after finish are ignored", func(t *testing.T, s *Stream) {
 			s.Finish(done)
-			if ok, _ := s.Publish(progress(1)); ok {
+			if ok, _, _ := s.Publish(progress(1)); ok {
 				t.Error("publish after Finish accepted")
 			}
 			if s.Finish(Frame{Type: "done", Outcome: "hit"}) {
@@ -377,7 +368,7 @@ func TestStream(t *testing.T) {
 			defer cancel()
 			dropped := 0
 			for i := 1; i <= 128+5; i++ {
-				_, d := s.Publish(progress(i))
+				_, d, _ := s.Publish(progress(i))
 				dropped += d
 			}
 			if dropped != 5 {
@@ -393,6 +384,74 @@ func TestStream(t *testing.T) {
 			}
 			if last := got[len(got)-1]; last.Type != "done" {
 				t.Errorf("last frame = %+v, want the done frame", last)
+			}
+		}},
+		{"a follower that stops reading is disconnected without the terminal frame", func(t *testing.T, s *Stream) {
+			_, live, cancel := s.Subscribe()
+			defer cancel()
+			dropped, disconnected := 0, 0
+			for i := 1; i <= followerBuf+maxConsecDrops; i++ {
+				_, d, c := s.Publish(progress(i))
+				dropped, disconnected = dropped+d, disconnected+c
+			}
+			if dropped != maxConsecDrops || disconnected != 1 {
+				t.Errorf("dropped %d, disconnected %d; want %d and 1", dropped, disconnected, maxConsecDrops)
+			}
+			s.Finish(done)
+			var got []Frame
+			for p := range live {
+				got = append(got, decodeAll(t, [][]byte{p})...)
+			}
+			if len(got) != followerBuf {
+				t.Fatalf("follower received %d frames, want %d", len(got), followerBuf)
+			}
+			for _, f := range got {
+				if f.Type != "progress" {
+					t.Fatalf("disconnected follower received %+v, want only progress frames", f)
+				}
+			}
+		}},
+		{"a follower that drains between bursts stays connected", func(t *testing.T, s *Stream) {
+			_, live, cancel := s.Subscribe()
+			defer cancel()
+			dropped := 0
+			for burst := 0; burst < 3; burst++ {
+				// Each burst overfills the buffer by maxConsecDrops-1 frames;
+				// one delivery after draining resets the miss count.
+				for i := 0; i < followerBuf+maxConsecDrops-1; i++ {
+					_, d, c := s.Publish(progress(i))
+					if c != 0 {
+						t.Fatalf("burst %d frame %d disconnected the follower", burst, i)
+					}
+					dropped += d
+				}
+				for len(live) > 0 {
+					<-live
+				}
+			}
+			if want := 3 * (maxConsecDrops - 1); dropped != want {
+				t.Errorf("dropped %d, want %d", dropped, want)
+			}
+			if n := s.followers(); n != 1 {
+				t.Errorf("followers = %d, want 1", n)
+			}
+		}},
+		{"a stream with no window and no followers encodes nothing", func(t *testing.T, _ *Stream) {
+			s := newStream(0)
+			p := sched.Progress{Cycles: 1}
+			frame := Frame{Type: "run-progress", Label: "sim/qsort/carf", Progress: &p}
+			allocs := testing.AllocsPerRun(100, func() {
+				if ok, _, _ := s.Publish(frame); ok {
+					t.Error("publish with nobody listening accepted")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Publish allocated %v times per call, want 0", allocs)
+			}
+			replay, _, cancel := s.Subscribe()
+			defer cancel()
+			if len(replay) != 0 {
+				t.Errorf("zero-window stream replayed %d frames", len(replay))
 			}
 		}},
 		{"cancel after finish is safe", func(t *testing.T, s *Stream) {

@@ -24,8 +24,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"sync"
@@ -38,13 +36,6 @@ import (
 // completedCap bounds the completed-run table served by /runs; older
 // rows fall off (completed_total keeps the true count).
 const completedCap = 512
-
-// maxConsecDrops is the slow-subscriber disconnect threshold: an
-// /events client that fails to drain its 256-message buffer for this
-// many consecutive publishes is forcibly unsubscribed (its channel is
-// closed) instead of silently losing events forever. Counted in
-// telemetry.sse_slow_disconnects_total.
-const maxConsecDrops = 64
 
 // RunRecord is one scheduler run's row in the /runs table. Times are
 // milliseconds since the hub started; zero-valued times mean the run
@@ -123,25 +114,15 @@ type Hub struct {
 	completed      []RunRecord // ring, newest appended; bounded by completedCap
 	completedTotal uint64
 
-	subs            map[*subscriber]struct{}
-	subSeq          uint64
-	dropped         uint64 // SSE messages dropped on slow subscribers
-	events          uint64 // SSE messages published
-	slowDisconnects uint64 // subscribers force-closed after maxConsecDrops
+	feed            *Stream // /events: lifecycle frames, no replay window
+	events          uint64  // SSE frames published, on /events and run streams
+	dropped         uint64  // SSE frames slow followers missed
+	slowDisconnects uint64  // followers force-closed after maxConsecDrops
 
 	// Per-run frame streams (/runs/{id}/stream): every enqueued run gets
 	// one, so hits and disk hits still stream their terminal frame.
 	streams     map[uint64]*Stream
 	streamOrder []uint64 // finished stream ids, oldest first (eviction)
-}
-
-// subscriber is one /events SSE client: its payload channel plus drop
-// accounting for the slow-subscriber disconnect policy.
-type subscriber struct {
-	id      uint64
-	ch      chan []byte
-	dropped uint64 // total messages this subscriber missed
-	consec  int    // consecutive misses (reset on any delivery)
 }
 
 // NewHub returns a hub tracing into a fresh Tracer.
@@ -150,7 +131,7 @@ func NewHub() *Hub {
 		tracer:   NewTracer(),
 		t0:       time.Now(),
 		inflight: map[uint64]*runState{},
-		subs:     map[*subscriber]struct{}{},
+		feed:     newStream(0),
 		streams:  map[uint64]*Stream{},
 	}
 }
@@ -211,18 +192,13 @@ func (h *Hub) RunProgressed(id uint64, p sched.Progress) {
 	stream := h.streams[id]
 	h.mu.Unlock()
 
-	if ok, dropped := stream.Publish(Frame{
+	h.count(stream.Publish(Frame{
 		Type: "progress", TMs: h.NowMs(), ID: id, Label: label, Key: key, Progress: &p,
-	}); ok {
-		h.mu.Lock()
-		h.events++
-		h.dropped += uint64(dropped)
-		h.mu.Unlock()
-	}
+	}))
 	h.publish(Frame{Type: "run-progress", TMs: h.NowMs(), ID: id, Label: label, Key: key, Progress: &p})
 }
 
-// RunStarted implements sched.Observer: a miss acquired a worker slot.
+// RunStarted implements sched.Observer: a miss starts simulating.
 // The queue-wait slice ends and the sim slice opens on a worker lane,
 // parent-linked to the request span.
 func (h *Hub) RunStarted(id uint64) {
@@ -378,90 +354,35 @@ func (h *Hub) Runs() (inflight, completed []RunRecord, total uint64) {
 	return inflight, append([]RunRecord(nil), h.completed...), h.completedTotal
 }
 
-// Subscribe registers an SSE subscriber: a channel of pre-marshalled
-// event payloads. A slow subscriber drops messages (counted) rather
-// than blocking the simulation — and after maxConsecDrops consecutive
-// misses it is disconnected outright: removed from the hub and its
-// channel closed, so the serving handler ends the stream instead of
-// carrying a client that stopped reading. Call the returned cancel to
-// unsubscribe (idempotent, safe after a forced disconnect).
-func (h *Hub) Subscribe() (<-chan []byte, func()) {
-	sub := &subscriber{ch: make(chan []byte, 256)}
-	h.mu.Lock()
-	h.subSeq++
-	sub.id = h.subSeq
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
-	return sub.ch, func() {
+// publish sends one lifecycle frame to the /events followers.
+func (h *Hub) publish(ev Frame) { h.count(h.feed.Publish(ev)) }
+
+// count adds one Stream.Publish result to the hub's SSE counters.
+func (h *Hub) count(ok bool, dropped, disconnected int) {
+	if ok {
 		h.mu.Lock()
-		delete(h.subs, sub)
+		h.events++
+		h.dropped += uint64(dropped)
+		h.slowDisconnects += uint64(disconnected)
 		h.mu.Unlock()
 	}
-}
-
-// publish fans one event out to every subscriber without blocking,
-// enforcing the slow-subscriber disconnect policy.
-func (h *Hub) publish(ev Frame) {
-	h.mu.Lock()
-	if len(h.subs) == 0 {
-		h.mu.Unlock()
-		return
-	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		h.mu.Unlock()
-		return
-	}
-	h.events++
-	for sub := range h.subs {
-		select {
-		case sub.ch <- payload:
-			sub.consec = 0
-		default:
-			sub.dropped++
-			sub.consec++
-			h.dropped++
-			if sub.consec >= maxConsecDrops {
-				delete(h.subs, sub)
-				close(sub.ch)
-				h.slowDisconnects++
-			}
-		}
-	}
-	h.mu.Unlock()
-}
-
-// counts reports the hub's own meta-metrics for /metrics.
-func (h *Hub) counts() (inflight int, completedTotal, events, dropped uint64, subscribers int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.inflight), h.completedTotal, h.events, h.dropped, len(h.subs)
 }
 
 // MetaReadings reports the hub's meta-metrics as readings for the
-// /metrics exposition: aggregate counters plus one drop counter per
-// live /events subscriber (telemetry.sse.sub<N>.dropped — gone from
-// the scrape once the subscriber disconnects; the aggregates keep the
-// history).
+// /metrics exposition.
 func (h *Hub) MetaReadings() []metrics.Reading {
+	followers := h.feed.followers()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := []metrics.Reading{
+	return []metrics.Reading{
 		{Name: "telemetry.runs_inflight", Kind: metrics.ReadGauge, Value: float64(len(h.inflight))},
 		{Name: "telemetry.runs_completed_total", Kind: metrics.ReadCounter, Value: float64(h.completedTotal)},
 		{Name: "telemetry.events_published_total", Kind: metrics.ReadCounter, Value: float64(h.events)},
 		{Name: "telemetry.events_dropped_total", Kind: metrics.ReadCounter, Value: float64(h.dropped)},
 		{Name: "telemetry.sse_slow_disconnects_total", Kind: metrics.ReadCounter, Value: float64(h.slowDisconnects)},
-		{Name: "telemetry.sse_subscribers", Kind: metrics.ReadGauge, Value: float64(len(h.subs))},
+		{Name: "telemetry.sse_subscribers", Kind: metrics.ReadGauge, Value: float64(followers)},
 		{Name: "telemetry.streams_retained", Kind: metrics.ReadGauge, Value: float64(len(h.streams))},
 	}
-	for sub := range h.subs {
-		out = append(out, metrics.Reading{
-			Name: fmt.Sprintf("telemetry.sse.sub%d.dropped", sub.id),
-			Kind: metrics.ReadCounter, Value: float64(sub.dropped),
-		})
-	}
-	return out
 }
 
 // NewLogger returns the telemetry plane's structured logger: slog text
