@@ -315,8 +315,8 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 		return Result{}, fmt.Errorf("carf: %d register file reconstruction mismatches", st.ValueMismatches)
 	}
 	if cfg.MaxInstructions == 0 {
-		if got := cpu.Machine().X[workload.ResultReg]; got != k.Expected {
-			return Result{}, fmt.Errorf("carf: %s computed %#x, expected %#x", kernel, got, k.Expected)
+		if err := k.CheckResult(cpu.Machine()); err != nil {
+			return Result{}, fmt.Errorf("carf: %w", err)
 		}
 	}
 
@@ -407,8 +407,8 @@ type ExperimentReport struct {
 
 	// Sched counts the scheduler requests this experiment itself issued —
 	// not the process-wide totals, which interleave concurrent
-	// experiments. Workers and CacheEntries are pool-wide properties and
-	// stay zero here; read them from GlobalSchedulerStats.
+	// experiments. Workers, CacheEntries and Evictions are pool-wide
+	// properties and stay zero here; read them from GlobalSchedulerStats.
 	Sched SchedulerStats
 }
 
@@ -423,49 +423,16 @@ func RunExperimentReport(name string, opt ExperimentOptions) (ExperimentReport, 
 	if err != nil {
 		return ExperimentReport{}, err
 	}
-	return ExperimentReport{Name: name, Text: r.Render(), Sched: schedulerStats(r.Sched)}, nil
+	return ExperimentReport{Name: name, Text: r.Render(), Sched: r.Sched}, nil
 }
 
-// SchedulerStats snapshots the process-global simulation scheduler: how
-// many runs experiments requested, how many actually simulated (Misses),
-// and how many were served from the memo cache (Hits) or joined an
-// identical in-flight run (Joins).
-type SchedulerStats struct {
-	Workers      int    // worker-pool bound
-	CacheEntries int    // completed runs held in the in-memory cache
-	Runs         uint64 // total requests
-	Misses       uint64 // requests that simulated
-	Hits         uint64 // requests served from the in-memory cache
-	DiskHits     uint64 // requests served from the persistent tier
-	Joins        uint64 // requests that joined an in-flight run
-	PeerHits     uint64 // requests served by a peer process sharing the store
-	Canceled     uint64 // requests abandoned by their context
-	Errors       uint64 // requests whose simulation failed
-
-	QueueWaitSeconds float64 // cumulative worker-slot wait
-	SimWallSeconds   float64 // cumulative simulation wall time
-	LeaseWaitSeconds float64 // cumulative wait on peer processes' leases
-}
+// SchedulerStats is the scheduler's counter set: how many runs were
+// requested (Runs), how many actually simulated (Misses), how many were
+// served from the memo cache (Hits), the persistent tier (DiskHits) or a
+// peer process (PeerHits), joined an identical in-flight run (Joins) or
+// were canceled, plus the cumulative queue, simulation and lease wait.
+type SchedulerStats = sched.Stats
 
 // GlobalSchedulerStats reports the process-global scheduler's cumulative
 // counters (all RunExperiment work in this process so far).
-func GlobalSchedulerStats() SchedulerStats { return schedulerStats(sched.Global().Stats()) }
-
-// schedulerStats converts the scheduler's counters to the public shape.
-func schedulerStats(st sched.Stats) SchedulerStats {
-	return SchedulerStats{
-		Workers:          st.Workers,
-		CacheEntries:     st.CacheEntries,
-		Runs:             st.Runs,
-		Misses:           st.Misses,
-		Hits:             st.Hits,
-		DiskHits:         st.DiskHits,
-		Joins:            st.Joins,
-		PeerHits:         st.PeerHits,
-		Canceled:         st.Canceled,
-		Errors:           st.Errors,
-		QueueWaitSeconds: st.QueueWait.Seconds(),
-		SimWallSeconds:   st.SimWall.Seconds(),
-		LeaseWaitSeconds: st.LeaseWait.Seconds(),
-	}
-}
+func GlobalSchedulerStats() SchedulerStats { return sched.Global().Stats() }

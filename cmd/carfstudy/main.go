@@ -277,7 +277,7 @@ func main() {
 			// Store condition next to the scheduler totals, so a run that
 			// shares its store with other processes is diagnosable from
 			// the terminal alone.
-			fmt.Fprintf(w, "%s\n", storeLine(st.Stats(), totals.LeaseWaitSeconds))
+			fmt.Fprintf(w, "%s\n", storeLine(st.Stats(), totals.LeaseWait.Seconds()))
 		}
 		nameWidth := 0
 		for _, name := range names {
@@ -286,8 +286,8 @@ func main() {
 		fmt.Fprintf(w, "\nper-experiment scheduler activity:\n")
 		for i, name := range names {
 			s := reports[i].rep.Sched
-			fmt.Fprintf(w, "  %-*s %4d runs: %4d simulated, %4d cached, %4d disk, %4d peer, %4d joined  (queue %.2fs, sim %.2fs)\n",
-				nameWidth, name, s.Runs, s.Misses, s.Hits, s.DiskHits, s.PeerHits, s.Joins, s.QueueWaitSeconds, s.SimWallSeconds)
+			fmt.Fprintf(w, "  %-*s %4d runs: %4d simulated, %4d cached, %4d disk, %4d peer, %4d joined  (queue %.2fs, sim %.2fs, lease %.2fs)\n",
+				nameWidth, name, s.Runs, s.Misses, s.Hits, s.DiskHits, s.PeerHits, s.Joins, s.QueueWait.Seconds(), s.SimWall.Seconds(), s.LeaseWait.Seconds())
 		}
 	} else if completed > 0 {
 		fmt.Fprintf(w, "(interrupted after %d of %d experiments)\n", completed, len(names))

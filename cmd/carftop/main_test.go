@@ -32,7 +32,7 @@ func TestRenderGolden(t *testing.T) {
 			{ID: 5, Label: "sim/fft/content-aware", State: "done", Outcome: "miss", SimWallMs: 12.3, Err: "boom"},
 		},
 		CompletedTotal: 9,
-		Sched: &telemetry.SchedSummary{Workers: 2, CacheEntries: 4, Runs: 9, Misses: 5, Hits: 3,
+		Sched: &sched.Stats{Workers: 2, CacheEntries: 4, Runs: 9, Misses: 5, Hits: 3,
 			DiskHits: 1, Joins: 0, Errors: 1},
 	}
 	var buf bytes.Buffer

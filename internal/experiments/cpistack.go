@@ -74,6 +74,9 @@ func CPIStackStudy(opt Options) (Result, error) {
 			if _, err := cpu.RunContext(opt.Ctx, pipeline.Observe{Profile: prof, Frame: frames(report, opt.Scale, k)}); err != nil {
 				return profile.CPIStack{}, fmt.Errorf("%s on %s: %w", name, org.label, err)
 			}
+			if err := k.CheckResult(cpu.Machine()); err != nil {
+				return profile.CPIStack{}, fmt.Errorf("%w (on %s)", err, org.label)
+			}
 			if err := prof.Stack.CheckIdentity(); err != nil {
 				return profile.CPIStack{}, fmt.Errorf("%s on %s: %w", name, org.label, err)
 			}

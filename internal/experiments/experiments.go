@@ -265,6 +265,9 @@ func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config,
 		return runOut{}, fmt.Errorf("%s on %s: %d register reconstruction mismatches",
 			k.Name, model.Name(), st.ValueMismatches)
 	}
+	if err := k.CheckResult(cpu.Machine()); err != nil {
+		return runOut{}, fmt.Errorf("%w (on %s)", err, model.Name())
+	}
 	out := runOut{Kernel: k.Name, Pstats: st, Files: model.Files()}
 	if f, ok := model.(*core.File); ok {
 		cs := f.Stats()

@@ -115,7 +115,7 @@ func injectOnce(opt Options, r *workload.Ref, cfg pipeline.Config, p core.Params
 		out.Detected, out.Detector = true, "fault-log"
 	case st.ValueMismatches > 0:
 		out.Detected, out.Detector = true, "readcheck"
-	case cpu.Machine().X[workload.ResultReg] != k.Expected:
+	case k.CheckResult(cpu.Machine()) != nil:
 		out.Detected, out.Detector = true, "result"
 	}
 	return out, nil

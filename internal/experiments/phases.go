@@ -53,6 +53,9 @@ func Phases(opt Options) (Result, error) {
 			if err != nil {
 				return PhasesOut{}, fmt.Errorf("%s: %w", k.Name, err)
 			}
+			if err := k.CheckResult(cpu.Machine()); err != nil {
+				return PhasesOut{}, err
+			}
 			return PhasesOut{
 				IPC:    metrics.Summarize(series.Column("pipeline.ipc")),
 				Short:  metrics.Summarize(series.Column("core.short_occupancy")),

@@ -42,8 +42,8 @@ func runSMT(ra, rb *workload.Ref, p core.Params, pol pipeline.SMTPolicy, opt Opt
 			return SMTOut{}, err
 		}
 		for i, k := range []workload.Kernel{a, b} {
-			if got := smt.Thread(i).Machine().X[workload.ResultReg]; got != k.Expected {
-				return SMTOut{}, fmt.Errorf("smt %s (policy %s): result %#x, want %#x", k.Name, pol, got, k.Expected)
+			if err := k.CheckResult(smt.Thread(i).Machine()); err != nil {
+				return SMTOut{}, fmt.Errorf("smt (policy %s): %w", pol, err)
 			}
 			if n := sts[i].ValueMismatches; n != 0 {
 				return SMTOut{}, fmt.Errorf("smt %s (policy %s): %d register reconstruction mismatches", k.Name, pol, n)

@@ -61,20 +61,12 @@ const (
 	PeerHit
 )
 
+// outcomeNames are the Outcome names /runs, frames and logs show.
+var outcomeNames = [...]string{Miss: "miss", Hit: "hit", Joined: "joined", DiskHit: "disk-hit", Canceled: "canceled", PeerHit: "peer-hit"}
+
 func (o Outcome) String() string {
-	switch o {
-	case Miss:
-		return "miss"
-	case Hit:
-		return "hit"
-	case Joined:
-		return "joined"
-	case DiskHit:
-		return "disk-hit"
-	case Canceled:
-		return "canceled"
-	case PeerHit:
-		return "peer-hit"
+	if int(o) < len(outcomeNames) {
+		return outcomeNames[o]
 	}
 	return fmt.Sprintf("Outcome(%d)", uint8(o))
 }
@@ -98,23 +90,55 @@ type Provenance struct {
 	LeaseWait time.Duration
 }
 
-// Stats is a snapshot of a scheduler's cumulative counters.
+// Stats is a snapshot of cumulative scheduler counters: the whole
+// scheduler's (Scheduler.Stats) or one caller's share of it
+// (Tally.Stats). It is also the JSON shape of the sched object in
+// /runs and in carfserve job documents. Once no request is in flight,
+// Runs == Misses+Hits+Joins+DiskHits+PeerHits+Canceled: every request
+// is counted once on entry and once, by its final outcome, on exit.
 type Stats struct {
-	Workers      int    // current pool bound
-	CacheEntries int    // completed runs held in the memo cache
-	Runs         uint64 // total DoProgress calls
-	Misses       uint64 // runs simulated
-	Hits         uint64 // runs served from the in-memory cache
-	Joins        uint64 // runs that joined an in-flight execution
-	DiskHits     uint64 // runs served from the persistent tier
-	PeerHits     uint64 // runs served by a peer process via the shared tier
-	Canceled     uint64 // runs abandoned by their context before a result
-	Evictions    uint64 // memory-cache entries evicted by the LRU bound
-	Errors       uint64 // simulations that returned an error (never cached)
+	Workers      int    `json:"workers,omitempty"`       // current pool bound (zero in a Tally)
+	CacheEntries int    `json:"cache_entries,omitempty"` // completed runs held in the memo cache (zero in a Tally)
+	Runs         uint64 `json:"runs"`                    // total DoProgress calls
+	Misses       uint64 `json:"misses"`                  // runs simulated
+	Hits         uint64 `json:"hits"`                    // runs served from the in-memory cache
+	DiskHits     uint64 `json:"disk_hits"`               // runs served from the persistent tier
+	PeerHits     uint64 `json:"peer_hits"`               // runs served by a peer process via the shared tier
+	Joins        uint64 `json:"joins"`                   // runs that joined an in-flight execution and got its result
+	Canceled     uint64 `json:"canceled"`                // runs abandoned by their context before a result
+	Errors       uint64 `json:"errors"`                  // misses whose simulation returned an error (never cached)
+	Evictions    uint64 `json:"evictions,omitempty"`     // memory-cache entries evicted by the LRU bound (zero in a Tally)
 
-	QueueWait time.Duration // cumulative worker-slot wait over misses
-	SimWall   time.Duration // cumulative simulation wall time over misses
-	LeaseWait time.Duration // cumulative cross-process lease wait (peer hits + contended misses)
+	QueueWait time.Duration `json:"queue_wait_ns"` // cumulative worker-slot wait over misses
+	SimWall   time.Duration `json:"sim_wall_ns"`   // cumulative simulation wall time over misses
+	LeaseWait time.Duration `json:"lease_wait_ns"` // cumulative cross-process lease wait (peer hits, contended misses and lease cancels)
+}
+
+// add counts one finished request by its final provenance; it is the
+// one place an outcome maps to counters. err is the request's error,
+// counted only for a miss: a joiner shares its leader's error, and a
+// cancellation is counted as Canceled. Runs is counted by the caller.
+func (st *Stats) add(p Provenance, err error) {
+	switch p.Outcome {
+	case Miss:
+		st.Misses++
+		if err != nil {
+			st.Errors++
+		}
+	case Hit:
+		st.Hits++
+	case Joined:
+		st.Joins++
+	case DiskHit:
+		st.DiskHits++
+	case PeerHit:
+		st.PeerHits++
+	case Canceled:
+		st.Canceled++
+	}
+	st.QueueWait += p.QueueWait
+	st.SimWall += p.SimWall
+	st.LeaseWait += p.LeaseWait
 }
 
 // Observer receives run lifecycle callbacks from a scheduler: every
@@ -140,12 +164,12 @@ type Observer interface {
 // Tally accumulates per-caller provenance counts: a harness that wants
 // to know how *its* requests were served — while sharing a scheduler
 // with everyone else — records each call's Provenance into its own
-// Tally. All methods are safe for concurrent use; a nil *Tally ignores Record,
-// so threading one through is optional at every level.
+// Tally, which counts it exactly as the scheduler does. All methods are
+// safe for concurrent use; a nil *Tally ignores Record, so threading one
+// through is optional at every level.
 type Tally struct {
-	runs, hits, misses, joins           atomic.Uint64
-	diskHits, peerHits, canceled, errs  atomic.Uint64
-	queueWaitNs, simWallNs, leaseWaitNs atomic.Int64
+	mu sync.Mutex
+	st Stats
 }
 
 // Record counts one served request.
@@ -153,49 +177,21 @@ func (t *Tally) Record(p Provenance, err error) {
 	if t == nil {
 		return
 	}
-	t.runs.Add(1)
-	t.leaseWaitNs.Add(int64(p.LeaseWait))
-	switch p.Outcome {
-	case Hit:
-		t.hits.Add(1)
-	case Joined:
-		t.joins.Add(1)
-	case DiskHit:
-		t.diskHits.Add(1)
-	case PeerHit:
-		t.peerHits.Add(1)
-	case Canceled:
-		t.canceled.Add(1)
-	case Miss:
-		t.misses.Add(1)
-		t.queueWaitNs.Add(int64(p.QueueWait))
-		t.simWallNs.Add(int64(p.SimWall))
-	}
-	if err != nil {
-		t.errs.Add(1)
-	}
+	t.mu.Lock()
+	t.st.Runs++
+	t.st.add(p, err)
+	t.mu.Unlock()
 }
 
-// Stats snapshots the tally in the Stats shape (Workers and
-// CacheEntries are zero: a tally sees one caller's slice of the
-// scheduler, not the pool).
+// Stats snapshots the tally (Workers, CacheEntries and Evictions are
+// zero: a tally sees one caller's slice of the scheduler, not the pool).
 func (t *Tally) Stats() Stats {
 	if t == nil {
 		return Stats{}
 	}
-	return Stats{
-		Runs:      t.runs.Load(),
-		Misses:    t.misses.Load(),
-		Hits:      t.hits.Load(),
-		Joins:     t.joins.Load(),
-		DiskHits:  t.diskHits.Load(),
-		PeerHits:  t.peerHits.Load(),
-		Canceled:  t.canceled.Load(),
-		Errors:    t.errs.Load(),
-		QueueWait: time.Duration(t.queueWaitNs.Load()),
-		SimWall:   time.Duration(t.simWallNs.Load()),
-		LeaseWait: time.Duration(t.leaseWaitNs.Load()),
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.st
 }
 
 // Tier is a persistent second-level result cache underneath the
@@ -523,65 +519,35 @@ func (s *Scheduler) Metrics() *metrics.Registry { return s.reg }
 // of parent runs waiting on child runs would deadlock).
 func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cacheable bool, onProgress ProgressFunc, fn func(report ProgressFunc) (any, error)) (any, Provenance, error) {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		// Dead on arrival: account for the request, touch nothing else.
-		s.mu.Lock()
-		s.stats.Runs++
-		s.stats.Canceled++
-		s.seq++
-		id := s.seq
-		obs := s.obs
-		s.mu.Unlock()
-		p := Provenance{Outcome: Canceled, Key: key}
-		if obs != nil {
-			obs.RunEnqueued(id, key, label)
-			obs.RunFinished(id, p, err)
-		}
-		return nil, p, err
-	}
 	s.mu.Lock()
 	s.stats.Runs++
 	s.seq++
-	id := s.seq
-	obs := s.obs
+	id, obs := s.seq, s.obs
+	if err := ctx.Err(); err != nil {
+		// Dead on arrival: account for the request, touch nothing else.
+		return s.finish(id, obs, label, true, nil, Provenance{Outcome: Canceled, Key: key}, err)
+	}
 	cacheable = cacheable && s.memo
 	if cacheable {
 		if e, ok := s.cache[key]; ok {
-			s.stats.Hits++
 			s.cacheTouch(key)
-			s.mu.Unlock()
-			p := Provenance{Outcome: Hit, Key: key}
-			if obs != nil {
-				obs.RunEnqueued(id, key, label)
-				obs.RunFinished(id, p, nil)
-			}
-			return e.val, p, nil
+			return s.finish(id, obs, label, true, e.val, Provenance{Outcome: Hit, Key: key}, nil)
 		}
 		if e, ok := s.inflight[key]; ok {
-			s.stats.Joins++
 			s.mu.Unlock()
 			if obs != nil {
 				obs.RunEnqueued(id, key, label)
 			}
 			select {
 			case <-e.done:
-				p := Provenance{Outcome: Joined, Key: key}
-				if obs != nil {
-					obs.RunFinished(id, p, e.err)
-				}
-				return e.val, p, e.err
+				s.mu.Lock()
+				return s.finish(id, obs, label, false, e.val, Provenance{Outcome: Joined, Key: key}, e.err)
 			case <-ctx.Done():
 				// Detach: the leader keeps running and will still
 				// populate the cache; only this caller gives up.
 				err := fmt.Errorf("sched: abandoned joined run %s: %w", key.Short(), ctx.Err())
 				s.mu.Lock()
-				s.stats.Canceled++
-				s.mu.Unlock()
-				p := Provenance{Outcome: Canceled, Key: key}
-				if obs != nil {
-					obs.RunFinished(id, p, err)
-				}
-				return nil, p, err
+				return s.finish(id, obs, label, false, nil, Provenance{Outcome: Canceled, Key: key}, err)
 			}
 		}
 	}
@@ -625,18 +591,12 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	if err := ctx.Err(); err != nil {
 		// Canceled while queued: resolve the entry with the error so
 		// joiners unblock (they see the error and may retry later).
-		s.stats.Canceled++
 		if cacheable {
 			delete(s.inflight, key)
 		}
 		e.err = fmt.Errorf("sched: run %s canceled while queued: %w", key.Short(), err)
-		s.mu.Unlock()
 		close(e.done)
-		p := Provenance{Outcome: Canceled, Key: key}
-		if obs != nil {
-			obs.RunFinished(id, p, e.err)
-		}
-		return nil, p, e.err
+		return s.finish(id, obs, label, false, nil, Provenance{Outcome: Canceled, Key: key}, e.err)
 	}
 	s.busy++
 	queueWait := time.Since(start)
@@ -673,31 +633,19 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 				// Same contract as cancellation while queued: resolve the
 				// entry with the error so in-process joiners unblock and a
 				// later request retries.
-				err := fmt.Errorf("sched: run %s canceled waiting on a peer's lease: %w", key.Short(), ctx.Err())
+				p := Provenance{Outcome: Canceled, Key: key, LeaseWait: time.Since(leaseStart)}
+				e.err = fmt.Errorf("sched: run %s canceled waiting on a peer's lease: %w", key.Short(), ctx.Err())
 				s.mu.Lock()
 				s.busy--
 				s.cond.Broadcast()
-				s.stats.Canceled++
-				s.stats.LeaseWait += time.Since(leaseStart)
 				delete(s.inflight, key)
-				e.err = err
-				s.mu.Unlock()
 				close(e.done)
-				p := Provenance{Outcome: Canceled, Key: key, LeaseWait: time.Since(leaseStart)}
-				if obs != nil {
-					obs.RunFinished(id, p, err)
-				}
-				return nil, p, err
+				return s.finish(id, obs, label, false, nil, p, e.err)
 			case <-time.After(peerPollInterval):
 			}
 		}
 	}
 
-	s.mu.Lock()
-	s.stats.Misses++
-	s.stats.LeaseWait += leaseWait
-	s.stats.QueueWait += queueWait
-	s.mu.Unlock()
 	s.queueHist.Observe(queueWait.Seconds())
 	if obs != nil {
 		obs.RunStarted(id)
@@ -711,13 +659,11 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	e.val, e.err = fn(report)
 	simWall := time.Since(simStart)
 	s.simHist.Observe(simWall.Seconds())
+	p := Provenance{Outcome: Miss, Key: key, QueueWait: queueWait, SimWall: simWall, LeaseWait: leaseWait}
 
 	s.mu.Lock()
 	s.busy--
-	s.stats.SimWall += simWall
-	if e.err != nil {
-		s.stats.Errors++
-	}
+	s.stats.add(p, e.err)
 	if cacheable {
 		delete(s.inflight, key)
 		if e.err == nil {
@@ -738,11 +684,27 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 		// failed or the run errored).
 		release()
 	}
-	p := Provenance{Outcome: Miss, Key: key, QueueWait: queueWait, SimWall: simWall, LeaseWait: leaseWait}
 	if obs != nil {
 		obs.RunFinished(id, p, e.err)
 	}
 	return e.val, p, e.err
+}
+
+// finish ends a request that did not simulate: it counts the outcome,
+// releases s.mu (which the caller holds) and reports to the observer.
+// announce is set for a request that resolved before it was announced
+// (dead on arrival, or a hit), so RunEnqueued still precedes
+// RunFinished.
+func (s *Scheduler) finish(id uint64, obs Observer, label string, announce bool, v any, p Provenance, err error) (any, Provenance, error) {
+	s.stats.add(p, err)
+	s.mu.Unlock()
+	if obs != nil {
+		if announce {
+			obs.RunEnqueued(id, p.Key, label)
+		}
+		obs.RunFinished(id, p, err)
+	}
+	return v, p, err
 }
 
 // served resolves e with v, a result found in the persistent tier
@@ -755,19 +717,11 @@ func (s *Scheduler) served(id uint64, obs Observer, key Key, e *entry, v any, p 
 	delete(s.inflight, key)
 	s.cacheInsert(key, e)
 	if p.Outcome == PeerHit {
-		s.stats.PeerHits++
 		s.busy-- // the lease was claimed holding a worker slot
 		s.cond.Broadcast()
-	} else {
-		s.stats.DiskHits++
 	}
-	s.stats.LeaseWait += p.LeaseWait
-	s.mu.Unlock()
 	close(e.done)
-	if obs != nil {
-		obs.RunFinished(id, p, nil)
-	}
-	return v, p, nil
+	return s.finish(id, obs, "", false, v, p, nil)
 }
 
 // ForEach invokes fn(i) for every i in [0, n) on its own goroutine and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,19 +375,12 @@ func TestObserverSeesJoins(t *testing.T) {
 	wg.Wait()
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	var miss, joined, hit int
+	var st Stats
 	for _, p := range obs.finished {
-		switch p.Outcome {
-		case Miss:
-			miss++
-		case Joined:
-			joined++
-		case Hit:
-			hit++
-		}
+		st.add(p, nil)
 	}
-	if miss != 1 || miss+joined+hit != 6 {
-		t.Errorf("finished outcomes: %d miss / %d joined / %d hit, want 1 miss of 6", miss, joined, hit)
+	if st.Misses != 1 || st.Misses+st.Joins+st.Hits != 6 {
+		t.Errorf("finished outcomes: %d miss / %d joined / %d hit, want 1 miss of 6", st.Misses, st.Joins, st.Hits)
 	}
 	if len(obs.enqueued) != 6 {
 		t.Errorf("enqueued %d, want 6", len(obs.enqueued))
@@ -448,6 +442,113 @@ func TestTally(t *testing.T) {
 	nilTally.Record(p, nil) // must not panic
 	if nilTally.Stats() != (Stats{}) {
 		t.Error("nil tally stats not zero")
+	}
+}
+
+// TestTalliesAgreeWithStats runs one request per outcome on one
+// scheduler, each through its own caller's Tally, and checks that the
+// tallies sum to the scheduler's own counters: both count through
+// Stats.add, so a joiner that gives up is one cancellation (not also a
+// join) and only the failing miss is an error.
+func TestTalliesAgreeWithStats(t *testing.T) {
+	s := New(1)
+	tier := newFakeTier()
+	tier.m[KeyOf("agree", "disk")] = "from-disk"
+	s.SetTier(tier)
+	tallies := map[string]*Tally{}
+	call := func(ctx context.Context, tl *Tally, key string, fn func() (any, error)) error {
+		_, p, err := doCtx(ctx, s, KeyOf("agree", key), "", true, fn)
+		tl.Record(p, err)
+		return err
+	}
+	tally := func(caller string) *Tally {
+		tallies[caller] = new(Tally)
+		return tallies[caller]
+	}
+	ok := func() (any, error) { return "v", nil }
+	// waitRuns waits until n requests have entered the scheduler, then
+	// gives the last one time to block where it is headed.
+	waitRuns := func(n uint64) {
+		for s.Stats().Runs < n {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	noErr := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	bg := context.Background()
+	noErr(call(bg, tally("miss"), "a", ok))
+	noErr(call(bg, tally("hit"), "a", ok))
+	if call(bg, tally("failing-miss"), "f", func() (any, error) { return nil, errors.New("boom") }) == nil {
+		t.Error("failing miss returned no error")
+	}
+	noErr(call(bg, tally("disk-hit"), "disk", ok))
+
+	// The leader holds the only worker slot until released; one caller
+	// joins it, one joins and then gives up, one queues and gives up.
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	goCall := func(ctx context.Context, caller, key string, fn func() (any, error), check func(error)) {
+		tl := tally(caller)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(call(ctx, tl, key, fn))
+		}()
+	}
+	canceledWith := func(msg string) func(error) {
+		return func(err error) {
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), msg) {
+				t.Errorf("err = %v, want a cancellation %q", err, msg)
+			}
+		}
+	}
+	goCall(bg, "leader", "j", func() (any, error) { <-release; return "j", nil }, noErr)
+	waitRuns(5)
+	goCall(bg, "join", "j", ok, noErr)
+	waitRuns(6)
+	joinCtx, cancelJoin := context.WithCancel(bg)
+	goCall(joinCtx, "join-then-cancel", "j", ok, canceledWith("abandoned joined run"))
+	waitRuns(7)
+	queueCtx, cancelQueued := context.WithCancel(bg)
+	goCall(queueCtx, "queued-cancel", "q", ok, canceledWith("canceled while queued"))
+	waitRuns(8)
+	cancelJoin()
+	cancelQueued()
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	var sum Stats
+	for _, tl := range tallies {
+		st := tl.Stats()
+		sum.Runs += st.Runs
+		sum.Misses += st.Misses
+		sum.Hits += st.Hits
+		sum.DiskHits += st.DiskHits
+		sum.PeerHits += st.PeerHits
+		sum.Joins += st.Joins
+		sum.Canceled += st.Canceled
+		sum.Errors += st.Errors
+		sum.QueueWait += st.QueueWait
+		sum.SimWall += st.SimWall
+		sum.LeaseWait += st.LeaseWait
+	}
+	got := s.Stats()
+	got.Workers, got.CacheEntries, got.Evictions = 0, 0, 0
+	if got != sum {
+		t.Errorf("scheduler stats %+v\n   tallies sum %+v", got, sum)
+	}
+	want := Stats{Runs: 8, Misses: 3, Hits: 1, DiskHits: 1, Joins: 1, Canceled: 2, Errors: 1}
+	if got.QueueWait, got.SimWall, got.LeaseWait = 0, 0, 0; got != want {
+		t.Errorf("scheduler stats %+v, want %+v", got, want)
+	}
+	if outcomes := got.Misses + got.Hits + got.Joins + got.DiskHits + got.PeerHits + got.Canceled; got.Runs != outcomes {
+		t.Errorf("runs %d != %d outcomes", got.Runs, outcomes)
 	}
 }
 

@@ -27,7 +27,7 @@ const framesGolden = "testdata/frames.golden.jsonl"
 // (numbers) or "T" (timestamps). Everything else is compared byte for
 // byte, key order included.
 var (
-	wallNumber = regexp.MustCompile(`"([a-z_]+_ms|[a-z_]+_seconds|insts_per_sec)":[-+0-9.eE]+`)
+	wallNumber = regexp.MustCompile(`"([a-z_]+_ms|[a-z_]+_seconds|[a-z_]+_ns|insts_per_sec)":[-+0-9.eE]+`)
 	wallTime   = regexp.MustCompile(`"(submitted|started|finished)":"[^"]*"`)
 )
 

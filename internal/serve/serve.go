@@ -167,7 +167,7 @@ type Job struct {
 
 	// Sched is the job's own scheduler activity — DiskHits > 0 with
 	// Misses == 0 is the "served from the persistent tier" provenance.
-	Sched *jobSched `json:"sched,omitempty"`
+	Sched *sched.Stats `json:"sched,omitempty"`
 
 	// Progress is the most recent live progress snapshot while the job's
 	// simulations execute (absent before the first frame, and for jobs
@@ -180,18 +180,6 @@ type Job struct {
 	result string             // rendered output, available when done
 	cancel context.CancelFunc // cancels this job's context
 	stream *telemetry.Stream  // per-job progress frame stream
-}
-
-// jobSched is the per-job scheduler summary in API responses.
-type jobSched struct {
-	Runs     uint64 `json:"runs"`
-	Misses   uint64 `json:"simulated"`
-	Hits     uint64 `json:"mem_hits"`
-	DiskHits uint64 `json:"disk_hits"`
-	PeerHits uint64 `json:"peer_hits"`
-	Joins    uint64 `json:"joins"`
-	Canceled uint64 `json:"canceled"`
-	Errors   uint64 `json:"errors"`
 }
 
 // Daemon is the simulation service. Create with New, serve via Handler
@@ -547,10 +535,7 @@ func (d *Daemon) finish(j *Job, text string, st sched.Stats, err error) {
 	}
 	now := time.Now()
 	j.Finished = &now
-	j.Sched = &jobSched{
-		Runs: st.Runs, Misses: st.Misses, Hits: st.Hits,
-		DiskHits: st.DiskHits, PeerHits: st.PeerHits, Joins: st.Joins, Canceled: st.Canceled, Errors: st.Errors,
-	}
+	j.Sched = &st
 	switch {
 	case err == nil:
 		j.Status = StatusDone

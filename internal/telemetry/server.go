@@ -154,28 +154,11 @@ func (sv *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 // RunsDocument is the /runs JSON document. Exported so clients
 // (cmd/carftop) decode the same shape the server encodes.
 type RunsDocument struct {
-	NowMs          float64       `json:"now_ms"`
-	InFlight       []RunRecord   `json:"in_flight"`
-	Completed      []RunRecord   `json:"completed"`
-	CompletedTotal uint64        `json:"completed_total"`
-	Sched          *SchedSummary `json:"sched,omitempty"`
-}
-
-// SchedSummary is the scheduler summary embedded in /runs.
-type SchedSummary struct {
-	Workers          int     `json:"workers"`
-	CacheEntries     int     `json:"cache_entries"`
-	Runs             uint64  `json:"runs"`
-	Misses           uint64  `json:"misses"`
-	Hits             uint64  `json:"hits"`
-	DiskHits         uint64  `json:"disk_hits"`
-	PeerHits         uint64  `json:"peer_hits"`
-	Joins            uint64  `json:"joins"`
-	Canceled         uint64  `json:"canceled"`
-	Errors           uint64  `json:"errors"`
-	QueueWaitSeconds float64 `json:"queue_wait_seconds"`
-	SimWallSeconds   float64 `json:"sim_wall_seconds"`
-	LeaseWaitSeconds float64 `json:"lease_wait_seconds"`
+	NowMs          float64      `json:"now_ms"`
+	InFlight       []RunRecord  `json:"in_flight"`
+	Completed      []RunRecord  `json:"completed"`
+	CompletedTotal uint64       `json:"completed_total"`
+	Sched          *sched.Stats `json:"sched,omitempty"`
 }
 
 func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
@@ -188,21 +171,7 @@ func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 	}
 	if sv.sch != nil {
 		st := sv.sch.Stats()
-		resp.Sched = &SchedSummary{
-			Workers:          st.Workers,
-			CacheEntries:     st.CacheEntries,
-			Runs:             st.Runs,
-			Misses:           st.Misses,
-			Hits:             st.Hits,
-			DiskHits:         st.DiskHits,
-			PeerHits:         st.PeerHits,
-			Joins:            st.Joins,
-			Canceled:         st.Canceled,
-			Errors:           st.Errors,
-			QueueWaitSeconds: st.QueueWait.Seconds(),
-			SimWallSeconds:   st.SimWall.Seconds(),
-			LeaseWaitSeconds: st.LeaseWait.Seconds(),
-		}
+		resp.Sched = &st
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

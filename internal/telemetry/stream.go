@@ -23,14 +23,10 @@ const streamCap = 256
 // behind still learns how the stream ended.
 const followerBuf = 128
 
-// maxConsecDrops is the slow-follower disconnect threshold: a follower
-// that misses this many consecutive frames (its buffer stayed full) is
-// removed and its channel closed, so the serving handler ends the
-// connection instead of carrying a client that stopped reading.
-const maxConsecDrops = 64
-
 // sseHeartbeat is the comment interval that keeps idle SSE connections
-// from timing out.
+// from timing out. It is also a stream's default stall limit: a
+// follower whose buffer has stayed full, with nothing delivered, for
+// this long has stopped reading and is disconnected.
 const sseHeartbeat = 15 * time.Second
 
 // Stream is one frame stream: live followers, a replay window of recent
@@ -41,23 +37,26 @@ const sseHeartbeat = 15 * time.Second
 // with its owner's tables. Frames are JSON-encoded on the way in.
 type Stream struct {
 	mu       sync.Mutex
-	window   int                 // replayable progress frames kept; 0 keeps none
-	frames   [][]byte            // recent progress frames, oldest first
-	terminal []byte              // the done frame; non-nil once finished
-	subs     map[chan []byte]int // follower → consecutive missed frames
+	window   int                       // replayable progress frames kept; 0 keeps none
+	stall    time.Duration             // slow-follower limit (sseHeartbeat; tests lower it)
+	frames   [][]byte                  // recent progress frames, oldest first
+	terminal []byte                    // the done frame; non-nil once finished
+	subs     map[chan []byte]time.Time // follower → when it first missed a frame since its last delivery (zero: none)
 }
 
 // NewStream returns an empty stream replaying its last 64 progress frames.
 func NewStream() *Stream { return newStream(streamFrameCap) }
 
 func newStream(window int) *Stream {
-	return &Stream{window: window, subs: map[chan []byte]int{}}
+	return &Stream{window: window, stall: sseHeartbeat, subs: map[chan []byte]time.Time{}}
 }
 
 // Publish appends a progress frame to the replay window and fans it
 // out to live followers without blocking: a follower whose buffer is
-// full misses the frame (dropped), and one that misses maxConsecDrops
-// in a row is disconnected. ok is false, and nothing happens (not even
+// full misses the frame (dropped), and one whose buffer has stayed full
+// for the stall limit, with nothing delivered, is disconnected. A burst
+// of frames therefore costs a follower that is still reading drops,
+// not its connection. ok is false, and nothing happens (not even
 // encoding), once the stream has finished, when no window or follower
 // would see the frame, or when frame does not encode.
 func (s *Stream) Publish(frame Frame) (ok bool, dropped, disconnected int) {
@@ -76,14 +75,16 @@ func (s *Stream) Publish(frame Frame) (ok bool, dropped, disconnected int) {
 			s.frames = s.frames[len(s.frames)-s.window:]
 		}
 	}
-	for ch, missed := range s.subs {
+	for ch, since := range s.subs {
 		switch {
 		case len(ch) < followerBuf:
 			ch <- payload
-			s.subs[ch] = 0
-		case missed+1 < maxConsecDrops:
+			s.subs[ch] = time.Time{}
+		case since.IsZero():
 			dropped++
-			s.subs[ch] = missed + 1
+			s.subs[ch] = time.Now()
+		case time.Since(since) < s.stall:
+			dropped++
 		default:
 			dropped++
 			disconnected++
@@ -130,7 +131,7 @@ func (s *Stream) Subscribe() (replay [][]byte, live <-chan []byte, cancel func()
 		return append(replay, s.terminal), nil, func() {}
 	}
 	ch := make(chan []byte, followerBuf+1)
-	s.subs[ch] = 0
+	s.subs[ch] = time.Time{}
 	return replay, ch, func() {
 		s.mu.Lock()
 		delete(s.subs, ch)

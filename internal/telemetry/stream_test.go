@@ -224,19 +224,21 @@ func TestRunStreamUnknownID(t *testing.T) {
 }
 
 // TestSlowSubscriberDisconnect: an /events follower that stops reading
-// is dropped-counted and, after maxConsecDrops consecutive misses,
-// force-closed; the aggregate disconnect counter records it.
+// is dropped-counted and, once its buffer has stayed full for the stall
+// limit, force-closed; the aggregate disconnect counter records it.
 func TestSlowSubscriberDisconnect(t *testing.T) {
 	hub := NewHub()
+	hub.feed.stall = time.Millisecond
 	_, ch, cancel := hub.feed.Subscribe()
 	defer cancel()
 
-	// Fill the buffer, then keep publishing without draining until the
-	// policy trips.
-	total := followerBuf + maxConsecDrops
-	for i := 0; i < total; i++ {
+	// Overfill the buffer, wait past the stall limit without draining,
+	// and publish once more: the policy trips.
+	for i := 0; i <= followerBuf; i++ {
 		hub.publish(Frame{Type: "run-start", ID: uint64(i)})
 	}
+	time.Sleep(5 * time.Millisecond)
+	hub.publish(Frame{Type: "run-start", ID: followerBuf + 1})
 
 	closed := false
 	deadline := time.After(2 * time.Second)
@@ -271,8 +273,8 @@ drain:
 	if disconnects != 1 {
 		t.Errorf("slow disconnects = %v, want 1", disconnects)
 	}
-	if dropped < float64(maxConsecDrops) {
-		t.Errorf("dropped = %v, want >= %d", dropped, maxConsecDrops)
+	if dropped != 2 {
+		t.Errorf("dropped = %v, want 2", dropped)
 	}
 	if subs != 0 {
 		t.Errorf("subscribers = %v, want 0 after the forced disconnect", subs)
@@ -387,15 +389,26 @@ func TestStream(t *testing.T) {
 			}
 		}},
 		{"a follower that stops reading is disconnected without the terminal frame", func(t *testing.T, s *Stream) {
+			// The follower stalls past the limit: its buffer stays full
+			// and nothing is delivered for longer than s.stall.
+			s.stall = time.Millisecond
 			_, live, cancel := s.Subscribe()
 			defer cancel()
 			dropped, disconnected := 0, 0
-			for i := 1; i <= followerBuf+maxConsecDrops; i++ {
+			publish := func(i int) {
 				_, d, c := s.Publish(progress(i))
 				dropped, disconnected = dropped+d, disconnected+c
 			}
-			if dropped != maxConsecDrops || disconnected != 1 {
-				t.Errorf("dropped %d, disconnected %d; want %d and 1", dropped, disconnected, maxConsecDrops)
+			for i := 1; i <= followerBuf+1; i++ {
+				publish(i)
+			}
+			if disconnected != 0 {
+				t.Fatal("disconnected before the stall limit passed")
+			}
+			time.Sleep(5 * time.Millisecond)
+			publish(followerBuf + 2)
+			if dropped != 2 || disconnected != 1 {
+				t.Errorf("dropped %d, disconnected %d; want 2 and 1", dropped, disconnected)
 			}
 			s.Finish(done)
 			var got []Frame
@@ -412,13 +425,14 @@ func TestStream(t *testing.T) {
 			}
 		}},
 		{"a follower that drains between bursts stays connected", func(t *testing.T, s *Stream) {
+			// Each burst overfills the buffer by 100 frames, all well
+			// within the stall limit; draining lets the next burst
+			// deliver again.
 			_, live, cancel := s.Subscribe()
 			defer cancel()
 			dropped := 0
 			for burst := 0; burst < 3; burst++ {
-				// Each burst overfills the buffer by maxConsecDrops-1 frames;
-				// one delivery after draining resets the miss count.
-				for i := 0; i < followerBuf+maxConsecDrops-1; i++ {
+				for i := 0; i < followerBuf+100; i++ {
 					_, d, c := s.Publish(progress(i))
 					if c != 0 {
 						t.Fatalf("burst %d frame %d disconnected the follower", burst, i)
@@ -429,8 +443,8 @@ func TestStream(t *testing.T) {
 					<-live
 				}
 			}
-			if want := 3 * (maxConsecDrops - 1); dropped != want {
-				t.Errorf("dropped %d, want %d", dropped, want)
+			if dropped != 3*100 {
+				t.Errorf("dropped %d, want %d", dropped, 3*100)
 			}
 			if n := s.followers(); n != 1 {
 				t.Errorf("followers = %d, want 1", n)

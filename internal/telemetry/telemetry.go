@@ -117,7 +117,7 @@ type Hub struct {
 	feed            *Stream // /events: lifecycle frames, no replay window
 	events          uint64  // SSE frames published, on /events and run streams
 	dropped         uint64  // SSE frames slow followers missed
-	slowDisconnects uint64  // followers force-closed after maxConsecDrops
+	slowDisconnects uint64  // followers force-closed after stalling past the limit
 
 	// Per-run frame streams (/runs/{id}/stream): every enqueued run gets
 	// one, so hits and disk hits still stream their terminal frame.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"sort"
 
 	"carf/internal/isa"
@@ -21,6 +22,16 @@ type Kernel struct {
 
 // ResultReg is the register kernels leave their checksum in.
 const ResultReg = isa.Reg(28)
+
+// CheckResult compares the checksum m, a machine that ran k's program
+// to HALT, holds in ResultReg with Expected. Every run kind that runs a
+// kernel to completion calls it, so a wrong answer fails the run.
+func (k Kernel) CheckResult(m *vm.Machine) error {
+	if got := m.X[ResultReg]; got != k.Expected {
+		return fmt.Errorf("%s computed %#x, expected %#x", k.Name, got, k.Expected)
+	}
+	return nil
+}
 
 const hashConst uint64 = 0x9E3779B97F4A7C15
 

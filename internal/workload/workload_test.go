@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,10 +32,37 @@ func TestKernelsComputeExpected(t *testing.T) {
 			if !m.Halted {
 				t.Fatalf("%s: did not halt after %d instructions", k.Name, n)
 			}
-			if got := m.X[ResultReg]; got != k.Expected {
-				t.Errorf("%s: x28 = %#x, want %#x", k.Name, got, k.Expected)
+			if err := k.CheckResult(m); err != nil {
+				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestCheckResultRejectsWrongChecksum: the one checksum check every run
+// kind calls fails a run whose kernel expects a different answer, and
+// names the kernel and both values.
+func TestCheckResultRejectsWrongChecksum(t *testing.T) {
+	k, err := ByName("crc64", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vm.New(k.Prog)
+	if _, err := m.Run(10_000_000); err != nil || !m.Halted {
+		t.Fatalf("run: halted=%v err=%v", m.Halted, err)
+	}
+	if err := k.CheckResult(m); err != nil {
+		t.Fatalf("correct checksum rejected: %v", err)
+	}
+	wrong := k
+	wrong.Expected ^= 1
+	err = wrong.CheckResult(m)
+	if err == nil {
+		t.Fatal("wrong expected checksum accepted")
+	}
+	want := fmt.Sprintf("crc64 computed %#x, expected %#x", k.Expected, wrong.Expected)
+	if err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
 	}
 }
 
