@@ -268,8 +268,7 @@ func (h *Hierarchy) Reset() {
 // accessed or probed again. Releasing twice is a no-op.
 func (h *Hierarchy) Release() {
 	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
-		wayPool.Put(c.ways)
-		c.ways = nil
+		wayPool.Return(&c.ways)
 	}
 }
 

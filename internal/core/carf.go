@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"carf/internal/recycle"
 	"carf/internal/regfile"
 )
 
@@ -202,7 +203,8 @@ type File struct {
 	// path: a long value had to be written with zero free long entries
 	// and no possible forward progress. Entries are addressed by
 	// longIdx >= NumLong. The paper stalls and frees; the spill keeps
-	// the simulator total and is counted in Stats.OverflowSpills.
+	// the simulator total and is counted in Stats.OverflowSpills. The
+	// first spill makes the map; Reset clears it.
 	overflow map[int]uint64
 	nextOver int
 
@@ -266,35 +268,66 @@ func (f *File) Stats() Stats { return f.stats }
 // (Stats().WritesByType), for live progress reports.
 func (f *File) WritesByType() [3]uint64 { return f.stats.WritesByType }
 
-// Reset implements regfile.Model.
+// Tables released by File.Release, reused by the next New or Reset.
+var (
+	simplePool recycle.Pool[simpleEntry]
+	shortPool  recycle.Pool[shortEntry]
+	longPool   recycle.Pool[uint64]
+	flagPool   recycle.Pool[bool] // Long-entry flags, scratch vectors
+	indexPool  recycle.Pool[int]  // free lists, long owners
+)
+
+// Reset implements regfile.Model: the file's tables are released ones
+// when available (see Release).
 func (f *File) Reset() {
+	f.Release()
 	f.d, f.n, f.m = f.p.D(), f.p.N(), f.p.M()
-	f.simple = make([]simpleEntry, f.p.NumSimple)
+	f.simple = simplePool.Get(f.p.NumSimple)
 	for i := range f.simple {
 		f.simple[i].longIdx = -1
 	}
-	f.short = make([]shortEntry, f.p.NumShort)
-	f.long = make([]uint64, f.p.NumLong)
-	f.longIn = make([]bool, f.p.NumLong)
-	f.freeTags = make([]int, f.p.NumSimple)
+	f.short = shortPool.Get(f.p.NumShort)
+	f.long = longPool.Get(f.p.NumLong)
+	f.longIn = flagPool.Get(f.p.NumLong)
+	f.freeTags = indexPool.Get(f.p.NumSimple)
 	for i := range f.freeTags {
 		f.freeTags[i] = f.p.NumSimple - 1 - i
 	}
-	f.freeLong = make([]int, f.p.NumLong)
+	f.freeLong = indexPool.Get(f.p.NumLong)
 	for i := range f.freeLong {
 		f.freeLong[i] = f.p.NumLong - 1 - i
 	}
-	f.overflow = make(map[int]uint64)
+	clear(f.overflow)
 	f.nextOver = f.p.NumLong
 	f.simpleReads, f.simpleWrites = 0, 0
 	f.shortReads, f.shortWrites = 0, 0
 	f.longReads, f.longWrites = 0, 0
-	f.lastArch = nil
-	f.archBuf = [2][]bool{}
-	f.refScratch = nil
 	f.stuckTarc = -1
 	f.faults = nil
 	f.stats = Stats{}
+}
+
+// Release hands the file's tables back for reuse by a later New or
+// Reset and drops them; a second call does nothing. A releasing
+// pipeline Finalize calls it. Afterwards Stats, Files, WritesByType,
+// Faults, Params, Name and NumTags stay valid; nothing may read the
+// tables (ReadValue, TypeOf, CheckInvariants, FreeLong, the metric
+// series) or write them until Reset.
+func (f *File) Release() {
+	simplePool.Return(&f.simple)
+	shortPool.Return(&f.short)
+	longPool.Return(&f.long)
+	flagPool.Return(&f.longIn)
+	indexPool.Return(&f.freeTags)
+	indexPool.Return(&f.freeLong)
+	// The scratch vectors OnRobInterval and CheckInvariants make on
+	// first use.
+	flagPool.Return(&f.refScratch)
+	flagPool.Return(&f.archBuf[0])
+	flagPool.Return(&f.archBuf[1])
+	f.lastArch = nil
+	flagPool.Return(&f.checkFree)
+	indexPool.Return(&f.checkOwner)
 }
 
 // Name implements regfile.Model.
@@ -548,6 +581,9 @@ func (f *File) ForceWrite(tag int, v uint64) {
 	f.nextOver++
 	e.longIdx = idx
 	shift := uint(f.p.DPlusN - f.m)
+	if f.overflow == nil {
+		f.overflow = make(map[int]uint64)
+	}
 	f.overflow[idx] = v >> shift
 	e.typ = regfile.TypeLong
 	e.low = v & (1<<shift - 1) // pointer lives outside the modeled field
@@ -647,9 +683,9 @@ func (f *File) OnRobInterval(archTags []int) {
 		return
 	}
 	if f.refScratch == nil {
-		f.refScratch = make([]bool, f.p.NumShort)
-		f.archBuf[0] = make([]bool, f.p.NumShort)
-		f.archBuf[1] = make([]bool, f.p.NumShort)
+		f.refScratch = flagPool.Get(f.p.NumShort)
+		f.archBuf[0] = flagPool.Get(f.p.NumShort)
+		f.archBuf[1] = flagPool.Get(f.p.NumShort)
 	}
 	referenced := f.refScratch
 	clear(referenced)

@@ -32,8 +32,8 @@ func (f *File) CheckInvariants() []harden.Violation {
 
 	// The scratch vectors are kept across sweeps and cleared here.
 	if f.checkFree == nil {
-		f.checkFree = make([]bool, f.p.NumSimple+f.p.NumLong)
-		f.checkOwner = make([]int, f.p.NumLong)
+		f.checkFree = flagPool.Get(f.p.NumSimple + f.p.NumLong)
+		f.checkOwner = indexPool.Get(f.p.NumLong)
 	}
 	clear(f.checkFree)
 

@@ -11,6 +11,7 @@ import (
 	"carf/internal/metrics"
 	"carf/internal/predictor"
 	"carf/internal/profile"
+	"carf/internal/recycle"
 	"carf/internal/regfile"
 	"carf/internal/vm"
 )
@@ -308,9 +309,9 @@ func (s Stats) BypassRate() float64 {
 // New builds a CPU running prog with the given integer register file
 // organization. The configuration and model must already be valid (see
 // Config.Validate and NewChecked, which return errors instead); New
-// panics on a config that cannot build a machine. The fixed-size tables
-// (caches, predictors, instruction records) are ones an earlier
-// simulation's Finalize released when available.
+// panics on a config that cannot build a machine. The per-run tables
+// (caches, predictors, instruction records, scoreboards and queues) are
+// ones an earlier simulation's Finalize released when available.
 func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
 	c := newCPU(cfg, prog, model, mustHierarchy("New", cfg.Hierarchy))
 	c.ownsHier = true
@@ -364,32 +365,32 @@ func newCPU(cfg Config, prog *vm.Program, model regfile.Model, hier *cache.Hiera
 	c.rob.initQueue(cfg.ROBSize)
 	c.front.initQueue(3 * cfg.FetchWidth)
 	c.lsq.initQueue(cfg.LSQSize)
-	c.wbList = make([]*dynInst, 0, cfg.ROBSize)
-	c.intIQ = make([]*dynInst, 0, cfg.IntQueue)
-	c.fpIQ = make([]*dynInst, 0, cfg.FPQueue)
-	c.archScratch = make([]int, 0, isa.NumRegs)
+	c.wbList = queuePool.Get(cfg.ROBSize)[:0]
+	c.intIQ = queuePool.Get(cfg.IntQueue)[:0]
+	c.fpIQ = queuePool.Get(cfg.FPQueue)[:0]
+	c.archScratch = tagPool.Get(isa.NumRegs)[:0]
 	// A run never holds more records than a full ROB plus a full fetch
 	// queue, so the seeded pool never runs dry.
 	c.seedPool(cfg.ROBSize + 3*cfg.FetchWidth)
 
 	n := model.NumTags()
-	c.tagCluster = make([]uint8, n)
-	c.intDone = make([]int64, n)
-	c.intWB = make([]int64, n)
-	c.intLive = make([]bool, n)
-	c.intValue = make([]uint64, n)
-	c.intWrote = make([]bool, n)
-	c.intWaitHead = make([]*dynInst, n)
+	c.tagCluster = clusterPool.Get(n)
+	c.intDone = cyclePool.Get(n)
+	c.intWB = cyclePool.Get(n)
+	c.intLive = flagPool.Get(n)
+	c.intValue = valuePool.Get(n)
+	c.intWrote = flagPool.Get(n)
+	c.intWaitHead = queuePool.Get(n)
 	c.classifier, _ = model.(Classifier)
 	c.liveLong, _ = model.(liveLongSampler)
 
-	c.fpDone = make([]int64, cfg.NumFPRegs)
-	c.fpWB = make([]int64, cfg.NumFPRegs)
-	c.fpLive = make([]bool, cfg.NumFPRegs)
-	c.fpWaitHead = make([]*dynInst, cfg.NumFPRegs)
-	c.fpFree = make([]int, 0, cfg.NumFPRegs)
-	for i := cfg.NumFPRegs - 1; i >= 0; i-- {
-		c.fpFree = append(c.fpFree, i)
+	c.fpDone = cyclePool.Get(cfg.NumFPRegs)
+	c.fpWB = cyclePool.Get(cfg.NumFPRegs)
+	c.fpLive = flagPool.Get(cfg.NumFPRegs)
+	c.fpWaitHead = queuePool.Get(cfg.NumFPRegs)
+	c.fpFree = tagPool.Get(cfg.NumFPRegs)
+	for i := range c.fpFree {
+		c.fpFree[i] = cfg.NumFPRegs - 1 - i // pop order: 0, 1, 2, ...
 	}
 
 	// Architectural state occupies physical registers from cycle zero.
@@ -504,17 +505,21 @@ func (c *CPU) runChunk(budget int64) (bool, error) {
 // Finalize surfaces accumulated model faults and, for a run that can
 // never continue — it completed, or RunChunk failed it for good
 // (hardening detection, watchdog, no progress) — hands the machine's
-// fixed-size tables — cache tag arrays, BTB, gshare counters and the
-// instruction-record slab — back for the next simulation's New, and its
-// private memory pages for the next simulation's writes. Call it once
-// RunChunk reports done; RunContext calls it on both outcomes.
+// per-run tables — cache tag arrays, BTB, gshare counters, the return
+// address stack, the instruction-record slab, the scoreboards and queues, and the register
+// file model's arrays (through its Release) — back for the next
+// simulation's New, and its private memory pages for the next
+// simulation's writes. Call it once RunChunk reports done; RunContext
+// calls it on both outcomes.
 //
 // Lifetime rule: after Finalize, everything a caller reads stays
 // readable — Stats, the Hierarchy levels' Stats and Config, the
-// predictor counters, Machine's registers (X, F, PC), Model,
-// Injections, and a failed run's error with its bundle — except
-// Machine().Mem, which a releasing Finalize empties: its private pages
-// go to the next simulation's writes. The CPU cannot run again:
+// predictor counters, Machine's registers (X, F, PC), Injections, a
+// failed run's error with its bundle, and the Model's Stats, Files,
+// WritesByType, Faults, Params and NumTags — except Machine().Mem,
+// which a releasing Finalize empties: its private pages go to the next
+// simulation's writes. Nor may a caller read a released model's tables
+// (ReadValue, TypeOf, CheckInvariants, FreeTags). The CPU cannot run again:
 // RunChunk and RunContext return an error instead of touching a table
 // another simulation may now own. Finalize is idempotent; later calls
 // return the first call's result. A run that was abandoned while still
@@ -545,19 +550,52 @@ func (c *CPU) modelFaults() error {
 	return nil
 }
 
-// release hands the recyclable tables back (see Finalize), and the
-// private memory pages of the machine and of the lockstep checker's
-// golden machine. Structures still pointing into the slab (ROB,
-// queues) keep only their lengths meaningful; nothing reads the
-// records once the CPU cannot run.
+// Pools of the per-run tables newCPU takes and release hands back, one
+// per element type.
+var (
+	recordPool  recycle.Pool[dynInst]  // record slabs
+	queuePool   recycle.Pool[*dynInst] // ROB, queues, waiter heads, the record stack
+	cyclePool   recycle.Pool[int64]    // done and write-back cycles
+	flagPool    recycle.Pool[bool]     // live and written flags
+	valuePool   recycle.Pool[uint64]   // oracle values
+	tagPool     recycle.Pool[int]      // the FP free list, retirement-map snapshots
+	clusterPool recycle.Pool[uint8]    // value-type cluster per tag
+)
+
+// modelReleaser is implemented by register file models that hand their
+// tables back (core.File, regfile.Conventional). Release is idempotent:
+// the two threads of an SMT pair share one model, and each releases it.
+type modelReleaser interface{ Release() }
+
+// release hands the recyclable tables back (see Finalize): the CPU's
+// own, the register file model's, and the private memory pages of the
+// machine and of the lockstep checker's golden machine. The queues keep
+// only their lengths; nothing reads a table once the CPU cannot run.
 func (c *CPU) release() {
 	if c.ownsHier {
 		c.hier.Release()
 	}
 	c.gshare.Release()
 	c.btb.Release()
-	recordPool.Put(c.slab)
-	c.slab, c.pool = nil, nil
+	c.ras.Release()
+	if r, ok := c.model.(modelReleaser); ok {
+		r.Release()
+	}
+	recordPool.Return(&c.slab)
+	for _, t := range [...]*[]*dynInst{&c.pool, &c.rob.buf, &c.front.buf, &c.lsq.buf,
+		&c.wbList, &c.intIQ, &c.fpIQ, &c.intWaitHead, &c.fpWaitHead} {
+		queuePool.Return(t)
+	}
+	for _, t := range [...]*[]int64{&c.intDone, &c.intWB, &c.fpDone, &c.fpWB} {
+		cyclePool.Return(t)
+	}
+	for _, t := range [...]*[]bool{&c.intLive, &c.intWrote, &c.fpLive} {
+		flagPool.Return(t)
+	}
+	valuePool.Return(&c.intValue)
+	tagPool.Return(&c.fpFree)
+	tagPool.Return(&c.archScratch)
+	clusterPool.Return(&c.tagCluster)
 	c.mach.Mem.Release()
 	if c.hard != nil && c.hard.lock != nil {
 		c.hard.lock.Release()

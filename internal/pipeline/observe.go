@@ -162,10 +162,13 @@ func drive(ctx context.Context, m machine, obs Observe) error {
 			obs.Frame(last)
 		}
 	}
-	err := m.finish(nil)
-	if obs.Frame != nil {
-		obs.Frame(m.progress(true).since(last))
+	if obs.Frame == nil {
+		return m.finish(nil)
 	}
+	// Snapshot before finish releases the queues the frame counts.
+	final := m.progress(true).since(last)
+	err := m.finish(nil)
+	obs.Frame(final)
 	return err
 }
 

@@ -8,18 +8,63 @@ import (
 	"testing"
 
 	"carf/internal/cache"
+	"carf/internal/core"
 	"carf/internal/harden"
 	"carf/internal/regfile"
 	"carf/internal/vm"
 	"carf/internal/workload"
 )
 
+// sameTable reports whether a and b are backed by one table.
+func sameTable[E any](a, b []E) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
 // assertUnshared fails when two live CPUs hold the same recycled table:
 // state written through a must be invisible to b.
 func assertUnshared(t *testing.T, a, b *CPU) {
 	t.Helper()
-	if &a.slab[0] == &b.slab[0] {
-		t.Error("two live CPUs share an instruction-record slab")
+	for name, shared := range map[string]bool{
+		"instruction-record slab": sameTable(a.slab, b.slab),
+		"record stack":            sameTable(a.pool, b.pool),
+		"ROB":                     sameTable(a.rob.buf, b.rob.buf),
+		"fetch queue":             sameTable(a.front.buf, b.front.buf),
+		"LSQ":                     sameTable(a.lsq.buf, b.lsq.buf),
+		"write-back list":         sameTable(a.wbList, b.wbList),
+		"integer issue queue":     sameTable(a.intIQ, b.intIQ),
+		"FP issue queue":          sameTable(a.fpIQ, b.fpIQ),
+		"integer waiter heads":    sameTable(a.intWaitHead, b.intWaitHead),
+		"FP waiter heads":         sameTable(a.fpWaitHead, b.fpWaitHead),
+		"integer done cycles":     sameTable(a.intDone, b.intDone),
+		"integer write-backs":     sameTable(a.intWB, b.intWB),
+		"FP done cycles":          sameTable(a.fpDone, b.fpDone),
+		"FP write-backs":          sameTable(a.fpWB, b.fpWB),
+		"integer live flags":      sameTable(a.intLive, b.intLive),
+		"integer written flags":   sameTable(a.intWrote, b.intWrote),
+		"FP live flags":           sameTable(a.fpLive, b.fpLive),
+		"oracle values":           sameTable(a.intValue, b.intValue),
+		"FP free list":            sameTable(a.fpFree, b.fpFree),
+		"retirement-map scratch":  sameTable(a.archScratch, b.archScratch),
+		"tag clusters":            sameTable(a.tagCluster, b.tagCluster),
+	} {
+		if shared {
+			t.Errorf("two live CPUs share their %s", name)
+		}
+	}
+	a.ras.Push(0x1000)
+	b.ras.Push(0x2000)
+	if got, _ := a.ras.Pop(); got != 0x1000 {
+		t.Error("a return address pushed in one CPU's stack shows in another's")
+	}
+	// The register file models: a tag allocated and written in a's file
+	// is not live in b's.
+	tag, ok := a.model.Alloc()
+	if !ok {
+		t.Fatal("a fresh register file has no free tag")
+	}
+	a.model.ForceWrite(tag, 0x1234_5678_9abc_def0)
+	if _, live := b.model.ReadValue(tag); live {
+		t.Errorf("a register written in one CPU's %s file is live in another's", a.model.Name())
 	}
 	const addr = 0x7654_3210
 	for i, lv := range []*cache.Cache{a.hier.L1I, a.hier.L1D, a.hier.L2} {
@@ -51,28 +96,53 @@ func assertUnshared(t *testing.T, a, b *CPU) {
 	}
 }
 
+// modelView is what Finalize's lifetime rule keeps readable of a
+// content-aware file whose tables went back.
+type modelView struct {
+	Stats        core.Stats
+	Files        []regfile.FileActivity
+	WritesByType [3]uint64
+	Faults       []string
+}
+
+func viewOf(f *core.File) modelView {
+	return modelView{f.Stats(), f.Files(), f.WritesByType(), f.Faults()}
+}
+
 // TestFinalizeLifetime pins Finalize's lifetime rule: a second call is a
 // no-op, the CPU cannot run again, everything a caller reads stays
-// readable except the machine's memory, which is empty, and the
-// released tables go back exactly once.
+// readable — the model's Stats, Files, WritesByType and Faults too —
+// except the machine's memory, which is empty, and the released tables,
+// the CPU's and the model's, go back exactly once.
 func TestFinalizeLifetime(t *testing.T) {
 	k, err := workload.ByName("histo", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := New(DefaultConfig(), k.Prog, carfModel())
-	st, err := cpu.Run()
+	model := core.New(core.DefaultParams())
+	cpu := New(DefaultConfig(), k.Prog, model)
+	if done, err := cpu.RunChunk(0); !done || err != nil {
+		t.Fatalf("RunChunk(0) = %v, %v", done, err)
+	}
+	view := viewOf(model)
+	st, err := cpu.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cpu.slab != nil {
-		t.Error("a clean run kept its record slab after Finalize")
+	if cpu.slab != nil || cpu.intDone != nil || cpu.intIQ != nil || cpu.rob.buf != nil || cpu.fpFree != nil {
+		t.Error("a clean run kept its record slab, scoreboards or queues after Finalize")
+	}
+	if got := viewOf(model); !reflect.DeepEqual(got, view) {
+		t.Errorf("model after Finalize = %+v, want %+v", got, view)
+	}
+	model.Release() // already released: puts nothing back twice
+	if got := viewOf(model); !reflect.DeepEqual(got, view) {
+		t.Errorf("model after a second Release = %+v, want %+v", got, view)
 	}
 	h := cpu.Hierarchy()
 	l1d, l2, acc := h.L1D.Stats(), h.L2.Stats(), cpu.Gshare().Accuracy()
-	writes := cpu.Model().Files()[0].Writes
-	if l1d.Accesses == 0 || l2.Accesses == 0 || acc == 0 || writes == 0 {
-		t.Fatalf("run left nothing to read: L1D %+v L2 %+v accuracy %v writes %d", l1d, l2, acc, writes)
+	if l1d.Accesses == 0 || l2.Accesses == 0 || acc == 0 || view.Files[0].Writes == 0 {
+		t.Fatalf("run left nothing to read: L1D %+v L2 %+v accuracy %v files %+v", l1d, l2, acc, view.Files)
 	}
 	if pages := cpu.Machine().Mem.MappedPages(); pages != 0 {
 		t.Errorf("memory maps %d pages after Finalize, want 0: its pages go back for reuse", pages)
@@ -104,9 +174,6 @@ func TestFinalizeLifetime(t *testing.T) {
 	}
 	if m := cpu.Machine(); m.X != x || m.F != f || m.PC != pc || m.Mem.MappedPages() != 0 {
 		t.Error("machine state moved after Finalize")
-	}
-	if cpu.Model().Files()[0].Writes != writes {
-		t.Error("model state moved after Finalize")
 	}
 
 	assertUnshared(t, New(DefaultConfig(), k.Prog, carfModel()), New(DefaultConfig(), k.Prog, carfModel()))
@@ -235,7 +302,9 @@ func TestSMTFinalizes(t *testing.T) {
 // must report its golden record and checksum every time. B is branchy,
 // so a stale predictor shows in its counts. The hungry kernel then runs
 // again on its own released pages, so a table that still held its keys
-// would change its checksum and statistics.
+// would change its checksum and statistics. Last, B runs on the
+// content-aware file after runs that released register-file tables of
+// its lengths, and must report that file's golden record.
 func TestRecycledTablesIsolateRuns(t *testing.T) {
 	ka, err := workload.ByName("histo", 0.05)
 	if err != nil {
@@ -248,6 +317,8 @@ func TestRecycledTablesIsolateRuns(t *testing.T) {
 	type result struct {
 		Stats   Stats
 		L1D, L2 cache.Stats
+		Files   []regfile.FileActivity
+		Carf    core.Stats // content-aware runs only
 	}
 	run := func(cfg Config, k workload.Kernel, model regfile.Model) result {
 		cpu := New(cfg, k.Prog, model)
@@ -261,7 +332,11 @@ func TestRecycledTablesIsolateRuns(t *testing.T) {
 		if cpu.slab != nil {
 			t.Fatalf("%s: tables not released", k.Name)
 		}
-		return result{st, cpu.Hierarchy().L1D.Stats(), cpu.Hierarchy().L2.Stats()}
+		r := result{Stats: st, L1D: cpu.Hierarchy().L1D.Stats(), L2: cpu.Hierarchy().L2.Stats(), Files: model.Files()}
+		if f, ok := model.(*core.File); ok {
+			r.Carf = f.Stats()
+		}
+		return r
 	}
 	first := run(DefaultConfig(), kb, regfile.Baseline())
 	afterSelf := run(DefaultConfig(), kb, regfile.Baseline())
@@ -287,5 +362,22 @@ func TestRecycledTablesIsolateRuns(t *testing.T) {
 	}
 	if want := goldenStats(t)[kb.Name+"/baseline"]; !reflect.DeepEqual(first.Stats, want) {
 		t.Errorf("%s differs from its golden record:\n got: %+v\nwant: %+v", kb.Name, first.Stats, want)
+	}
+
+	// The register files' tables: a sweeps-shaped content-aware file
+	// (16 Long entries, CAM Short file) and the baseline file leave
+	// tables of the 112-entry lengths they share with the default file,
+	// the Simple entries and free lists among them.
+	carfFirst := run(DefaultConfig(), kb, carfModel())
+	sweep := core.DefaultParams()
+	sweep.NumLong, sweep.CAMShort = 16, true
+	run(DefaultConfig(), ka, core.New(sweep))
+	run(DefaultConfig(), ka, regfile.Baseline())
+	carfAfter := run(DefaultConfig(), kb, carfModel())
+	if !reflect.DeepEqual(carfAfter, carfFirst) {
+		t.Errorf("%s on the content-aware file after recycled runs differs from its first run:\n got: %+v\nwant: %+v", kb.Name, carfAfter, carfFirst)
+	}
+	if want := goldenStats(t)[kb.Name+"/carf"]; !reflect.DeepEqual(carfAfter.Stats, want) {
+		t.Errorf("%s on the content-aware file differs from its golden record:\n got: %+v\nwant: %+v", kb.Name, carfAfter.Stats, want)
 	}
 }

@@ -1,7 +1,5 @@
 package pipeline
 
-import "carf/internal/recycle"
-
 // instQueue is a growable power-of-two ring buffer of in-flight
 // instructions. The cycle loop's structural queues (front, ROB, LSQ)
 // push at the tail and pop at the head every cycle; a slice-backed
@@ -27,7 +25,7 @@ func (q *instQueue) initQueue(capacity int) {
 	for size < capacity {
 		size <<= 1
 	}
-	q.buf = make([]*dynInst, size)
+	q.buf = queuePool.Get(size)
 	q.head = 0
 	q.n = 0
 }
@@ -109,15 +107,12 @@ func (q *instQueue) grow() {
 
 // ---------- dynInst pool ----------
 
-// recordPool recycles the record slabs Finalize releases.
-var recordPool recycle.Pool[dynInst]
-
 // seedPool fills the pool with one slab of n zeroed records, a released
 // slab when available. Handing them out in slab order keeps
 // neighbouring instructions on neighbouring cache lines.
 func (c *CPU) seedPool(n int) {
 	c.slab = recordPool.Get(n)
-	c.pool = make([]*dynInst, n)
+	c.pool = queuePool.Get(n)
 	for i := range c.slab {
 		c.pool[n-1-i] = &c.slab[i]
 	}

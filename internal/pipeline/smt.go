@@ -91,8 +91,9 @@ func (s *SMT) Cycles() uint64 { return s.cycles }
 // Each thread advances one cycle at a time through CPU.RunChunk, so its
 // no-progress and hardening checks end the run. A run that ends
 // otherwise than canceled is finalized: model faults fail it with
-// Finalize's error, and a clean run hands each thread's tables and the
-// shared hierarchy back for reuse, under Finalize's lifetime rule. A
+// Finalize's error, and a clean run hands each thread's tables, the
+// shared register file's (once) and the shared hierarchy back for
+// reuse, under Finalize's lifetime rule. A
 // finished SMT cannot run again. Of obs, SMT honours Every and Frame
 // only.
 func (s *SMT) RunContext(ctx context.Context, obs Observe) ([2]Stats, error) {

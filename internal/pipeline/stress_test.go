@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"carf/internal/cache"
 	"carf/internal/core"
 	"carf/internal/regfile"
+	"carf/internal/vm"
 	"carf/internal/workload"
 )
 
@@ -16,7 +19,8 @@ import (
 // in parallel, and every finished run hands its tables and memory pages
 // to whichever runs next (hashprobe dirties over a hundred pages), so
 // under -race this also checks recycling across concurrent
-// simulations; each run's checksum would catch a page shared by two.
+// simulations, an SMT pair's shared register file among them; each
+// run's checksum would catch a page or table shared by two.
 func TestExtremeConfigurations(t *testing.T) {
 	k, err := workload.ByName("rle", 0.04)
 	if err != nil {
@@ -49,6 +53,46 @@ func TestExtremeConfigurations(t *testing.T) {
 		"no-btb":      func(c *Config) { c.BTBEntries = 1; c.RASDepth = 1 },
 	}
 
+	// SMT pairs, each two threads on one shared content-aware file, two
+	// pairs at a time beside the runs above: both threads' Finalize
+	// release the shared file, which must go back once, or the next
+	// two pairs would share its tables.
+	t.Run("smt-shared-file", func(t *testing.T) {
+		t.Parallel()
+		kerns := []workload.Kernel{k, khash}
+		var first [2]Stats
+		for i := 0; i < 3; i++ {
+			var sts [2][2]Stats
+			var wg sync.WaitGroup
+			for p := range sts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					smt := NewSMT(DefaultConfig(), [2]*vm.Program{k.Prog, khash.Prog}, core.New(core.DefaultParams()))
+					st, err := smt.RunContext(context.Background(), Observe{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for j, kern := range kerns {
+						if got := smt.Thread(j).Machine().X[workload.ResultReg]; got != kern.Expected {
+							t.Errorf("SMT thread %d (%s): result %#x, want %#x", j, kern.Name, got, kern.Expected)
+						}
+					}
+					sts[p] = st
+				}()
+			}
+			wg.Wait()
+			if i == 0 {
+				first = sts[0]
+			}
+			for p, st := range sts {
+				if st != first {
+					t.Errorf("SMT pair %d of round %d reports %+v, the first reported %+v", p, i, st, first)
+				}
+			}
+		}
+	})
 	for name, tweak := range configs {
 		name, tweak := name, tweak
 		t.Run(name, func(t *testing.T) {

@@ -9,11 +9,12 @@ import (
 	"carf/internal/recycle"
 )
 
-// Tables released by Gshare.Release and BTB.Release, reused by the
-// constructors.
+// Tables released by Gshare.Release, BTB.Release and RAS.Release,
+// reused by the constructors.
 var (
 	counterPool recycle.Pool[uint8]
 	btbPool     recycle.Pool[btbEntry]
+	rasPool     recycle.Pool[uint64]
 )
 
 // GshareConfig sizes the conditional predictor.
@@ -55,8 +56,7 @@ func NewGshare(cfg GshareConfig) *Gshare {
 // Accuracy and the registered metrics stay readable; Predict and Update
 // must not be called again. Releasing twice is a no-op.
 func (g *Gshare) Release() {
-	counterPool.Put(g.table)
-	g.table = nil
+	counterPool.Return(&g.table)
 }
 
 func (g *Gshare) index(pc uint64) uint64 {
@@ -144,8 +144,7 @@ func NewBTB(entries int) *BTB {
 // HitRate and the registered metrics stay readable; Lookup and Insert
 // must not be called again. Releasing twice is a no-op.
 func (b *BTB) Release() {
-	btbPool.Put(b.entries)
-	b.entries = nil
+	btbPool.Return(&b.entries)
 }
 
 // Lookup returns the predicted target for the control instruction at pc.
@@ -194,8 +193,12 @@ func NewRAS(depth int) *RAS {
 	if depth <= 0 {
 		depth = 16
 	}
-	return &RAS{stack: make([]uint64, 0, depth)}
+	return &RAS{stack: rasPool.Get(depth)[:0:depth]} // cap is the depth
 }
+
+// Release hands the stack back for reuse by a later NewRAS; Push and
+// Pop must not be called again. Releasing twice is a no-op.
+func (r *RAS) Release() { rasPool.Return(&r.stack) }
 
 // Push records a return address at a call.
 func (r *RAS) Push(addr uint64) {

@@ -12,6 +12,7 @@ import (
 
 	"carf/internal/harden"
 	"carf/internal/metrics"
+	"carf/internal/recycle"
 )
 
 // ValueType classifies a stored value per the paper's taxonomy (§2):
@@ -294,16 +295,37 @@ func (c *Conventional) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("regfile.writes", func() float64 { return float64(c.writes) })
 }
 
-// Reset implements Model.
+// Tables released by Conventional.Release, reused by the next Reset.
+var (
+	tagPool   recycle.Pool[int]
+	flagPool  recycle.Pool[bool]
+	valuePool recycle.Pool[uint64]
+)
+
+// Reset implements Model: the file's tables are released ones when
+// available (see Release).
 func (c *Conventional) Reset() {
+	c.Release()
 	n := c.spec.Entries
-	c.free = make([]int, n)
+	c.free = tagPool.Get(n)
 	for i := range c.free {
 		c.free[i] = n - 1 - i // pop order: 0, 1, 2, ...
 	}
-	c.inUse = make([]bool, n)
-	c.values = make([]uint64, n)
-	c.wrote = make([]bool, n)
+	c.inUse = flagPool.Get(n)
+	c.values = valuePool.Get(n)
+	c.wrote = flagPool.Get(n)
 	c.reads, c.writes = 0, 0
 	c.faults = nil
+}
+
+// Release hands the file's tables back for reuse by a later Reset and
+// drops them; a second call does nothing. A releasing pipeline Finalize
+// calls it. Afterwards Name, NumTags, Files and Faults stay valid;
+// nothing may read the tables (ReadValue, FreeTags, CheckInvariants,
+// the metric series) or write them until Reset.
+func (c *Conventional) Release() {
+	tagPool.Return(&c.free)
+	flagPool.Return(&c.inUse)
+	valuePool.Return(&c.values)
+	flagPool.Return(&c.wrote)
 }
