@@ -114,12 +114,12 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 // cannot see a table: a 256 KiB L2 tag array is one allocation. With
 // every per-run table recycled (pipeline.CPU.Finalize: caches,
 // predictors, records, memory pages, the pipeline's scoreboards and
-// queues, the register file model's arrays) a second simulation
-// allocates about 5 KiB (4,808 bytes on the baseline file, 5,224 on
-// the content-aware one) — the CPU struct, vm.New's machine and its page
-// map — so the budget has about 2× headroom; rebuilding the tables
-// costs over 400 KiB.
-const simBytesBudget = 11 << 10
+// queues, the register file model's arrays, the memory's page map) a
+// second simulation allocates under 5 KiB (4,552 bytes on the baseline
+// file, 4,968 on the content-aware one) — the CPU struct and vm.New's
+// machine — so the budget leaves about 1 KiB of headroom; rebuilding the
+// tables costs over 400 KiB, and cloning the page map again 256 bytes.
+const simBytesBudget = 6 << 10
 
 func TestSimulationHeapBytes(t *testing.T) {
 	k, err := workload.ByName("histo", 0.5)

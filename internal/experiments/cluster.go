@@ -24,7 +24,7 @@ func Cluster(opt Options) (Result, error) {
 	rrCfg.Clusters = 2
 	rrCfg.ClusterSteerRoundRobin = true
 
-	unified, err := runSuiteCfg(ints, spec, unifiedCfg, opt)
+	unified, err := runSuiteCfg(ints, []modelSpec{spec}, unifiedCfg, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -41,10 +41,11 @@ func Cluster(opt Options) (Result, error) {
 		{"clustered, type-steered", typeCfg},
 		{"clustered, round-robin", rrCfg},
 	} {
-		outs, err := runSuiteCfg(ints, spec, row.cfg, opt)
+		cfgOuts, err := runSuiteCfg(ints, []modelSpec{spec}, row.cfg, opt)
 		if err != nil {
 			return Result{}, err
 		}
+		outs := cfgOuts[0]
 		var ops, crossings uint64
 		for _, o := range outs {
 			ops += o.Pstats.IntOperands
@@ -54,7 +55,7 @@ func Cluster(opt Options) (Result, error) {
 		if ops > 0 {
 			crossRate = float64(crossings) / float64(ops)
 		}
-		tb.AddRow(row.label, stats.Pct(meanRelIPC(outs, unified)), stats.Pct(crossRate))
+		tb.AddRow(row.label, stats.Pct(meanRelIPC(outs, unified[0])), stats.Pct(crossRate))
 	}
 	tb.AddNote("paper (preliminary): type-based clusters see little inter-cluster communication;")
 	tb.AddNote("round-robin steering is the control showing the traffic a type-blind split pays")

@@ -46,15 +46,13 @@ func Fig7(opt Options) (Result, error) {
 		Title:  "Figure 7: Register file energy relative to the unlimited organization",
 		Header: []string{"d+n", "content-aware", "baseline"},
 	}
-	for _, dn := range dnSweep {
-		p := core.DefaultParams()
-		p.DPlusN = dn
-		outs, err := runSuite(kernels, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
+	dnOuts, err := runParams(kernels, dnParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, dn := range dnSweep {
 		tb.AddRow(fmt.Sprintf("%d", dn),
-			stats.Pct(suiteEnergy(tech, outs)/unlEnergy),
+			stats.Pct(suiteEnergy(tech, dnOuts[i])/unlEnergy),
 			stats.Pct(baseEnergy/unlEnergy))
 	}
 	tb.AddNote("paper: baseline ~48.8%% of unlimited; content-aware roughly halves that again (~23-25%% at d+n=20)")

@@ -244,36 +244,58 @@ func runKey(kind string, opt Options, kernel string, specID string, cfg pipeline
 	return sched.KeyOf(parts...)
 }
 
-// simulate builds kernel r and runs it on a fresh model, optionally with
-// a live-value sampler attached (every oracleSamplePeriod cycles). It is
-// the body of plain and oracle runs; callers go through do, so the run
-// is pooled and memoized, and a run served from a cache never builds
-// the kernel.
-func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, report sched.ProgressFunc) (runOut, error) {
+// simulate builds kernel r and runs it on a fresh model of spec,
+// optionally with a live-value sampler attached (every
+// oracleSamplePeriod cycles), and with fresh models of follow riding
+// along (pipeline.CPU.Follow): followed[i] is follow[i]'s result, or
+// nil when that model left the leader's timing and must be simulated
+// alone. It is the body of plain and oracle runs; callers go through
+// do, so the run is pooled and memoized, and a run served from a cache
+// never builds the kernel.
+func simulate(opt Options, r *workload.Ref, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, report sched.ProgressFunc, follow ...modelSpec) (out runOut, followed []*runOut, err error) {
 	k, err := r.Build()
 	if err != nil {
-		return runOut{}, err
+		return runOut{}, nil, err
 	}
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
+	followers := make([]regfile.Model, len(follow))
+	for i, s := range follow {
+		followers[i] = s.new()
+	}
+	if len(followers) > 0 && cpu.Follow(followers...) != nil {
+		followers = nil // refused: every follower simulates alone
+	}
 	obs := pipeline.Observe{Live: sampler, LivePeriod: oracleSamplePeriod, Frame: frames(report, opt.Scale, k)}
 	st, err := cpu.RunContext(opt.Ctx, obs)
 	if err != nil {
-		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
+		return runOut{}, nil, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
 	}
 	if st.ValueMismatches != 0 {
-		return runOut{}, fmt.Errorf("%s on %s: %d register reconstruction mismatches",
+		return runOut{}, nil, fmt.Errorf("%s on %s: %d register reconstruction mismatches",
 			k.Name, model.Name(), st.ValueMismatches)
 	}
 	if err := k.CheckResult(cpu.Machine()); err != nil {
-		return runOut{}, fmt.Errorf("%w (on %s)", err, model.Name())
+		return runOut{}, nil, fmt.Errorf("%w (on %s)", err, model.Name())
 	}
-	out := runOut{Kernel: k.Name, Pstats: st, Files: model.Files()}
+	followed = make([]*runOut, len(follow))
+	for i, m := range followers {
+		if fst, ok := cpu.Follower(i); ok {
+			o := harvest(k.Name, m, fst)
+			followed[i] = &o
+		}
+	}
+	return harvest(k.Name, model, st), followed, nil
+}
+
+// harvest collects a finished run of kernel on model.
+func harvest(kernel string, model regfile.Model, st pipeline.Stats) runOut {
+	out := runOut{Kernel: kernel, Pstats: st, Files: model.Files()}
 	if f, ok := model.(*core.File); ok {
 		cs := f.Stats()
 		out.Carf = &cs
 	}
-	return out, nil
+	return out
 }
 
 // frames returns the Observe.Frame that forwards a run of kernels ks to
@@ -293,7 +315,11 @@ func frames(report sched.ProgressFunc, scale float64, ks ...workload.Kernel) fun
 
 // runOne simulates kernel k on a fresh model through the scheduler.
 func runOne(k *workload.Ref, spec modelSpec, opt Options) (runOut, error) {
-	return runOneCfg(k, spec, pipeline.DefaultConfig(), opt)
+	outs, err := runSuite([]*workload.Ref{k}, spec, opt)
+	if err != nil {
+		return runOut{}, err
+	}
+	return outs[0], nil
 }
 
 // ToSchedProgress converts the simulator's progress snapshot, with the
@@ -325,14 +351,66 @@ func runLabel(kind, kernel, specID string) string {
 	return kind + "/" + kernel + "/" + specID
 }
 
-// runOneCfg is runOne with an explicit pipeline configuration
-// (ablations: bypass depth, widths). The result is memoized by (kernel,
-// scale, model spec, config).
-func runOneCfg(k *workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options) (runOut, error) {
-	return do(opt, runKey("sim", opt, k.Name, spec.id, cfg), runLabel("sim", k.Name, spec.id),
-		func(report sched.ProgressFunc) (runOut, error) {
-			return simulate(opt, k, spec, cfg, nil, report)
-		})
+// runKernel simulates kernel k on fresh models of each of specs under
+// cfg through the scheduler and stores spec s's result in outs[s][i],
+// each memoized by (kernel, scale, spec, config). It requests the
+// specs' runs in turn. The first request that misses simulates specs[0]
+// — even when its own run was served from a cache — with every spec
+// from the missing one on following along (simulate), and a later
+// request that misses is served what its follower measured; a spec
+// whose follower left the leader's timing simulates alone. So specs
+// that share a kernel's timing cost one pipeline run when listed
+// together, and specs[0] should be the one the others diverge from
+// least.
+func runKernel(k *workload.Ref, specs []modelSpec, cfg pipeline.Config, opt Options, outs [][]runOut, i int) error {
+	led := false
+	var followed map[string]runOut // follower results by spec id
+	for s, spec := range specs {
+		var err error
+		outs[s][i], err = do(opt, runKey("sim", opt, k.Name, spec.id, cfg), runLabel("sim", k.Name, spec.id),
+			func(report sched.ProgressFunc) (runOut, error) {
+				if !led {
+					led = true
+					out, fouts, err := lead(opt, k, specs[0], specs[s:], cfg, report)
+					followed = fouts
+					if spec.id == specs[0].id || err != nil {
+						return out, err
+					}
+				}
+				if out, ok := followed[spec.id]; ok {
+					return out, nil
+				}
+				out, _, err := simulate(opt, k, spec, cfg, nil, report)
+				return out, err
+			})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lead simulates kernel k on leader with every spec of rest whose id
+// differs from the leader's and from the earlier ones' following. It
+// returns the leader's result and, by spec id, the results of the
+// followers that stayed in step.
+func lead(opt Options, k *workload.Ref, leader modelSpec, rest []modelSpec, cfg pipeline.Config, report sched.ProgressFunc) (runOut, map[string]runOut, error) {
+	var follow []modelSpec
+	seen := map[string]bool{leader.id: true}
+	for _, s := range rest {
+		if !seen[s.id] {
+			seen[s.id] = true
+			follow = append(follow, s)
+		}
+	}
+	out, fouts, err := simulate(opt, k, leader, cfg, nil, report, follow...)
+	followed := map[string]runOut{}
+	for j, o := range fouts {
+		if o != nil {
+			followed[follow[j].id] = *o
+		}
+	}
+	return out, followed, err
 }
 
 // do is the one path every run kind takes: body runs through
@@ -353,21 +431,60 @@ func do[T any](opt Options, key sched.Key, label string, body func(report sched.
 // runSuite simulates every kernel of a suite on fresh models through
 // the scheduler, returning results in suite order.
 func runSuite(kernels []*workload.Ref, spec modelSpec, opt Options) ([]runOut, error) {
-	return runSuiteCfg(kernels, spec, pipeline.DefaultConfig(), opt)
+	outs, err := runSuiteCfg(kernels, []modelSpec{spec}, pipeline.DefaultConfig(), opt)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
-// runSuiteCfg is runSuite with an explicit pipeline configuration.
-func runSuiteCfg(kernels []*workload.Ref, spec modelSpec, cfg pipeline.Config, opt Options) ([]runOut, error) {
-	outs := make([]runOut, len(kernels))
+// runSuiteCfg simulates every kernel of a suite on each of specs under
+// cfg, the kernels in parallel and each kernel's specs in turn
+// (runKernel): outs[s][i] is spec s on kernel i.
+func runSuiteCfg(kernels []*workload.Ref, specs []modelSpec, cfg pipeline.Config, opt Options) ([][]runOut, error) {
+	outs := make([][]runOut, len(specs))
+	for s := range outs {
+		outs[s] = make([]runOut, len(kernels))
+	}
 	err := sched.ForEach(len(kernels), func(i int) error {
-		var err error
-		outs[i], err = runOneCfg(kernels[i], spec, cfg, opt)
-		return err
+		return runKernel(kernels[i], specs, cfg, opt, outs, i)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return outs, nil
+}
+
+// runParams simulates every kernel on the content-aware file under each
+// of ps as one list (runSuiteCfg), returning outs[j][i] for ps[j] on
+// kernel i. The default parameters lead: the variants the paper sweeps
+// stay in step with the default far more often than with each other.
+func runParams(kernels []*workload.Ref, ps []core.Params, opt Options) ([][]runOut, error) {
+	def := core.DefaultParams()
+	var order []int // indices into ps, the default first
+	for j, p := range ps {
+		if p == def {
+			order = append(order, j)
+		}
+	}
+	for j, p := range ps {
+		if p != def {
+			order = append(order, j)
+		}
+	}
+	specs := make([]modelSpec, len(order))
+	for n, j := range order {
+		specs[n] = carfSpec(ps[j])
+	}
+	outs, err := runSuiteCfg(kernels, specs, pipeline.DefaultConfig(), opt)
+	if err != nil {
+		return nil, err
+	}
+	byParams := make([][]runOut, len(ps))
+	for n, j := range order {
+		byParams[j] = outs[n]
+	}
+	return byParams, nil
 }
 
 // meanRelIPC returns mean(IPC_a / IPC_b) across paired runs.
@@ -381,3 +498,13 @@ func meanRelIPC(a, b []runOut) float64 {
 
 // dnSweep is the d+n design space of Figures 5–7 and Table 3.
 var dnSweep = []int{8, 12, 16, 20, 24, 28, 32}
+
+// dnParams returns the default parameters at each d+n of dnSweep.
+func dnParams() []core.Params {
+	ps := make([]core.Params, len(dnSweep))
+	for i, dn := range dnSweep {
+		ps[i] = core.DefaultParams()
+		ps[i].DPlusN = dn
+	}
+	return ps
+}

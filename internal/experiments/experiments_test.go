@@ -283,6 +283,45 @@ func TestSweepsRun(t *testing.T) {
 	}
 }
 
+// TestSweepsSection4Claims checks two §4 sizing claims at scale 0.05:
+// the Short file's size barely matters (the 2/8/32-entry rows lie
+// within 0.5 points of each other on INT and FP), and 48 Long
+// registers match 112 (within 0.1 points).
+func TestSweepsSection4Claims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs an experiment")
+	}
+	r, err := Run("sweeps", Options{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, long := r.Tables[0], r.Tables[1]
+	rowOf := func(label string) []string {
+		for _, row := range long.Rows {
+			if row[0] == label {
+				return row
+			}
+		}
+		t.Fatalf("long sweep has no %s row", label)
+		return nil
+	}
+	for col := 1; col <= 2; col++ {
+		suite := short.Header[col]
+		lo, hi := pct(t, short.Rows[0][col]), pct(t, short.Rows[0][col])
+		for _, row := range short.Rows[1:] {
+			v := pct(t, row[col])
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		if hi-lo > 0.5 {
+			t.Errorf("%s: short-size rows span %.1f..%.1f%%, want within 0.5 points", suite, lo, hi)
+		}
+		l48, l112 := pct(t, rowOf("48")[col]), pct(t, rowOf("112")[col])
+		if d := l48 - l112; d > 0.1 || d < -0.1 {
+			t.Errorf("%s: 48 long registers at %.1f%%, 112 at %.1f%%, want within 0.1 points", suite, l48, l112)
+		}
+	}
+}
+
 func TestExtensionsRun(t *testing.T) {
 	t.Parallel()
 	r, err := Extensions(testOpt.withDefaults())

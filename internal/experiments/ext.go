@@ -14,7 +14,11 @@ import (
 // value-type clustering affinity implied by Table 4, and SMT sharing of
 // one content-aware file by two threads.
 func Extensions(opt Options) (Result, error) {
-	cam, err := camStudy(opt)
+	variants, err := runParams(workload.IntSuite(opt.Scale), variantParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	cam, err := camStudy(opt, variants[0], variants[len(shortPolicies)])
 	if err != nil {
 		return Result{}, err
 	}
@@ -26,7 +30,7 @@ func Extensions(opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	policy, err := policyStudy(opt)
+	policy, err := policyStudy(opt, variants[:len(shortPolicies)])
 	if err != nil {
 		return Result{}, err
 	}
@@ -41,10 +45,31 @@ func Extensions(opt Options) (Result, error) {
 	return Result{Name: "ext", Tables: []stats.Table{cam, cluster, smt, smtPol, policy, bypass}}, nil
 }
 
+// shortPolicies are the Short reclamation policies policyStudy
+// compares, the paper's first.
+var shortPolicies = []core.ShortFreePolicy{core.FreeRefBits, core.FreeRefCount, core.FreeNever}
+
+// variantParams returns the default parameters under each of
+// shortPolicies, then with the CAM Short file: the reclamation and CAM
+// ablations as one list, so a kernel's default run (refbits,
+// direct-indexed) leads every variant that shares its timing.
+func variantParams() []core.Params {
+	var ps []core.Params
+	for _, pol := range shortPolicies {
+		p := core.DefaultParams()
+		p.ShortFree = pol
+		ps = append(ps, p)
+	}
+	p := core.DefaultParams()
+	p.CAMShort = true
+	return append(ps, p)
+}
+
 // policyStudy bounds the paper's Tcur/Tarch/Told reference-bit Short
 // reclamation (§3.2) between an idealized per-entry reference counter
-// (exact liveness, rejected as too complex) and never freeing at all.
-func policyStudy(opt Options) (stats.Table, error) {
+// (exact liveness, rejected as too complex) and never freeing at all;
+// policyOuts[i] is the INT suite under shortPolicies[i].
+func policyStudy(opt Options, policyOuts [][]runOut) (stats.Table, error) {
 	ints := workload.IntSuite(opt.Scale)
 	base, err := runSuite(ints, baselineSpec(), opt)
 	if err != nil {
@@ -54,13 +79,8 @@ func policyStudy(opt Options) (stats.Table, error) {
 		Title:  "Short-file reclamation policy ablation (INT suite)",
 		Header: []string{"policy", "IPC vs baseline", "short read share", "short frees", "install fails"},
 	}
-	for _, pol := range []core.ShortFreePolicy{core.FreeRefBits, core.FreeRefCount, core.FreeNever} {
-		p := core.DefaultParams()
-		p.ShortFree = pol
-		outs, err := runSuite(ints, carfSpec(p), opt)
-		if err != nil {
-			return stats.Table{}, err
-		}
+	for i, pol := range shortPolicies {
+		outs := policyOuts[i]
 		var reads [3]uint64
 		var frees, fails uint64
 		for _, o := range outs {
@@ -98,10 +118,11 @@ func bypassStudy(opt Options) (stats.Table, error) {
 	for _, levels := range []int{2, 1} {
 		cfg := pipeline.DefaultConfig()
 		cfg.BypassDepth = levels
-		outs, err := runSuiteCfg(ints, carfSpec(core.DefaultParams()), cfg, opt)
+		cfgOuts, err := runSuiteCfg(ints, []modelSpec{carfSpec(core.DefaultParams())}, cfg, opt)
 		if err != nil {
 			return stats.Table{}, err
 		}
+		outs := cfgOuts[0]
 		tb.AddRow(fmt.Sprintf("%d", levels),
 			stats.Pct(meanRelIPC(outs, base)), stats.Pct(suiteBypass(outs)))
 	}
@@ -110,21 +131,11 @@ func bypassStudy(opt Options) (stats.Table, error) {
 }
 
 // camStudy compares the direct-indexed Short file against the
-// fully-associative (CAM) alternative: a small IPC gain for a large
-// per-access energy increase (§4's reason to reject it).
-func camStudy(opt Options) (stats.Table, error) {
-	ints := workload.IntSuite(opt.Scale)
-	base, err := runSuite(ints, baselineSpec(), opt)
-	if err != nil {
-		return stats.Table{}, err
-	}
-	direct, err := runSuite(ints, carfSpec(core.DefaultParams()), opt)
-	if err != nil {
-		return stats.Table{}, err
-	}
-	pcam := core.DefaultParams()
-	pcam.CAMShort = true
-	cam, err := runSuite(ints, carfSpec(pcam), opt)
+// fully-associative (CAM) alternative, given the INT suite on each: a
+// small IPC gain for a large per-access energy increase (§4's reason to
+// reject it).
+func camStudy(opt Options, direct, cam []runOut) (stats.Table, error) {
+	base, err := runSuite(workload.IntSuite(opt.Scale), baselineSpec(), opt)
 	if err != nil {
 		return stats.Table{}, err
 	}

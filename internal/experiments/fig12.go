@@ -32,7 +32,7 @@ func oracleSuite(kernels []*workload.Ref, ds []int, opt Options) ([]oracle.Count
 			for j, d := range ds {
 				local[j] = oracle.NewAnalyzer(d)
 			}
-			if _, err := simulate(opt, k, baselineSpec(), cfg, local, report); err != nil {
+			if _, _, err := simulate(opt, k, baselineSpec(), cfg, local, report); err != nil {
 				return nil, err
 			}
 			counts := make([]oracle.Counts, len(ds))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"carf/internal/core"
 	"carf/internal/stats"
 	"carf/internal/workload"
 )
@@ -37,20 +36,18 @@ func Fig5(opt Options) (Result, error) {
 		Title:  "Figure 5: Average relative IPC (vs unlimited) as a function of d+n",
 		Header: []string{"d+n", "INT", "FP"},
 	}
-	for _, dn := range dnSweep {
-		p := core.DefaultParams()
-		p.DPlusN = dn
-		carfInt, err := runSuite(ints, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
-		carfFP, err := runSuite(fps, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
+	carfInt, err := runParams(ints, dnParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	carfFP, err := runParams(fps, dnParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, dn := range dnSweep {
 		tb.AddRow(fmt.Sprintf("%d", dn),
-			stats.Pct(meanRelIPC(carfInt, unlInt)),
-			stats.Pct(meanRelIPC(carfFP, unlFP)))
+			stats.Pct(meanRelIPC(carfInt[i], unlInt)),
+			stats.Pct(meanRelIPC(carfFP[i], unlFP)))
 	}
 	tb.AddRow("baseline", stats.Pct(meanRelIPC(baseInt, unlInt)), stats.Pct(meanRelIPC(baseFP, unlFP)))
 	tb.AddNote("paper: INT reaches a near-optimum at d+n=20 (~98.3%%); FP stays ~99.7%%; baseline ~99%%")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"carf/internal/core"
 	"carf/internal/regfile"
 	"carf/internal/stats"
 	"carf/internal/workload"
@@ -22,15 +21,13 @@ func Fig6(opt Options) (Result, error) {
 		Title:  "Figure 6 (WRITE): access distribution by value type",
 		Header: []string{"d+n", "simple", "short", "long"},
 	}
-	for _, dn := range dnSweep {
-		p := core.DefaultParams()
-		p.DPlusN = dn
-		outs, err := runSuite(kernels, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
+	dnOuts, err := runParams(kernels, dnParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, dn := range dnSweep {
 		var reads, writes [3]uint64
-		for _, o := range outs {
+		for _, o := range dnOuts[i] {
 			for t := 0; t < 3; t++ {
 				reads[t] += o.Carf.ReadsByType[t]
 				writes[t] += o.Carf.WritesByType[t]

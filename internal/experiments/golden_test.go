@@ -16,7 +16,7 @@ import (
 //	go test ./internal/experiments -run TestGoldenExperiments -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment renderings")
 
-var goldenExperiments = []string{"fig5", "fig7", "table2", "cpistack", "faults"}
+var goldenExperiments = []string{"fig5", "fig6", "fig7", "table2", "table4", "sweeps", "ext", "cpistack", "faults"}
 
 func TestGoldenExperimentsBitIdentical(t *testing.T) {
 	if testing.Short() {

@@ -27,23 +27,22 @@ func Sweeps(opt Options) (Result, error) {
 		return Result{}, err
 	}
 
+	carfInt, err := runParams(ints, sizeParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	carfFP, err := runParams(fps, sizeParams(), opt)
+	if err != nil {
+		return Result{}, err
+	}
+
 	short := stats.Table{
 		Title:  "Short register file size (IPC relative to baseline)",
 		Header: []string{"short regs", "INT", "FP"},
 	}
-	for _, m := range []int{2, 8, 32} {
-		p := core.DefaultParams()
-		p.NumShort = m
-		carfInt, err := runSuite(ints, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
-		carfFP, err := runSuite(fps, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
+	for i, m := range shortSizes {
 		short.AddRow(fmt.Sprintf("%d", m),
-			stats.Pct(meanRelIPC(carfInt, baseInt)), stats.Pct(meanRelIPC(carfFP, baseFP)))
+			stats.Pct(meanRelIPC(carfInt[i], baseInt)), stats.Pct(meanRelIPC(carfFP[i], baseFP)))
 	}
 	short.AddNote("paper: even 2 short registers reach 98+%% (INT) / 99+%% (FP); 8 chosen")
 
@@ -51,26 +50,17 @@ func Sweeps(opt Options) (Result, error) {
 		Title:  "Long register file size (IPC relative to baseline; occupancy and recovery)",
 		Header: []string{"long regs", "INT", "FP", "avg live long", "recovery stalls", "forced spills"},
 	}
-	for _, k := range []int{40, 48, 56, 112} {
-		p := core.DefaultParams()
-		p.NumLong = k
-		carfInt, err := runSuite(ints, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
-		carfFP, err := runSuite(fps, carfSpec(p), opt)
-		if err != nil {
-			return Result{}, err
-		}
+	for i, k := range longSizes {
+		j := len(shortSizes) + i // k's index in sizeParams
 		var live []float64
 		var recov, spills uint64
-		for _, o := range append(append([]runOut{}, carfInt...), carfFP...) {
+		for _, o := range append(append([]runOut{}, carfInt[j]...), carfFP[j]...) {
 			live = append(live, o.Carf.AvgLiveLong())
 			recov += o.Pstats.RecoveryStallCycles
 			spills += o.Pstats.ForcedSpills
 		}
 		long.AddRow(fmt.Sprintf("%d", k),
-			stats.Pct(meanRelIPC(carfInt, baseInt)), stats.Pct(meanRelIPC(carfFP, baseFP)),
+			stats.Pct(meanRelIPC(carfInt[j], baseInt)), stats.Pct(meanRelIPC(carfFP[j], baseFP)),
 			stats.F3(stats.Mean(live)), fmt.Sprintf("%d", recov), fmt.Sprintf("%d", spills))
 	}
 	long.AddNote("paper: 48 long regs match 112 within noise; 40 loses ~0.6%%; avg live long ~12.7")
@@ -81,6 +71,27 @@ func Sweeps(opt Options) (Result, error) {
 	}
 
 	return Result{Name: "sweeps", Tables: []stats.Table{short, long, ports}}, nil
+}
+
+// The Short and Long file sizes Sweeps reports.
+var shortSizes, longSizes = []int{2, 8, 32}, []int{40, 48, 56, 112}
+
+// sizeParams returns the default parameters at each Short size, then
+// at each Long size: both sweeps as one list, so a kernel's default-size
+// run leads every size that shares its timing.
+func sizeParams() []core.Params {
+	var ps []core.Params
+	for _, m := range shortSizes {
+		p := core.DefaultParams()
+		p.NumShort = m
+		ps = append(ps, p)
+	}
+	for _, k := range longSizes {
+		p := core.DefaultParams()
+		p.NumLong = k
+		ps = append(ps, p)
+	}
+	return ps
 }
 
 // portSweep measures the §4 port-selection analysis: with port
@@ -117,12 +128,12 @@ func portSweep(opt Options, ints []*workload.Ref) (stats.Table, error) {
 				return regfile.NewConventional("ports", 112, pc.rd, pc.wr)
 			},
 		}
-		outs, err := runSuiteCfg(ints, spec, cfg, opt)
+		outs, err := runSuiteCfg(ints, []modelSpec{spec}, cfg, opt)
 		if err != nil {
 			return stats.Table{}, err
 		}
 		var vals []float64
-		for _, o := range outs {
+		for _, o := range outs[0] {
 			vals = append(vals, o.Pstats.IPC())
 		}
 		ipc := stats.Mean(vals)

@@ -40,14 +40,15 @@ func WrongPath(opt Options) (Result, error) {
 		specCfg := pipeline.DefaultConfig()
 		specCfg.WrongPath = true
 
-		stall, err := runSuiteCfg(ints, r.spec, stallCfg, opt)
+		stalls, err := runSuiteCfg(ints, []modelSpec{r.spec}, stallCfg, opt)
 		if err != nil {
 			return Result{}, err
 		}
-		spec, err := runSuiteCfg(ints, r.spec, specCfg, opt)
+		specs, err := runSuiteCfg(ints, []modelSpec{r.spec}, specCfg, opt)
 		if err != nil {
 			return Result{}, err
 		}
+		stall, spec := stalls[0], specs[0]
 
 		stallEnergy := suiteEnergy(tech, stall)
 		specEnergy := suiteEnergy(tech, spec)

@@ -123,6 +123,8 @@ type CPU struct {
 	// liveLong is the model's live-Long occupancy sampler when it has
 	// one, resolved once for the same reason.
 	liveLong liveLongSampler
+	// fan is the model when followers ride along (Follow), else nil.
+	fan *fanout
 
 	// Per-tag scoreboard (FP file).
 	fpDone []int64
@@ -414,8 +416,14 @@ func newCPU(cfg Config, prog *vm.Program, model regfile.Model, hier *cache.Hiera
 	return c
 }
 
-// Model returns the integer register file model in use.
-func (c *CPU) Model() regfile.Model { return c.model }
+// Model returns the integer register file model in use (the leader,
+// when followers ride along; see Follow).
+func (c *CPU) Model() regfile.Model {
+	if c.fan != nil {
+		return c.fan.Model
+	}
+	return c.model
+}
 
 // Hierarchy exposes the memory system (stats).
 func (c *CPU) Hierarchy() *cache.Hierarchy { return c.hier }
@@ -538,17 +546,8 @@ func (c *CPU) Finalize() (Stats, error) {
 	return c.stats, c.finalErr
 }
 
-// modelFaults reports the model's internal faults (double frees), which
-// it records instead of panicking; a run that accumulated any did not
-// execute correctly.
-func (c *CPU) modelFaults() error {
-	if fr, ok := c.model.(harden.FaultReporter); ok {
-		if faults := fr.Faults(); len(faults) > 0 {
-			return fmt.Errorf("pipeline: %d register file fault(s), first: %s", len(faults), faults[0])
-		}
-	}
-	return nil
-}
+// modelFaults reports the model's internal faults (faultsErr).
+func (c *CPU) modelFaults() error { return faultsErr(c.Model()) }
 
 // Pools of the per-run tables newCPU takes and release hands back, one
 // per element type.
@@ -567,6 +566,12 @@ var (
 // the two threads of an SMT pair share one model, and each releases it.
 type modelReleaser interface{ Release() }
 
+func releaseModel(m regfile.Model) {
+	if r, ok := m.(modelReleaser); ok {
+		r.Release()
+	}
+}
+
 // release hands the recyclable tables back (see Finalize): the CPU's
 // own, the register file model's, and the private memory pages of the
 // machine and of the lockstep checker's golden machine. The queues keep
@@ -578,9 +583,7 @@ func (c *CPU) release() {
 	c.gshare.Release()
 	c.btb.Release()
 	c.ras.Release()
-	if r, ok := c.model.(modelReleaser); ok {
-		r.Release()
-	}
+	releaseModel(c.model)
 	recordPool.Return(&c.slab)
 	for _, t := range [...]*[]*dynInst{&c.pool, &c.rob.buf, &c.front.buf, &c.lsq.buf,
 		&c.wbList, &c.intIQ, &c.fpIQ, &c.intWaitHead, &c.fpWaitHead} {
@@ -1302,28 +1305,41 @@ func (c *CPU) verifyRead(tag int) {
 }
 
 // recordOperandCombo folds the instruction's integer source value types
-// into the Table 4 histogram (content-aware runs only).
+// into the Table 4 histogram (content-aware runs only), and into each
+// follower's.
 func (c *CPU) recordOperandCombo(in *dynInst) {
-	if c.classifier == nil {
-		return
+	if c.classifier != nil {
+		c.foldCombo(&c.stats.OperandCombos, c.classifier, in)
 	}
+	if c.fan != nil {
+		for _, fl := range c.fan.live {
+			if fl.classifier != nil {
+				c.foldCombo(&fl.combos, fl.classifier, in)
+			}
+		}
+	}
+}
+
+// foldCombo counts in's source value types, as cl classifies them, in
+// combos.
+func (c *CPU) foldCombo(combos *[3][3]uint64, cl Classifier, in *dynInst) {
 	var types [2]regfile.ValueType
 	n := 0
 	for _, s := range in.srcs {
 		if s.tag < 0 || s.fp {
 			continue
 		}
-		types[n] = c.classifier.Classify(c.intValue[s.tag])
+		types[n] = cl.Classify(c.intValue[s.tag])
 		n++
 	}
 	switch n {
 	case 1:
-		c.stats.OperandCombos[types[0]][types[0]]++
+		combos[types[0]][types[0]]++
 	case 2:
 		a, b := types[0], types[1]
 		if a > b {
 			a, b = b, a
 		}
-		c.stats.OperandCombos[a][b]++
+		combos[a][b]++
 	}
 }

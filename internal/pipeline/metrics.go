@@ -67,7 +67,7 @@ func (c *CPU) registerMetrics(reg *metrics.Registry) {
 	c.mIssueWidth = reg.Histogram("pipeline.issue_width", widthBounds(c.cfg.IssueWidth))
 	c.mCommitWidth = reg.Histogram("pipeline.commit_width", widthBounds(c.cfg.CommitWidth))
 
-	if m, ok := c.model.(metricsRegistrar); ok {
+	if m, ok := c.Model().(metricsRegistrar); ok {
 		m.RegisterMetrics(reg)
 	}
 	c.hier.RegisterMetrics(reg)

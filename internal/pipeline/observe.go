@@ -118,6 +118,11 @@ func (c *CPU) RunContext(ctx context.Context, obs Observe) (Stats, error) {
 	if obs.Live != nil && obs.LivePeriod <= 0 {
 		return c.stats, errors.New("pipeline: Observe.Live needs a positive LivePeriod")
 	}
+	if c.fan != nil {
+		if err := c.followRefusal(obs); err != nil {
+			return c.stats, err
+		}
+	}
 	c.install(obs)
 	err := drive(ctx, c, obs)
 	return c.stats, err
@@ -235,13 +240,14 @@ func (c *CPU) progress(final bool) Progress {
 		LSQ:          c.lsq.Len(),
 		Final:        final,
 	}
-	for i, f := range c.model.Files() {
+	model := c.Model()
+	for i, f := range model.Files() {
 		if i >= len(p.ArrayWrites) {
 			break
 		}
 		p.ArrayWrites[i] = f.Writes
 	}
-	if wc, ok := c.model.(writeClassifier); ok {
+	if wc, ok := model.(writeClassifier); ok {
 		p.WritesByType = wc.WritesByType()
 	}
 	return p

@@ -76,6 +76,15 @@ type FileActivity struct {
 // pipeline: a tag allocator plus timing (extra read/write stages) and
 // access accounting. Writes carry the 64-bit result value so that
 // content-aware organizations can classify it.
+//
+// Besides the shape (NumTags, ReadStages, WriteStages and, under port
+// contention, the first array's ports), four answers steer the timing
+// of a single-threaded, unclustered core: Alloc's, TryWrite's,
+// LongStall's and ReadValue's (through the reconstruction check). Two
+// models that give the same answers to those see the same run, which
+// is what lets one pipeline run serve several models (pipeline's
+// CPU.Follow). Read's and TypeOf's answers only feed statistics and
+// the SMT thread-priority policy.
 type Model interface {
 	// Name identifies the organization in reports.
 	Name() string

@@ -6,6 +6,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"carf/internal/recycle"
 )
@@ -149,14 +150,19 @@ func (m *Memory) LoadBytes(addr uint64, n int) []byte {
 func (m *Memory) MappedPages() int { return len(m.pages) }
 
 // Release empties the memory and hands its private pages to the next
-// writable call of any machine; shared image pages are left to their
-// program. Afterwards the memory reads as zeros everywhere and the
-// caller must hold no slice of a released page.
+// writable call of any machine and its page map, cleared, to the next
+// machine's memory; shared image pages are left to their program.
+// Afterwards the memory reads as zeros everywhere and the caller must
+// hold no slice of a released page.
 func (m *Memory) Release() {
 	for _, f := range m.pages {
 		if !f.shared {
 			pagePool.Put(f.p[:])
 		}
+	}
+	if m.pages != nil {
+		clear(m.pages)
+		pageMaps.Put(m.pages)
 	}
 	m.pages = nil
 }
@@ -168,3 +174,9 @@ const keepPages = 256
 
 // pagePool holds released private pages, owned by no memory.
 var pagePool = recycle.Pool[byte]{Keep: keepPages}
+
+// pageMaps holds released page maps, empty, owned by no memory. A
+// cleared map keeps its buckets, so a reused one takes the next
+// machine's copy of its image, and the pages its run maps, without
+// growing.
+var pageMaps sync.Pool

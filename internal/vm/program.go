@@ -146,7 +146,13 @@ func (p *Program) Validate() error {
 }
 
 // memory returns a fresh address space mapping the program's initial
-// image copy-on-write.
+// image copy-on-write, in a page map a released memory left behind
+// when there is one.
 func (p *Program) memory() *Memory {
-	return &Memory{pages: maps.Clone(p.image)}
+	pages, ok := pageMaps.Get().(map[uint64]frame)
+	if !ok {
+		return &Memory{pages: maps.Clone(p.image)}
+	}
+	maps.Copy(pages, p.image)
+	return &Memory{pages: pages}
 }

@@ -468,13 +468,13 @@ func TestImageCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesPages: a released memory's private pages serve
-// later writes without showing their old bytes. Each of 100 rounds
-// dirties one copied image page and a run of fresh pages with junk,
-// releases them, and checks that the next machine on the program reads
-// the image's bytes and zeros elsewhere — also around a single word
-// written to a reused page — while the image never changes and the
-// page pool never outgrows its cap.
+// TestReleaseRecyclesPages: a released memory's private pages and its
+// page map serve later writes and machines without showing their old
+// bytes. Each of 100 rounds dirties one copied image page and a run of
+// fresh pages with junk, releases them, and checks that the next
+// machine on the program reads the image's bytes and zeros elsewhere —
+// also around a single word written to a reused page — while the image
+// never changes and the page pool never outgrows its cap.
 func TestReleaseRecyclesPages(t *testing.T) {
 	const base = 0x9F00 // the segment spans two pages and part of a third
 	const fresh = 0x40_0000
