@@ -15,6 +15,7 @@ import (
 
 	"carf/internal/core"
 	"carf/internal/harden"
+	"carf/internal/metrics"
 	"carf/internal/pipeline"
 	"carf/internal/profile"
 	"carf/internal/regfile"
@@ -95,6 +96,20 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 			}
 			if frames < 2 {
 				t.Fatalf("%d progress frames, want a frame per chunk plus Final", frames)
+			}
+			return st.Instructions
+		}},
+		// A run sampling its metric series: each sample allocates its
+		// one []float64, nothing per cycle.
+		{"series", func() uint64 {
+			var ts metrics.TimeSeries
+			cpu := pipeline.New(pipeline.DefaultConfig(), k.Prog, core.New(core.DefaultParams()))
+			st, err := cpu.RunContext(context.Background(), pipeline.Observe{Every: metrics.DefaultInterval, Series: &ts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ts.Samples) < 2 {
+				t.Fatalf("%d series samples, want one per interval plus the closing one", len(ts.Samples))
 			}
 			return st.Instructions
 		}},

@@ -77,7 +77,7 @@ type Config struct {
 	// MaxInstructions bounds the simulation (0 = run to completion).
 	MaxInstructions uint64
 
-	// MetricsInterval samples every registered metric series (pipeline
+	// MetricsInterval samples every metric series (pipeline
 	// throughput and occupancies, sub-file occupancy, cache miss rates,
 	// predictor accuracy, ...) each time this many cycles elapse,
 	// collecting them into Result.Series, plus a closing sample at the

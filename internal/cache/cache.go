@@ -8,7 +8,6 @@ package cache
 import (
 	"fmt"
 
-	"carf/internal/metrics"
 	"carf/internal/recycle"
 )
 
@@ -269,21 +268,5 @@ func (h *Hierarchy) Reset() {
 func (h *Hierarchy) Release() {
 	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
 		wayPool.Return(&c.ways)
-	}
-}
-
-// RegisterMetrics registers per-level access, miss, and interval
-// miss-rate series ("cache.l1d.miss_rate", ...) on reg.
-func (h *Hierarchy) RegisterMetrics(reg *metrics.Registry) {
-	for _, lv := range []struct {
-		name string
-		c    *Cache
-	}{{"l1i", h.L1I}, {"l1d", h.L1D}, {"l2", h.L2}} {
-		c := lv.c
-		accesses := func() float64 { return float64(c.stats.Accesses) }
-		misses := func() float64 { return float64(c.stats.Misses) }
-		reg.GaugeFunc("cache."+lv.name+".accesses", accesses)
-		reg.GaugeFunc("cache."+lv.name+".misses", misses)
-		reg.RatioRate("cache."+lv.name+".miss_rate", misses, accesses)
 	}
 }

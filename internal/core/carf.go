@@ -753,6 +753,17 @@ func (f *File) LongStall(threshold int) bool {
 // FreeLong returns the number of free Long entries.
 func (f *File) FreeLong() int { return len(f.freeLong) }
 
+// Occupancy returns the live entries of the Simple, Short and Long
+// arrays.
+func (f *File) Occupancy() (simple, short, long int) {
+	for i := range f.short {
+		if f.short[i].live {
+			short++
+		}
+	}
+	return f.p.NumSimple - len(f.freeTags), short, f.p.NumLong - len(f.freeLong)
+}
+
 // SampleLiveLong accumulates a sample of the live Long-register count
 // (the pipeline calls it periodically; §6 reports the average).
 func (f *File) SampleLiveLong() {

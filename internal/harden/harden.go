@@ -20,7 +20,7 @@
 //     detection coverage and latency can be measured.
 //
 // Every failure carries a diagnostic Bundle: a snapshot of headline
-// statistics, the registered metric series, and the most recent commits.
+// statistics, the run's metric series values, and the most recent commits.
 // The package depends only on the ISA and the golden model, so the
 // pipeline, core, and regfile packages can all import it.
 package harden
@@ -118,15 +118,15 @@ type Metric struct {
 }
 
 // Bundle is the diagnostic context attached to every hardening failure:
-// where the machine was, headline statistics, the registered metric
-// series (when metrics are installed), and the most recent commits.
+// where the machine was, headline statistics, the metric series values
+// (when the run samples its series), and the most recent commits.
 type Bundle struct {
 	Cycle           uint64
 	PC              uint64
 	LastCommitCycle uint64
 
 	Notes   []string // headline statistics, one "name=value" per entry
-	Metrics []Metric // metrics registry snapshot (nil when not installed)
+	Metrics []Metric // metric series values (nil when the series is off)
 	Commits []CommitRecord
 	Trace   []string // tail of the pipeline trace (when a tracer is attached)
 }

@@ -20,7 +20,7 @@ func formatValue(v float64) string {
 
 // WriteJSONL exports the time series as JSON lines: one object per
 // sample with a leading "cycle" field and one field per series, in
-// registry order.
+// Names order.
 func WriteJSONL(w io.Writer, ts TimeSeries) error {
 	bw := bufio.NewWriter(w)
 	names := make([]string, len(ts.Names))

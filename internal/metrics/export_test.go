@@ -9,38 +9,17 @@ import (
 	"testing"
 )
 
-// goldenSeries builds a deterministic two-and-a-half-interval series
-// exercising every instrument kind the simulator registers.
+// goldenSeries is a deterministic two-and-a-half-interval series with
+// a count, a fractional gauge, an interval rate and a mean width.
 func goldenSeries() TimeSeries {
-	reg := NewRegistry()
-	var ops, occ float64
-	reg.GaugeFunc("ops", func() float64 { return ops })
-	reg.GaugeFunc("occupancy", func() float64 { return occ })
-	var num, den float64
-	reg.RatioRate("hit.rate", func() float64 { return num }, func() float64 { return den })
-	h := reg.Histogram("width", []float64{1, 2, 4})
-
-	ts := TimeSeries{Names: reg.Names()}
-	take := func(cycle uint64) {
-		ts.Samples = append(ts.Samples, Sample{Cycle: cycle, Values: reg.Snapshot(nil)})
+	return TimeSeries{
+		Names: []string{"ops", "occupancy", "hit.rate", "width"},
+		Samples: []Sample{
+			{Cycle: 10, Values: []float64{5, 3.5, 0.5, 2}},
+			{Cycle: 20, Values: []float64{12, 1.25, 0.75, 8}},
+			{Cycle: 25, Values: []float64{12, 1.25, 0, 0}},
+		},
 	}
-
-	ops += 5
-	occ = 3.5
-	num, den = 2, 4
-	h.Observe(1)
-	h.Observe(2)
-	h.Observe(3)
-	take(10)
-
-	ops += 7
-	occ = 1.25
-	num, den = 5, 8
-	h.Observe(8)
-	take(20)
-
-	take(25)
-	return ts
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

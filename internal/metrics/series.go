@@ -1,7 +1,7 @@
 package metrics
 
 // Sample is one interval snapshot: the cycle it was taken at and one
-// value per registered series, in registry order.
+// value per series, in Names order.
 type Sample struct {
 	Cycle  uint64
 	Values []float64

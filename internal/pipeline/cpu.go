@@ -8,7 +8,6 @@ import (
 	"carf/internal/cache"
 	"carf/internal/harden"
 	"carf/internal/isa"
-	"carf/internal/metrics"
 	"carf/internal/predictor"
 	"carf/internal/profile"
 	"carf/internal/recycle"
@@ -215,10 +214,11 @@ type CPU struct {
 	// nothing watches).
 	obs Observe
 
-	// Metrics instrumentation (Observe.Series; all nil when disabled).
-	mFetchWidth  *metrics.Histogram
-	mIssueWidth  *metrics.Histogram
-	mCommitWidth *metrics.Histogram
+	// issuedTotal counts issued instructions and haltCommits the
+	// commits of the uncounted cycle() call that commits HALT: the
+	// series' stage-width numerators.
+	issuedTotal uint64
+	haltCommits uint64
 
 	// issueHold asks this context to skip issue for the cycle (SMT
 	// thread-priority policies).
@@ -227,9 +227,9 @@ type CPU struct {
 	// (possibly shared) integer file.
 	longOwned int
 
-	// mreg is the metrics registry Observe.Series installed (nil when
-	// metrics are off); hardening failures snapshot it into the bundle.
-	mreg *metrics.Registry
+	// series is the sampling state Observe.Series installed (nil when
+	// it is off); hardening failures read it into the bundle.
+	series *series
 
 	// hard is the hardening state (nil when Config.Harden is all off —
 	// the fast path).
@@ -619,12 +619,13 @@ func (c *CPU) Stats() Stats { return c.stats }
 // order so same-cycle structural hazards resolve like hardware.
 func (c *CPU) cycle() {
 	c.readsUsed, c.writesUsed = 0, 0
-	instr0, seq0 := c.stats.Instructions, c.seq
+	instr0 := c.stats.Instructions
 	if c.hard != nil && len(c.hard.pending) > 0 {
 		c.tryInjectFaults()
 	}
 	c.commit()
 	if c.done {
+		c.haltCommits = c.stats.Instructions - instr0
 		return
 	}
 	c.writeback()
@@ -632,10 +633,6 @@ func (c *CPU) cycle() {
 	c.issue()
 	c.rename()
 	c.fetch()
-	if c.mCommitWidth != nil {
-		c.mCommitWidth.Observe(float64(c.stats.Instructions - instr0))
-		c.mFetchWidth.Observe(float64(c.seq - seq0))
-	}
 	if c.obs.Live != nil && c.now%int64(c.obs.LivePeriod) == 0 {
 		c.sampleLive()
 	}
@@ -1070,9 +1067,7 @@ func (c *CPU) issue() {
 	fpPool[0] = fpFU
 	c.issueQueue(&c.intIQ, &c.intWake, &issued, intPool, &dports, onlyHead)
 	c.issueQueue(&c.fpIQ, &c.fpWake, &issued, fpPool, &dports, onlyHead)
-	if c.mIssueWidth != nil {
-		c.mIssueWidth.Observe(float64(issued))
-	}
+	c.issuedTotal += uint64(issued)
 }
 
 // issueQueue wakes up ready instructions in age order. Entries that

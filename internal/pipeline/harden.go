@@ -298,9 +298,10 @@ func (c *CPU) checkWakeup() []harden.Violation {
 }
 
 // buildBundle captures the diagnostic context for a hardening failure:
-// headline statistics, the metrics registry snapshot when installed,
-// recent commits, and the tail of the pipeline trace when a TraceBuffer
-// is attached.
+// headline statistics, the series values when Observe.Series is on
+// (a pure read: the samples' interval state does not move), recent
+// commits, and the tail of the pipeline trace when a TraceBuffer is
+// attached.
 func (c *CPU) buildBundle() *harden.Bundle {
 	b := &harden.Bundle{
 		Cycle:           c.stats.Cycles,
@@ -319,12 +320,12 @@ func (c *CPU) buildBundle() *harden.Bundle {
 		fmt.Sprintf("forced_spills=%d", st.ForcedSpills),
 		fmt.Sprintf("value_mismatches=%d", st.ValueMismatches),
 	}
-	if c.mreg != nil {
-		names := c.mreg.Names()
-		vals := c.mreg.Snapshot(make([]float64, 0, len(names)))
-		b.Metrics = make([]harden.Metric, len(names))
-		for i, name := range names {
-			b.Metrics[i] = harden.Metric{Name: name, Value: vals[i]}
+	if s := c.series; s != nil {
+		s.cur = c.read()
+		vals := s.values(make([]float64, 0, len(s.rows)), &s.last)
+		b.Metrics = make([]harden.Metric, len(s.rows))
+		for i, row := range s.rows {
+			b.Metrics[i] = harden.Metric{Name: row.name, Value: vals[i]}
 		}
 	}
 	if c.hard != nil {

@@ -25,8 +25,8 @@ type Observe struct {
 	// runs on the simulating goroutine and must return quickly.
 	Frame func(Progress)
 
-	// Series, when non-nil, receives the core's registered metric series
-	// (pipeline, register file, caches, predictors): one sample per
+	// Series, when non-nil, receives the core's metric series (pipeline,
+	// register file, caches, predictors; see seriesTable): one sample per
 	// frame, at every multiple of Every, plus a closing sample at the
 	// run's last cycle, which replaces a slice boundary's sample at the
 	// same cycle. Its totals equal the returned Stats.
@@ -187,40 +187,17 @@ func (c *CPU) finish(runErr error) error {
 	return err
 }
 
-// install attaches obs to the core. The metrics registry and the
-// profiler hooks are installed once: a resumed run keeps the first
-// call's.
+// install attaches obs to the core. The series rows and the profiler
+// hooks are installed once: a resumed run keeps the first call's.
 func (c *CPU) install(obs Observe) {
 	c.obs = obs
-	if obs.Series != nil && c.mreg == nil {
-		c.registerMetrics(metrics.NewRegistry())
-		obs.Series.Names = c.mreg.Names()
+	if obs.Series != nil && c.series == nil {
+		c.series = newSeries(c)
+		obs.Series.Names = c.series.names()
 	}
 	if obs.Profile != nil && c.pp == nil {
 		c.installProfiler(obs.Profile)
 	}
-}
-
-// sample records one registry snapshot at the current cycle in the
-// observed Series (nil: metrics off). A series holds at most one
-// sample per cycle, the latest: a sample at an already-sampled cycle
-// replaces that one. The closing sample can repeat the last slice
-// boundary's cycle with different totals, because the cycle() call
-// that commits HALT retires instructions without counting a cycle.
-func (c *CPU) sample() {
-	ts := c.obs.Series
-	if ts == nil {
-		return
-	}
-	if n := len(ts.Samples); n > 0 && ts.Samples[n-1].Cycle == c.stats.Cycles {
-		last := &ts.Samples[n-1]
-		last.Values = c.mreg.Snapshot(last.Values[:0])
-		return
-	}
-	ts.Samples = append(ts.Samples, metrics.Sample{
-		Cycle:  c.stats.Cycles,
-		Values: c.mreg.Snapshot(make([]float64, 0, c.mreg.Len())),
-	})
 }
 
 // writeClassifier is implemented by register file models that count

@@ -5,7 +5,6 @@
 package predictor
 
 import (
-	"carf/internal/metrics"
 	"carf/internal/recycle"
 )
 
@@ -53,8 +52,8 @@ func NewGshare(cfg GshareConfig) *Gshare {
 }
 
 // Release hands the counter table back for reuse by a later NewGshare.
-// Accuracy and the registered metrics stay readable; Predict and Update
-// must not be called again. Releasing twice is a no-op.
+// Accuracy and Counts stay readable; Predict and Update must not be
+// called again. Releasing twice is a no-op.
 func (g *Gshare) Release() {
 	counterPool.Return(&g.table)
 }
@@ -91,15 +90,8 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	g.history = g.history<<1 | b2u(taken)
 }
 
-// RegisterMetrics registers prediction volume and interval accuracy
-// series on reg.
-func (g *Gshare) RegisterMetrics(reg *metrics.Registry) {
-	predicts := func() float64 { return float64(g.predicts) }
-	correct := func() float64 { return float64(g.correct) }
-	reg.GaugeFunc("predictor.gshare.predicts", predicts)
-	reg.GaugeFunc("predictor.gshare.correct", correct)
-	reg.RatioRate("predictor.gshare.accuracy", correct, predicts)
-}
+// Counts returns the direction predictions made and the correct ones.
+func (g *Gshare) Counts() (predicts, correct uint64) { return g.predicts, g.correct }
 
 // Accuracy returns the fraction of correct direction predictions.
 func (g *Gshare) Accuracy() float64 {
@@ -141,8 +133,8 @@ func NewBTB(entries int) *BTB {
 }
 
 // Release hands the entry table back for reuse by a later NewBTB.
-// HitRate and the registered metrics stay readable; Lookup and Insert
-// must not be called again. Releasing twice is a no-op.
+// HitRate and Counts stay readable; Lookup and Insert must not be
+// called again. Releasing twice is a no-op.
 func (b *BTB) Release() {
 	btbPool.Return(&b.entries)
 }
@@ -163,15 +155,8 @@ func (b *BTB) Insert(pc, target uint64) {
 	b.entries[pc>>3&b.mask] = btbEntry{tag: pc, target: target, valid: true}
 }
 
-// RegisterMetrics registers lookup volume and interval hit-rate series
-// on reg.
-func (b *BTB) RegisterMetrics(reg *metrics.Registry) {
-	lookups := func() float64 { return float64(b.lookups) }
-	hits := func() float64 { return float64(b.hits) }
-	reg.GaugeFunc("predictor.btb.lookups", lookups)
-	reg.GaugeFunc("predictor.btb.hits", hits)
-	reg.RatioRate("predictor.btb.hit_rate", hits, lookups)
-}
+// Counts returns the lookups made and the ones that hit.
+func (b *BTB) Counts() (lookups, hits uint64) { return b.lookups, b.hits }
 
 // HitRate returns the fraction of lookups that hit.
 func (b *BTB) HitRate() float64 {

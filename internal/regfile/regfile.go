@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"carf/internal/harden"
-	"carf/internal/metrics"
 	"carf/internal/recycle"
 )
 
@@ -294,14 +293,6 @@ func (c *Conventional) CheckInvariants() []harden.Violation {
 			Detail: fmt.Sprintf("%s: %d in use + %d free != %d entries", c.name, inUse, len(c.free), c.spec.Entries)})
 	}
 	return vs
-}
-
-// RegisterMetrics registers the file's occupancy and access-traffic
-// series on reg.
-func (c *Conventional) RegisterMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("regfile.occupancy", func() float64 { return float64(c.spec.Entries - len(c.free)) })
-	reg.GaugeFunc("regfile.reads", func() float64 { return float64(c.reads) })
-	reg.GaugeFunc("regfile.writes", func() float64 { return float64(c.writes) })
 }
 
 // Tables released by Conventional.Release, reused by the next Reset.

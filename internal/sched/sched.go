@@ -20,8 +20,7 @@
 //
 // Every DoProgress call returns a Provenance (hit / miss / joined,
 // queue wait, simulation wall time); cumulative counters are available
-// through Stats and, for interval sampling and export, through the
-// scheduler's metrics.Registry.
+// through Stats and, for Prometheus exposition, through Readings.
 package sched
 
 import (
@@ -271,7 +270,6 @@ type Scheduler struct {
 	// progress frames per run, in nanoseconds (SetProgressInterval).
 	progressEvery atomic.Int64
 
-	reg       *metrics.Registry
 	queueHist *metrics.SyncHistogram // per-miss queue wait, seconds
 	simHist   *metrics.SyncHistogram // per-miss simulation wall, seconds
 }
@@ -279,7 +277,7 @@ type Scheduler struct {
 // latencyBounds are the queue-wait/sim-wall histogram bucket upper
 // bounds in seconds: sub-millisecond dispatch up through multi-second
 // full-scale simulations, so /metrics exposes tail latency rather than
-// only the cumulative totals the gauges carry.
+// only the cumulative totals the counters carry.
 var latencyBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
@@ -298,35 +296,12 @@ func New(workers int) *Scheduler {
 		inflight: make(map[Key]*entry),
 		lru:      list.New(),
 		lruPos:   make(map[Key]*list.Element),
+
+		queueHist: metrics.NewSyncHistogram("sched.queue_wait_seconds", latencyBounds),
+		simHist:   metrics.NewSyncHistogram("sched.sim_wall_seconds", latencyBounds),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.progressEvery.Store(int64(DefaultProgressInterval))
-	s.reg = metrics.NewRegistry()
-	snap := func(f func(Stats) float64) func() float64 {
-		return func() float64 { return f(s.Stats()) }
-	}
-	s.reg.GaugeFunc("sched.workers", snap(func(st Stats) float64 { return float64(st.Workers) }))
-	s.reg.GaugeFunc("sched.cache_entries", snap(func(st Stats) float64 { return float64(st.CacheEntries) }))
-	s.reg.GaugeFunc("sched.runs", snap(func(st Stats) float64 { return float64(st.Runs) }))
-	s.reg.GaugeFunc("sched.misses", snap(func(st Stats) float64 { return float64(st.Misses) }))
-	s.reg.GaugeFunc("sched.hits", snap(func(st Stats) float64 { return float64(st.Hits) }))
-	s.reg.GaugeFunc("sched.joins", snap(func(st Stats) float64 { return float64(st.Joins) }))
-	s.reg.GaugeFunc("sched.disk_hits", snap(func(st Stats) float64 { return float64(st.DiskHits) }))
-	s.reg.GaugeFunc("sched.peer_hits", snap(func(st Stats) float64 { return float64(st.PeerHits) }))
-	s.reg.GaugeFunc("sched.canceled", snap(func(st Stats) float64 { return float64(st.Canceled) }))
-	s.reg.GaugeFunc("sched.evictions", snap(func(st Stats) float64 { return float64(st.Evictions) }))
-	s.reg.GaugeFunc("sched.errors", snap(func(st Stats) float64 { return float64(st.Errors) }))
-	s.reg.GaugeFunc("sched.queue_wait_ms", snap(func(st Stats) float64 { return float64(st.QueueWait) / float64(time.Millisecond) }))
-	s.reg.GaugeFunc("sched.sim_wall_ms", snap(func(st Stats) float64 { return float64(st.SimWall) / float64(time.Millisecond) }))
-	s.reg.GaugeFunc("sched.lease_wait_ms", snap(func(st Stats) float64 { return float64(st.LeaseWait) / float64(time.Millisecond) }))
-	s.reg.GaugeFunc("sched.hit_rate", snap(func(st Stats) float64 {
-		if st.Runs == 0 {
-			return 0
-		}
-		return float64(st.Hits+st.Joins+st.DiskHits+st.PeerHits) / float64(st.Runs)
-	}))
-	s.queueHist = s.reg.SyncHistogram("sched.queue_wait_seconds", latencyBounds)
-	s.simHist = s.reg.SyncHistogram("sched.sim_wall_seconds", latencyBounds)
 	return s
 }
 
@@ -472,16 +447,38 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Metrics returns the scheduler's registry (sched.runs, sched.hits,
-// sched.misses, sched.joins, sched.queue_wait_ms, the per-run
-// sched.queue_wait_seconds / sched.sim_wall_seconds histograms, ...)
-// for interval sampling and export alongside the simulator's other
-// series. Every instrument in it is safe to read while runs are in
-// flight — the gauges snapshot under the scheduler lock and the
-// histograms are SyncHistograms — so Read (Prometheus exposition) may
-// be called from a serving goroutine at any time; Snapshot advances
-// interval state and should keep a single driver.
-func (s *Scheduler) Metrics() *metrics.Registry { return s.reg }
+// Readings exports Stats in the metrics Reading shape for Prometheus
+// exposition: the monotonic totals as counters, the pool size, cache
+// size and hit rate as gauges, then the per-miss queue-wait and
+// simulation-wall histograms. It is safe to call while runs are in
+// flight.
+func (s *Scheduler) Readings() []metrics.Reading {
+	st := s.Stats()
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	hitRate := 0.0
+	if st.Runs > 0 {
+		hitRate = float64(st.Hits+st.Joins+st.DiskHits+st.PeerHits) / float64(st.Runs)
+	}
+	return []metrics.Reading{
+		{Name: "sched.workers", Kind: metrics.ReadGauge, Value: float64(st.Workers)},
+		{Name: "sched.cache_entries", Kind: metrics.ReadGauge, Value: float64(st.CacheEntries)},
+		{Name: "sched.runs", Kind: metrics.ReadCounter, Value: float64(st.Runs)},
+		{Name: "sched.misses", Kind: metrics.ReadCounter, Value: float64(st.Misses)},
+		{Name: "sched.hits", Kind: metrics.ReadCounter, Value: float64(st.Hits)},
+		{Name: "sched.joins", Kind: metrics.ReadCounter, Value: float64(st.Joins)},
+		{Name: "sched.disk_hits", Kind: metrics.ReadCounter, Value: float64(st.DiskHits)},
+		{Name: "sched.peer_hits", Kind: metrics.ReadCounter, Value: float64(st.PeerHits)},
+		{Name: "sched.canceled", Kind: metrics.ReadCounter, Value: float64(st.Canceled)},
+		{Name: "sched.evictions", Kind: metrics.ReadCounter, Value: float64(st.Evictions)},
+		{Name: "sched.errors", Kind: metrics.ReadCounter, Value: float64(st.Errors)},
+		{Name: "sched.queue_wait_ms", Kind: metrics.ReadCounter, Value: ms(st.QueueWait)},
+		{Name: "sched.sim_wall_ms", Kind: metrics.ReadCounter, Value: ms(st.SimWall)},
+		{Name: "sched.lease_wait_ms", Kind: metrics.ReadCounter, Value: ms(st.LeaseWait)},
+		{Name: "sched.hit_rate", Kind: metrics.ReadGauge, Value: hitRate},
+		s.queueHist.Read(),
+		s.simHist.Read(),
+	}
+}
 
 // DoProgress runs fn through the worker pool, deduplicating and
 // memoizing by key when cacheable is true; it is the scheduler's one

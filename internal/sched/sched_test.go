@@ -233,34 +233,38 @@ func TestForEachOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestMetricsRegistryExposesCounters: Readings exports the monotonic
+// totals as counters and the hit rate as a gauge.
 func TestMetricsRegistryExposesCounters(t *testing.T) {
 	s := New(2)
 	key := KeyOf("m")
 	for i := 0; i < 3; i++ {
 		do(s, key, "", true, func() (any, error) { return nil, nil })
 	}
-	names := s.Metrics().Names()
-	idx := map[string]int{}
-	for i, n := range names {
-		idx[n] = i
+	byName := map[string]metrics.Reading{}
+	for _, rd := range s.Readings() {
+		byName[rd.Name] = rd
 	}
-	snap := s.Metrics().Snapshot(nil)
-	want := map[string]float64{
+	for name, v := range map[string]float64{
 		"sched.runs":   3,
 		"sched.misses": 1,
 		"sched.hits":   2,
-	}
-	for name, v := range want {
-		i, ok := idx[name]
+	} {
+		rd, ok := byName[name]
 		if !ok {
-			t.Fatalf("series %s not registered (have %v)", name, names)
+			t.Fatalf("reading %s missing", name)
 		}
-		if snap[i] != v {
-			t.Errorf("%s = %v, want %v", name, snap[i], v)
+		if rd.Kind != metrics.ReadCounter || rd.Value != v {
+			t.Errorf("%s = kind %d value %v, want a counter at %v", name, rd.Kind, rd.Value, v)
 		}
 	}
-	if i, ok := idx["sched.hit_rate"]; !ok || snap[i] < 0.6 || snap[i] > 0.7 {
-		t.Errorf("sched.hit_rate = %v, want 2/3", snap[idx["sched.hit_rate"]])
+	for _, name := range []string{"sched.joins", "sched.errors", "sched.queue_wait_ms", "sched.sim_wall_ms"} {
+		if rd := byName[name]; rd.Kind != metrics.ReadCounter {
+			t.Errorf("%s has kind %d, want a counter", name, rd.Kind)
+		}
+	}
+	if rd := byName["sched.hit_rate"]; rd.Kind != metrics.ReadGauge || rd.Value < 0.6 || rd.Value > 0.7 {
+		t.Errorf("sched.hit_rate = kind %d value %v, want a gauge at 2/3", rd.Kind, rd.Value)
 	}
 }
 
@@ -397,7 +401,7 @@ func TestLatencyHistograms(t *testing.T) {
 		})
 	}
 	var qw, sw metrics.Reading
-	for _, rd := range s.Metrics().Read() {
+	for _, rd := range s.Readings() {
 		switch rd.Name {
 		case "sched.queue_wait_seconds":
 			qw = rd

@@ -15,10 +15,9 @@ import (
 // histograms as cumulative le-bucketed series with _sum and _count.
 // Names are prefixed with namespace and sanitized (dots and dashes
 // become underscores), so "sched.queue_wait_seconds" under namespace
-// "carf" exposes as carf_sched_queue_wait_seconds. Readings come from
-// Registry.Read, which never perturbs interval-sampling state, so a
-// scrape is safe at any time on a registry whose instruments are
-// concurrency-safe (the scheduler's is).
+// "carf" exposes as carf_sched_queue_wait_seconds. Readings are
+// cumulative values read under their owners' locks (Scheduler.Readings,
+// Store.Readings), so a scrape is safe at any time.
 func WritePrometheus(w io.Writer, namespace string, readings []metrics.Reading) error {
 	for _, rd := range readings {
 		name := promName(namespace, rd.Name)
@@ -40,7 +39,7 @@ func WritePrometheus(w io.Writer, namespace string, readings []metrics.Reading) 
 
 // promHistogram renders one histogram: Prometheus buckets are
 // cumulative (each le bucket counts all observations at or below its
-// bound), where metrics.Histogram buckets are disjoint — the running
+// bound), where metrics.SyncHistogram buckets are disjoint — the running
 // sum converts.
 func promHistogram(w io.Writer, name string, rd metrics.Reading) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {

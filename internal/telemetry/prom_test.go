@@ -18,26 +18,23 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden Prometh
 
 // goldenReadings builds one reading of every kind with fixed values, so
 // the golden file pins the exposition format end to end: type lines,
-// name sanitization, cumulative le buckets, +Inf, _sum/_count. The
-// counter and the plain gauge are built as Readings directly, the way
-// the store, the scheduler and the daemon export theirs; the rest come
-// from one instrument of every registry kind.
+// name sanitization, cumulative le buckets, +Inf, _sum/_count. All but
+// one are Reading literals, the way the store, the scheduler and the
+// daemon export theirs; the last histogram comes from a SyncHistogram.
 func goldenReadings() []metrics.Reading {
-	r := metrics.NewRegistry()
-	r.GaugeFunc("sched.hit_rate", func() float64 { return 0.625 })
-	h := r.Histogram("sched.queue-wait_seconds", []float64{0.001, 0.01, 0.1, 1})
-	for _, v := range []float64{0.0005, 0.002, 0.003, 0.05, 0.5, 30} {
-		h.Observe(v)
-	}
-	sh := r.SyncHistogram("sched.sim_wall_seconds", []float64{0.25, 2.5})
+	sh := metrics.NewSyncHistogram("sched.sim_wall_seconds", []float64{0.25, 2.5})
 	sh.Observe(0.125)
 	sh.Observe(1)
-	var num, den float64 = 30, 40
-	r.RatioRate("pipeline.ipc", func() float64 { return num }, func() float64 { return den })
-	return append([]metrics.Reading{
+	return []metrics.Reading{
 		{Name: "pipeline.commits", Kind: metrics.ReadCounter, Value: 12345},
 		{Name: "rob.occupancy", Kind: metrics.ReadGauge, Value: 42.5},
-	}, r.Read()...)
+		{Name: "sched.hit_rate", Kind: metrics.ReadGauge, Value: 0.625},
+		// Observations 0.0005, 0.002, 0.003, 0.05, 0.5 and 30.
+		{Name: "sched.queue-wait_seconds", Kind: metrics.ReadHistogram, Bounds: []float64{0.001, 0.01, 0.1, 1},
+			Counts: []uint64{1, 2, 1, 1, 1}, Count: 6, Sum: 30.5555},
+		sh.Read(),
+		{Name: "pipeline.ipc", Kind: metrics.ReadGauge, Value: 0.75},
+	}
 }
 
 func TestPrometheusGolden(t *testing.T) {

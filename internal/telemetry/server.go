@@ -18,7 +18,7 @@ import (
 // -telemetry flag. Endpoints:
 //
 //	/metrics  Prometheus text exposition: the attached scheduler's
-//	          registry (run/hit/join counters, queue-wait and sim-wall
+//	          readings (run/hit/join counters, queue-wait and sim-wall
 //	          histograms) plus hub and process meta-series.
 //	/healthz  liveness: {"status":"ok",...}.
 //	/runs     live JSON table of in-flight and completed runs with
@@ -134,7 +134,7 @@ func (sv *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 func (sv *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if sv.sch != nil {
-		if err := WritePrometheus(w, "carf", sv.sch.Metrics().Read()); err != nil {
+		if err := WritePrometheus(w, "carf", sv.sch.Readings()); err != nil {
 			return
 		}
 	}
